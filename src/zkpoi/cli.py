@@ -5,7 +5,7 @@ Grammar: zkpoi <identity|register|registry|sim|econ> <verb>
 
 Exit codes: 0 success, 2 configuration/validation error, 1 runtime error.
 Seeds resolve as --seed, then the ZKPOI_SEED environment variable, then the
-config file's "seed" field, then 0.
+config file's "seed" field, then 0; whichever is used must lie in [0, 2**64).
 """
 
 from __future__ import annotations

@@ -115,8 +115,7 @@ class Decoder:
         return self.take_bytes() if self.take_bool() else None
 
     def take_opt_text(self) -> str | None:
-        raw = self.take_opt_bytes()
-        return None if raw is None else raw.decode("utf-8")
+        return self.take_text() if self.take_bool() else None
 
     def finish(self) -> None:
         if self._pos != len(self._view):

@@ -14,9 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.optimize import brentq
-
 from ..errors import DomainError, ExponentSingularity, ZeroVolume
+from ._roots import bisect_root
 
 _CROSS_CHECK_TOL = 1e-9
 
@@ -58,11 +57,15 @@ def _delta_condition_root(beta: float, eta: float, alpha: float, delta: float) -
     # gap decreases in q and is negative at 1; halve the lower bracket until
     # it turns positive so even far-sub-unity roots stay bracketed
     lo = 0.5
-    while gap(lo) <= 0.0:
-        lo *= 0.5
-        if lo == 0.0:
-            raise DomainError("circulation condition root underflowed the bracket")
-    return float(brentq(gap, lo, 1.0 + 1e-12, xtol=1e-15))
+    try:
+        while gap(lo) <= 0.0:
+            lo *= 0.5
+            if lo == 0.0:
+                raise DomainError("circulation condition root underflowed the bracket")
+    except OverflowError as exc:
+        raise DomainError("circulation condition overflowed before its root was "
+                          "bracketed") from exc
+    return bisect_root(gap, lo, 1.0 + 1e-12, xtol=1e-15)
 
 
 def stationary_dm_output(params: CirculationParams) -> dict:

@@ -9,9 +9,9 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from ..errors import TooLarge
+from ._roots import bisect_root
 
 _TENSOR_CAP = 1_000_000  # payoff entries an exhaustive pass may touch
 
@@ -206,7 +206,7 @@ def calibrate_power_law(population: int, top_count: int, top_share: float) -> fl
     def gap(s):
         return float(zipf_shares(population, s)[:top_count].sum()) - top_share
 
-    return float(brentq(gap, 1e-3, 16.0, xtol=1e-12))
+    return bisect_root(gap, 1e-3, 16.0, xtol=1e-12)
 
 
 def udce_vs_plfc_game(miner_count: int, pow_cost_model, reward_r: float, *,

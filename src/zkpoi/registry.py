@@ -267,16 +267,23 @@ class Registry:
 
 
 def load_log(path) -> list[dict]:
+    """Records of an exported log; DecodeError on any malformed line."""
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines()
     records = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh):
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            missing = {"op", "pseudonym", "pk", "epoch"} - rec.keys()
-            if missing:
-                raise DecodeError(f"log line {line_no} lacks fields {sorted(missing)}")
-            records.append(rec)
+    for line_no, line in enumerate(lines):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line.decode("utf-8"))
+        except ValueError as exc:  # invalid UTF-8 or invalid JSON
+            raise DecodeError(f"log line {line_no} is not valid JSON: {exc}") from exc
+        if not isinstance(rec, dict):
+            raise DecodeError(f"log line {line_no} is not a JSON object")
+        missing = {"op", "pseudonym", "pk", "epoch"} - rec.keys()
+        if missing:
+            raise DecodeError(f"log line {line_no} lacks fields {sorted(missing)}")
+        records.append(rec)
     return records
 
 

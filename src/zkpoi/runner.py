@@ -20,7 +20,7 @@ from .codec import canonical_json
 from .econ import circulation as circ
 from .econ import congestion as cong
 from .econ import games, network
-from .errors import ConfigInvalid, IoFailure
+from .errors import ConfigInvalid, DomainError, IoFailure
 
 SCHEMA_VERSION = 1
 FLOAT_FORMAT = ".9g"
@@ -50,24 +50,30 @@ def load_config(path) -> dict:
     return config
 
 
+def check_seed(value, source: str) -> int:
+    """The one seed check: an integer in [0, 2**64), else a config error
+    that names where the seed came from."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        _fail(source, "must be an integer")
+    if not 0 <= value < 2**64:
+        _fail(source, "must fit in 64 bits (0 <= seed < 2**64)")
+    return value
+
+
 def resolve_seed(config: dict, flag_seed: int | None, env=None) -> int:
     """Explicit --seed wins; otherwise the ZKPOI_SEED variable overrides the
     config value; otherwise the config value; otherwise zero."""
     env = os.environ if env is None else env
     if flag_seed is not None:
-        return flag_seed
+        return check_seed(flag_seed, "--seed")
     env_seed = env.get("ZKPOI_SEED")
     if env_seed is not None:
         try:
-            return int(env_seed)
+            value = int(env_seed)
         except ValueError:
             _fail("ZKPOI_SEED", f"must be an integer, got {env_seed!r}")
-    seed = config.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        _fail("seed", "must be an integer")
-    if not -(2**63) <= seed < 2**64:
-        _fail("seed", "must fit in 64 bits")
-    return seed
+        return check_seed(value, "ZKPOI_SEED")
+    return check_seed(config.get("seed", 0), "seed")
 
 
 class _Params:
@@ -387,8 +393,7 @@ def _scenario_sim_epoch(p: _Params, seed: int) -> ScenarioResult:
     behaviors = {b: c for b, c in behaviors.items() if c}
     if sum(behaviors.values()) > n:
         _fail("params.lazy_defectors", "behavior counts exceed the miner count")
-    randomness = seed.to_bytes(32, "big", signed=False) if seed >= 0 else (
-        (seed + 2**64).to_bytes(32, "big"))
+    randomness = seed.to_bytes(32, "big")
     rows = []
     protocols = ["coordinated", "receipts"] if protocol == "both" else [protocol]
     for name in protocols:
@@ -464,10 +469,13 @@ def _scenario_econ_dominance(p: _Params, seed: int) -> ScenarioResult:
     top_share = p.number("top_share", 0.9, lo=0.0, hi=1.0, exclusive=True)
     udce_cost = p.number("udce_cost", 0.0, lo=0.0)
     p.reject_unknown()
-    matrix = games.udce_vs_plfc_game(miner_count, pow_cost, reward,
-                                     share_model=share_model, population=population,
-                                     top_count=top_count, top_share=top_share,
-                                     udce_cost=udce_cost)
+    try:
+        matrix = games.udce_vs_plfc_game(miner_count, pow_cost, reward,
+                                         share_model=share_model, population=population,
+                                         top_count=top_count, top_share=top_share,
+                                         udce_cost=udce_cost)
+    except (ValueError, DomainError) as exc:
+        _fail("params", str(exc))
     result = games.idsds(matrix)
     rows = [{"player": i, "surviving": "|".join(result.surviving[i])}
             for i in range(miner_count)]
@@ -617,6 +625,7 @@ def run(config: dict, scenario: str, seed: int, out_path=None,
         output_format: str | None = None) -> tuple[RunManifest, bytes]:
     """Validate, execute, serialize, optionally write; returns the manifest
     and the serialized output bytes."""
+    check_seed(seed, "seed")
     if scenario not in SCENARIOS:
         _fail("scenario", f"unknown scenario {scenario!r}; "
               f"known: {sorted(SCENARIOS)}")

@@ -18,12 +18,12 @@ differ exactly in how defection is detected.
 
 from __future__ import annotations
 
+import decimal
 import math
 import random
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import binom
 
 from .crypto import SigningKey, hash_parts, verify_signature
 from .errors import (
@@ -513,13 +513,31 @@ def is_nash_profile(params: GameParams, entries) -> bool:
 
 def shard_failure_prob(n: int, m: float) -> float:
     """Probability a shard of n sampled miners seats >= ceil(n/3) malicious
-    ones when the global malicious fraction is m."""
+    ones when the global malicious fraction is m.
+
+    The binomial tail is summed in 50-digit decimal arithmetic with an
+    unbounded exponent range, so no term underflows at large n; each term
+    follows from the one before by the ratio (n-k)/(k+1) * m/(1-m).
+    """
     if not 0.0 <= m <= 1.0:
         raise ValueError("malicious fraction must lie in [0, 1]")
     if n < 1:
         raise ValueError("shard size must be >= 1")
+    if m in (0.0, 1.0):
+        return float(m)
     threshold = math.ceil(n / 3)
-    return float(binom.sf(threshold - 1, n, m))
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        ctx.Emin, ctx.Emax = decimal.MIN_EMIN, decimal.MAX_EMAX
+        p = decimal.Decimal(m)
+        q = 1 - p
+        ratio = p / q
+        term = math.comb(n, threshold) * p ** threshold * q ** (n - threshold)
+        total = term
+        for k in range(threshold, n):
+            term = term * (n - k) / (k + 1) * ratio
+            total += term
+        return float(total)
 
 
 def epoch_failure_bound(num_shards: int, per_shard_prob: float, views: int,

@@ -71,6 +71,16 @@ class TestArgparseSurface:
             assert proc.stdout.strip() == f"zkpoi {__version__}"
 
 
+class TestColdStart:
+    def test_cli_import_loads_no_scipy(self, child_env):
+        probe = ("import sys, zkpoi.cli; "
+                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                              text=True, env=child_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+
 class TestSuccessPath:
     def test_csv_payload_on_stdout_manifest_on_stderr(self, capsys):
         code, out, err = run_cli(["econ", "ess"], capsys)
@@ -154,6 +164,34 @@ class TestSeedResolution:
         assert code == 2
         assert "seed: must fit in 64 bits" in err
 
+    @pytest.mark.parametrize("value", [-1, 2**64])
+    @pytest.mark.parametrize("source", ["--seed", "ZKPOI_SEED", "seed"])
+    def test_out_of_range_seed_is_a_config_error(self, capsys, config_file,
+                                                 monkeypatch, source, value):
+        doc = {"params": {"count": 1, "kdf_iterations": 4}}
+        argv = ["registry", "register"]
+        if source == "--seed":
+            argv += ["--seed", str(value)]
+        elif source == "ZKPOI_SEED":
+            monkeypatch.setenv("ZKPOI_SEED", str(value))
+        else:
+            doc["seed"] = value
+        code, out, err = run_cli(argv + ["--config", config_file(doc)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"config error: {source}: must fit in 64 bits")
+
+    def test_largest_seed_is_accepted(self, capsys):
+        code, _, err = run_cli(["sim", "epoch", "--seed", str(2**64 - 1)], capsys)
+        assert code == 0
+        assert json.loads(err)["seed"] == 2**64 - 1
+
+    def test_runner_checks_the_seed_too(self):
+        from zkpoi import runner
+        from zkpoi.errors import ConfigInvalid
+        with pytest.raises(ConfigInvalid, match="seed: must fit in 64 bits"):
+            runner.run({}, "econ.ess", -1)
+
 
 class TestConfigErrors:
     def test_unknown_parameter_names_the_field(self, capsys, config_file):
@@ -168,6 +206,20 @@ class TestConfigErrors:
         code, _, err = run_cli(["econ", "ess", "--config", cfg], capsys)
         assert code == 2
         assert "params.u_aa: must be a number" in err
+
+    @pytest.mark.parametrize("params,message", [
+        # top_share below what one of two holders always owns: no exponent fits
+        ({"population": 2, "top_count": 1, "top_share": 0.4}, "no sign change"),
+        ({"population": 16, "top_count": 16}, "top_count < population"),
+    ])
+    def test_uncalibratable_dominance_is_a_config_error(self, capsys, config_file,
+                                                        params, message):
+        cfg = config_file({"params": params})
+        code, out, err = run_cli(["econ", "dominance", "--config", cfg], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("config error: params: ")
+        assert message in err
 
     def test_range_violation_names_the_bound(self, capsys, config_file):
         cfg = config_file({"params": {"miner_count": 1}})
@@ -233,6 +285,14 @@ class TestConfigErrors:
 
 
 class TestRuntimeErrors:
+    def test_circulation_overflow_exits_1(self, capsys, config_file):
+        cfg = config_file({"params": {"beta_disc": 1e-300, "eta": 0.999,
+                                      "alpha_eff": 0.0, "deltas": [1e-12]}})
+        code, out, err = run_cli(["econ", "circulation", "--config", cfg], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: DomainError:")
+
     def test_domain_failure_exits_1(self, capsys, config_file):
         # both networks start with zero customers: join odds are undefined
         cfg = config_file({"params": {"c_a": 0.0, "c_b": 0.0, "steps": 10}})

@@ -81,3 +81,10 @@ def test_every_truncation_fails_loudly(payload, cut):
 def test_canonical_json_is_key_order_independent():
     assert canonical_json({"b": 1, "a": [2, {"z": 0, "y": 1}]}) == \
         canonical_json({"a": [2, {"y": 1, "z": 0}], "b": 1})
+
+
+def test_invalid_utf8_optional_text_is_a_decode_error():
+    blob = Encoder("T").put_opt_bytes(b"\xffbad").done()
+    d = Decoder(blob, "T")
+    with pytest.raises(DecodeError, match="utf-8"):
+        d.take_opt_text()

@@ -224,6 +224,17 @@ class TestVerifierSteps:
         verdict = verify_registration_bundle(broken, store, NETWORK, NOW)
         assert (verdict.accepted, verdict.code) == (False, "step3")
 
+    def test_step3_invalid_utf8_unique_id(self, world):
+        store, _, card, *_ = world
+        bundle, _ = build(card, store)
+        doc_bytes = bundle.evidence.doc_bytes
+        assert doc_bytes.count(b"UID-C-01") == 1
+        tampered = dataclasses.replace(bundle, evidence=dataclasses.replace(
+            bundle.evidence, doc_bytes=doc_bytes.replace(b"UID-C-01", b"\xffID-C-01")))
+        verdict = verify_registration_bundle(tampered, store, NETWORK, NOW)
+        assert (verdict.accepted, verdict.code) == (False, "step3")
+        assert "utf-8" in verdict.reason
+
     def test_step3_document_rejected(self, world):
         store, _, card, *_ = world
         bundle, _ = build(card, store)

@@ -16,7 +16,7 @@ from zkpoi.econ.circulation import (
     gamma_dynamics,
     stationary_dm_output,
 )
-from zkpoi.errors import ExponentSingularity, ZeroVolume
+from zkpoi.errors import DomainError, ExponentSingularity, ZeroVolume
 
 
 def params(beta=0.9, eta=0.5, alpha=0.5, delta=1.0, **extra) -> CirculationParams:
@@ -88,6 +88,12 @@ class TestStationaryOutput:
         if delta < 1.0:
             assert out["q_hat_delta"] < out["q_hat_full"]
             assert out["pareto_dominates"]
+
+    def test_root_beyond_the_float_range_is_a_domain_error(self):
+        # the partial-circulation root lies below the smallest float, so the
+        # bracket search overflows q ** -(eta + alpha) before it finds it
+        with pytest.raises(DomainError):
+            stationary_dm_output(params(beta=1e-300, eta=0.999, alpha=0.0, delta=1e-12))
 
     def test_lower_delta_means_lower_output(self):
         outs = [stationary_dm_output(params(delta=d))["q_hat_delta"]

@@ -21,6 +21,7 @@ from zkpoi.accumulator import (
 from zkpoi.credential import SUFFIX_OFF, SUFFIX_REG, build_registration_bundle
 from zkpoi.errors import (
     AlreadyMember,
+    DecodeError,
     DuplicateIdentity,
     InvalidBundle,
     NoSession,
@@ -316,6 +317,16 @@ class TestHostView:
         assert {d: e["status"] for d, e in view.entries.items()} == expected
         statuses = sorted(e["status"] for e in view.entries.values())
         assert statuses == [STATUS_OFFLINE, STATUS_ONLINE, STATUS_ONLINE]
+
+    @pytest.mark.parametrize("line", ['{"op": ', "[1,2]", '"text"', "\udcff"],
+                             ids=["truncated", "array", "string", "bad-utf8"])
+    def test_malformed_log_line_is_a_decode_error(self, tmp_path, line):
+        path = tmp_path / "registry.log"
+        good = json.dumps({"op": "register", "pseudonym": "00:REG", "pk": "00",
+                           "epoch": 0})
+        path.write_bytes(f"{good}\n{line}\n".encode("utf-8", "surrogateescape"))
+        with pytest.raises(DecodeError, match="log line 1"):
+            load_log(path)
 
 
 # ---------------------------------------------------------------------------

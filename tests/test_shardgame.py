@@ -405,11 +405,15 @@ class TestShardFailure:
         # 3 seats, half the network malicious: 1 - (1-m)^3 - C(3,1) terms
         assert shard_failure_prob(3, 0.5) == 0.875
 
-    @pytest.mark.parametrize("n", [3, 9, 30])
+    @pytest.mark.parametrize("n", [3, 9, 30, 300, 600])
     @pytest.mark.parametrize("m", [0.05, 0.1, 0.5])
     def test_matches_exact_binomial_tail(self, n, m):
         assert shard_failure_prob(n, m) == pytest.approx(
             oracles.binomial_tail_exact(n, m), abs=1e-12)
+
+    def test_large_shard_stays_a_probability(self):
+        # single binomial terms underflow a float far below this size
+        assert 0.0 <= shard_failure_prob(5000, 0.33) <= 1.0
 
     def test_monotone_in_malicious_fraction(self):
         probs = [shard_failure_prob(9, m / 10) for m in range(11)]
