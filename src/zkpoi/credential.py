@@ -17,7 +17,9 @@ only per (document, passphrase).
 
 Verification re-executes every generation-side check against the evidence
 disclosed inside an attested session; there is no succinct proof object,
-the verifier simply reruns the predicate.
+the verifier simply reruns the predicate. An accepting verdict carries the
+decoded document and its unique id, so callers use the verified values
+instead of decoding the evidence again.
 """
 
 from __future__ import annotations
@@ -66,15 +68,10 @@ _DOC_KIND_EPASSPORT = "epassport"
 class KdfParams:
     iteration_count: int
     salt: bytes  # derived from the document's public hash
-    output_len: int = 32
 
     def __post_init__(self):
         if self.iteration_count < 1:
             raise ValueError("iteration_count must be >= 1")
-
-    @classmethod
-    def for_document(cls, doc, iteration_count: int = DEFAULT_KDF_ITERATIONS) -> "KdfParams":
-        return cls(iteration_count=iteration_count, salt=document_hash(doc))
 
 
 @dataclass
@@ -109,23 +106,22 @@ def derive_keypair(passphrase: str, doc_hash: bytes, params: KdfParams) -> Deriv
         raise EmptyPassphrase("a passphrase is mandatory")
     salt = hash_parts(b"kdf-salt", doc_hash, params.salt,
                       params.iteration_count.to_bytes(8, "big"))
-    seed = pbkdf2_sha256(passphrase, salt, params.iteration_count, params.output_len)
-    sk = SigningKey.from_seed(seed[:32])
+    seed = pbkdf2_sha256(passphrase, salt, params.iteration_count, 32)
+    sk = SigningKey.from_seed(seed)
     return DerivedKeyPair(pk=sk.public_bytes, sk=sk)
 
 
-def compute_signature_secret(doc, prefixed_common_string: str = PREFIXED_COMMON_STRING) -> bytes:
+def compute_signature_secret(doc) -> bytes:
     """The document's deterministic signature over the fixed common string.
 
     Unpredictable without the document key, yet verifiable against its
     public key, and identical on every invocation.
     """
-    return active_auth_sign(doc, prefixed_common_string.encode("utf-8"))
+    return active_auth_sign(doc, PREFIXED_COMMON_STRING.encode("utf-8"))
 
 
-def verify_signature_secret(doc_public_key: bytes, secret: bytes,
-                            prefixed_common_string: str = PREFIXED_COMMON_STRING) -> bool:
-    return active_auth_verify(doc_public_key, prefixed_common_string.encode("utf-8"), secret)
+def verify_signature_secret(doc_public_key: bytes, secret: bytes) -> bool:
+    return active_auth_verify(doc_public_key, PREFIXED_COMMON_STRING.encode("utf-8"), secret)
 
 
 def derive_pseudonym(signature_secret: bytes, blockchain_id: str, unique_id: str,
@@ -204,6 +200,9 @@ class BundleVerdict:
     accepted: bool
     failed_step: int | None = None  # 3..7, first check that failed
     reason: str | None = None
+    # The verified document and its unique id; None on a rejected verdict.
+    unique_id: str | None = None
+    document: object = field(default=None, compare=False, repr=False)
 
     @property
     def code(self) -> str | None:
@@ -233,7 +232,6 @@ def build_registration_bundle(doc, passphrase: str, blockchain_id: str,
                               trust_store: TrustStore, now: int, *,
                               aa_mode: str = AA_MODE_FULL, suffix: str = SUFFIX_REG,
                               kdf_iterations: int = DEFAULT_KDF_ITERATIONS,
-                              prefixed_common_string: str = PREFIXED_COMMON_STRING,
                               ) -> tuple[RegistrationBundle, DerivedKeyPair]:
     """Run the full generation pipeline on a validated document.
 
@@ -252,7 +250,7 @@ def build_registration_bundle(doc, passphrase: str, blockchain_id: str,
     keypair = derive_keypair(passphrase, doc_digest,
                              KdfParams(iteration_count=kdf_iterations, salt=doc_digest))
     if aa_mode == AA_MODE_FULL:
-        secret = compute_signature_secret(doc, prefixed_common_string)
+        secret = compute_signature_secret(doc)
         sign_pk = active_auth_sign(doc, keypair.pk)
     else:
         secret = _absent_mode_secret(passphrase, doc_digest, kdf_iterations)
@@ -265,15 +263,13 @@ def build_registration_bundle(doc, passphrase: str, blockchain_id: str,
 
 
 def verify_registration_bundle(bundle: RegistrationBundle, trust_store: TrustStore,
-                               blockchain_id: str, now: int, *,
-                               expected_suffix: str | None = None,
-                               prefixed_common_string: str = PREFIXED_COMMON_STRING,
-                               ) -> BundleVerdict:
+                               blockchain_id: str, now: int) -> BundleVerdict:
     """Re-execute the generation checks; report the first failing step.
 
     Step 3 validates the disclosed document, step 4 extracts the unique id,
     step 5 recomputes the pseudonym, step 6 checks the key binding and step
     7 checks the secret itself. Steps 6-7 apply only to full-mode bundles.
+    An accepting verdict carries the decoded document and its unique id.
     """
     try:
         doc = bundle.evidence.decode_document()
@@ -292,8 +288,6 @@ def verify_registration_bundle(bundle: RegistrationBundle, trust_store: TrustSto
                                 bundle.pseudonym.suffix)
     if expected.digest != bundle.pseudonym.digest:
         return BundleVerdict.fail(5, "pseudonym digest does not recompute")
-    if expected_suffix is not None and bundle.pseudonym.suffix != expected_suffix:
-        return BundleVerdict.fail(5, f"expected a {expected_suffix}-suffix pseudonym")
 
     if bundle.evidence.aa_mode == AA_MODE_FULL:
         try:
@@ -302,9 +296,9 @@ def verify_registration_bundle(bundle: RegistrationBundle, trust_store: TrustSto
             return BundleVerdict.fail(6, "document publishes no signing key")
         if bundle.sign_pk is None or not active_auth_verify(doc_pk, bundle.pk, bundle.sign_pk):
             return BundleVerdict.fail(6, "key binding signature does not verify")
-        if not verify_signature_secret(doc_pk, bundle.evidence.secret, prefixed_common_string):
+        if not verify_signature_secret(doc_pk, bundle.evidence.secret):
             return BundleVerdict.fail(7, "pseudonym secret does not verify")
-    return BundleVerdict(True)
+    return BundleVerdict(True, unique_id=unique_id, document=doc)
 
 
 def kdf_wall_time(passphrase: str, doc_hash: bytes, iteration_count: int) -> float:

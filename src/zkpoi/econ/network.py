@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..errors import BothSidesEmpty, DegenerateRatio, IndistinguishableNetworks
+from ..errors import BothSidesEmpty, DegenerateRatio, DomainError, IndistinguishableNetworks
 
 EXPECTATION_MODES = ("current", "expected")
 
@@ -51,7 +51,10 @@ def _attraction(count_a: float, count_b: float, exponent: float,
         return 0.5, 0.5
     if count_a == 0.0 and count_b == 0.0:
         raise BothSidesEmpty(f"both networks have zero {side}; probabilities undefined")
-    wa, wb = count_a ** exponent, count_b ** exponent
+    try:
+        wa, wb = count_a ** exponent, count_b ** exponent
+    except OverflowError as exc:
+        raise DomainError(f"{side} count to the power {exponent} overflows") from exc
     return wa / (wa + wb), wb / (wa + wb)
 
 
@@ -125,8 +128,8 @@ def state_ratios(state: NetworkState) -> tuple[float, float]:
 def ratio_ode_step(state, dt: float) -> tuple[float, float]:
     """One classical 4th-order fixed-step advance of the ratio dynamics.
 
-    Accepts a NetworkState (ratios derived from counts) or a bare
-    (merchant_ratio, customer_ratio) pair; returns the updated ratios.
+    Takes a NetworkState (ratios derived from counts; anything else raises
+    TypeError) and returns the updated (merchant_ratio, customer_ratio).
     """
     if isinstance(state, NetworkState):
         x, z = state_ratios(state)

@@ -2,8 +2,9 @@
 
 Registration runs entirely inside attested logic: the bundle arrives sealed
 under an attestation session, is re-verified from scratch, and the unique
-identifier is checked against a keyed-tag store whose key only the attested
-logic holds. The host observes pseudonym digests, public keys and opaque
+identifier the verdict carries is checked against a keyed-tag store whose
+key only the attested logic holds; the verified document is not decoded
+again. The host observes pseudonym digests, public keys and opaque
 tags; it never sees a plaintext identifier. A second uniqueness layer, the
 set accumulator over stable personal attributes, catches re-issued
 documents whose identifier changed.
@@ -17,10 +18,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 from . import attestation
-from .accumulator import Accumulator, accumulator_generate
+from .accumulator import Accumulator, accumulator_generate, accumulator_remove
 from .codec import Decoder, Encoder
 from .crypto import ByteStream, hash_parts, hmac_sha256
 from .errors import (
@@ -31,14 +32,8 @@ from .errors import (
     ReplayedRegProof,
     UnknownPseudonym,
 )
-from .credential import (
-    SUFFIX_OFF,
-    SUFFIX_REG,
-    Pseudonym,
-    RegistrationBundle,
-    verify_registration_bundle,
-)
-from .identity import CertChain, EPassport, TrustStore, extract_unique_id
+from .credential import SUFFIX_REG, Pseudonym, RegistrationBundle, verify_registration_bundle
+from .identity import CertChain, EPassport, TrustStore
 
 REGISTRY_ENCLAVE = attestation.EnclaveIdentity(name="zkpoi-registry", version=1)
 
@@ -88,8 +83,8 @@ class EncryptedIdDB:
 def default_identity_attributes(doc) -> tuple[str, ...]:
     """Stable personal attributes that survive document renewal.
 
-    Configurable per deployment; the default pins the holder's name plus
-    birth date for passports and the subject name for certificates.
+    The holder's name, birth date and nationality for passports; the issuer
+    and subject names for certificates.
     """
     if isinstance(doc, EPassport):
         return ("epassport", doc.dg1.name, doc.dg1.birth_date, doc.dg1.nationality)
@@ -116,24 +111,18 @@ class Registry:
     """Single-writer pseudonym ledger bound to one network identifier."""
 
     def __init__(self, trust_store: TrustStore, blockchain_id: str, *, seed: int,
-                 allow_reregistration: bool = False,
-                 attribute_extractor: Callable[[object], tuple[str, ...]] | None = None,
-                 client_policy: attestation.AttestationPolicy | None = None):
+                 allow_reregistration: bool = False):
         stream = ByteStream(hash_parts(b"registry-secrets", seed.to_bytes(8, "big"),
                                        blockchain_id.encode("utf-8")))
         self.trust_store = trust_store
         self.blockchain_id = blockchain_id
         self.allow_reregistration = allow_reregistration
         self.enclave = REGISTRY_ENCLAVE
-        self._attributes_of = attribute_extractor or default_identity_attributes
         self._id_db = EncryptedIdDB(stream.take(32))
         self._session_rng = stream
         self.accumulator: Accumulator = accumulator_generate(seed)
         self.entries: dict[bytes, RegistryEntry] = {}  # digest -> entry
         self.log: list[dict] = []
-        # Identifier needed again at take-offline time, kept enclave-side only.
-        self._uid_by_digest: dict[bytes, str] = {}
-        self._client_policy = client_policy
 
     # -- sessions -------------------------------------------------------------
 
@@ -141,8 +130,7 @@ class Registry:
                      policy: attestation.AttestationPolicy | None = None,
                      ) -> attestation.AttestationSession:
         """Attest a client against this registry's enclave."""
-        policy = policy or self._client_policy or attestation.AttestationPolicy.expecting(
-            client, self.enclave)
+        policy = policy or attestation.AttestationPolicy.expecting(client, self.enclave)
         return attestation.mutual_attest(client, self.enclave, policy, rng=self._session_rng)
 
     def _require_session(self, session) -> attestation.AttestationSession:
@@ -177,27 +165,23 @@ class Registry:
         bundle = self._unseal_bundle(session, sealed_bundle)
         if bundle.pseudonym.suffix != SUFFIX_REG:
             raise InvalidBundle("registration requires a REG-suffix pseudonym")
-        verdict = verify_registration_bundle(bundle, self.trust_store, self.blockchain_id,
-                                             now, expected_suffix=SUFFIX_REG)
+        verdict = verify_registration_bundle(bundle, self.trust_store, self.blockchain_id, now)
         if not verdict.accepted:
             raise InvalidBundle(f"bundle rejected at {verdict.code}: {verdict.reason}")
-        doc = bundle.evidence.decode_document()
-        unique_id = extract_unique_id(doc)
-        if self._id_db.contains(unique_id):
+        if self._id_db.contains(verdict.unique_id):
             raise DuplicateIdentity("identifier already registered")
         existing = self.entries.get(bundle.pseudonym.digest)
         if existing is not None and not (self.allow_reregistration
                                          and existing.status == STATUS_OFFLINE):
             raise DuplicateIdentity("pseudonym already registered")
-        attributes = self._attributes_of(doc)
+        attributes = default_identity_attributes(verdict.document)
         if not self.accumulator.admit(encode_attributes(attributes)):
             raise DuplicateIdentity("personal attributes already registered")
-        self._id_db.add(unique_id)
+        self._id_db.add(verdict.unique_id)
         entry = RegistryEntry(pseudonym=bundle.pseudonym, pk=bundle.pk,
                               sign_pk=bundle.sign_pk, status=STATUS_ONLINE,
                               registered_at=self.epoch)
         self.entries[bundle.pseudonym.digest] = entry
-        self._uid_by_digest[bundle.pseudonym.digest] = unique_id
         self._append("register", bundle.pseudonym, bundle.pk)
         return entry
 
@@ -211,8 +195,7 @@ class Registry:
         bundle = self._unseal_bundle(session, sealed_off_bundle)
         if bundle.pseudonym.suffix == SUFFIX_REG:
             raise ReplayedRegProof("a registration proof cannot retire a pseudonym")
-        verdict = verify_registration_bundle(bundle, self.trust_store, self.blockchain_id,
-                                             now, expected_suffix=SUFFIX_OFF)
+        verdict = verify_registration_bundle(bundle, self.trust_store, self.blockchain_id, now)
         if not verdict.accepted:
             raise InvalidBundle(f"bundle rejected at {verdict.code}: {verdict.reason}")
         entry = self.entries.get(bundle.pseudonym.digest)
@@ -223,13 +206,10 @@ class Registry:
         entry.status = STATUS_OFFLINE
         self._append("offline", bundle.pseudonym, bundle.pk)
         if self.allow_reregistration:
-            doc = bundle.evidence.decode_document()
-            unique_id = self._uid_by_digest.get(bundle.pseudonym.digest)
-            if unique_id is not None:
-                self._id_db.remove(unique_id)
-            leaf = encode_attributes(self._attributes_of(doc))
+            # The id that registered: the digest hashes it and matched the entry's.
+            self._id_db.remove(verdict.unique_id)
+            leaf = encode_attributes(default_identity_attributes(verdict.document))
             if self.accumulator.contains(leaf):
-                from .accumulator import accumulator_remove
                 accumulator_remove(self.accumulator, leaf)
         return entry
 

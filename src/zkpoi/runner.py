@@ -12,6 +12,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -105,6 +106,8 @@ class _Params:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             _fail(f"params.{key}", "must be a number")
         value = float(value)
+        if math.isnan(value):
+            _fail(f"params.{key}", "must be a number, not NaN")
         if lo is not None and (value <= lo if exclusive else value < lo):
             _fail(f"params.{key}", f"must be {'>' if exclusive else '>='} {lo}")
         if hi is not None and value > hi:
@@ -134,6 +137,8 @@ class _Params:
             if isinstance(v, bool) or not isinstance(v, (int, float)):
                 _fail(f"params.{key}[{i}]", "must be a number")
             v = float(v)
+            if math.isnan(v):
+                _fail(f"params.{key}[{i}]", "must be a number, not NaN")
             if (lo is not None and v < lo) or (hi is not None and v > hi):
                 _fail(f"params.{key}[{i}]", f"must lie in [{lo}, {hi}]")
             out.append(v)

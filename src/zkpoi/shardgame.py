@@ -425,7 +425,6 @@ def _gossip_and_collect(members: list[MinerState], pool: tuple[str, ...],
 
 def run_receipt_protocol(params: GameParams, miners: list[MinerState], epoch_randomness,
                          *, txs_per_shard: int = 8, drop_rate: float = 0.0,
-                         gossip_topology: str = "complete",
                          receipt_sample_size: int = 3) -> EpochOutcome:
     """One epoch with no coordinator: gossip, signed acknowledgments, and a
     sampled receipt transcript as the only proof of who saw transactions.
@@ -434,8 +433,6 @@ def run_receipt_protocol(params: GameParams, miners: list[MinerState], epoch_ran
     pays the penalty; with receipt_sample_size=0 no evidence circulates and
     silent free-riders go unpunished, which is the sampling trade-off.
     """
-    if gossip_topology != "complete":
-        raise ValueError("only the complete gossip topology is modeled")
     rand = _as_bytes(epoch_randomness)
     assign_shards(rand, miners, params)
     pools = deal_transactions(rand, miners, params, txs_per_shard, drop_rate)

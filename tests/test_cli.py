@@ -233,6 +233,28 @@ class TestConfigErrors:
         assert code == 2
         assert "params.deltas[1]: must be a number" in err
 
+    @pytest.mark.parametrize("group,verb,params,key", [
+        ("econ", "circulation", {"beta_disc": float("nan")}, "beta_disc"),
+        ("econ", "network", {"lam": float("nan")}, "lam"),
+        ("econ", "ess", {"u_aa": float("nan")}, "u_aa"),
+        ("sim", "epoch", {"tx_reward": float("nan")}, "tx_reward"),
+        ("econ", "congestion", {"deadline": float("nan")}, "deadline"),
+        ("econ", "circulation", {"deltas": [float("nan")]}, "deltas[0]"),
+        ("econ", "circulation", {"deltas": [0.5, float("nan")]}, "deltas[1]"),
+    ], ids=["circulation", "network", "ess", "epoch", "congestion", "deltas0", "deltas1"])
+    def test_nan_is_a_config_error(self, capsys, config_file, group, verb, params, key):
+        cfg = config_file({"params": params})
+        code, out, err = run_cli([group, verb, "--config", cfg], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.strip() == f"config error: params.{key}: must be a number, not NaN"
+
+    def test_infinity_is_not_caught_as_nan(self, capsys, config_file):
+        cfg = config_file({"params": {"u_aa": float("inf")}})
+        code, out, _ = run_cli(["econ", "ess", "--config", cfg], capsys)
+        assert code == 0
+        assert out
+
     def test_missing_config_file(self, capsys, tmp_path):
         code, _, err = run_cli(
             ["econ", "ess", "--config", str(tmp_path / "nope.json")], capsys)
@@ -292,6 +314,14 @@ class TestRuntimeErrors:
         assert code == 1
         assert out == ""
         assert err.startswith("error: DomainError:")
+
+    def test_network_weight_overflow_exits_1(self, capsys, config_file):
+        cfg = config_file({"params": {"m_a": 1e308, "steps": 50}})
+        code, out, err = run_cli(["econ", "network", "--config", cfg], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: DomainError:")
+        assert "Traceback" not in err
 
     def test_domain_failure_exits_1(self, capsys, config_file):
         # both networks start with zero customers: join odds are undefined

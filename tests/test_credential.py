@@ -36,6 +36,8 @@ from zkpoi.identity import (
     HolderFields,
     active_auth_sign,
     document_hash,
+    document_public_bytes,
+    extract_unique_id,
     generate_ca_hierarchy,
     issue_dsc,
     issue_epassport,
@@ -265,15 +267,26 @@ class TestVerifierSteps:
         bundle, _ = build(card, store)
         assert verify_registration_bundle(bundle, store, "chain-other", NOW).code == "step5"
 
-    def test_step5_suffix_mismatch(self, world):
+    def test_off_bundle_verifies(self, world):
         store, _, card, *_ = world
         bundle, _ = build(card, store, suffix=SUFFIX_OFF)
-        ok = verify_registration_bundle(bundle, store, NETWORK, NOW,
-                                        expected_suffix=SUFFIX_OFF)
-        assert ok.accepted
-        bad = verify_registration_bundle(bundle, store, NETWORK, NOW,
-                                         expected_suffix=SUFFIX_REG)
-        assert bad.code == "step5"
+        verdict = verify_registration_bundle(bundle, store, NETWORK, NOW)
+        assert verdict.accepted
+        assert verdict.unique_id == extract_unique_id(card)
+
+    @pytest.mark.parametrize("doc_index", [2, 3, 4], ids=["card", "passport", "plain"])
+    def test_only_an_accepted_verdict_carries_the_document(self, world, doc_index):
+        store, doc = world[0], world[doc_index]
+        mode = AA_MODE_ABSENT if doc_index == 4 else AA_MODE_FULL
+        bundle, _ = build(doc, store, aa_mode=mode)
+        verdict = verify_registration_bundle(bundle, store, NETWORK, NOW)
+        assert verdict.accepted
+        assert verdict.unique_id == extract_unique_id(doc)
+        assert document_public_bytes(verdict.document) == bundle.evidence.doc_bytes
+        assert "document" not in repr(verdict)
+        rejected = verify_registration_bundle(bundle, store, "chain-other", NOW)
+        assert rejected.code == "step5"
+        assert rejected.unique_id is None and rejected.document is None
 
     def test_step6_rebound_wallet_key(self, world):
         store, _, card, *_ = world

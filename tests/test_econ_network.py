@@ -19,7 +19,12 @@ from zkpoi.econ.network import (
     simulate_network_growth,
     state_ratios,
 )
-from zkpoi.errors import BothSidesEmpty, DegenerateRatio, IndistinguishableNetworks
+from zkpoi.errors import (
+    BothSidesEmpty,
+    DegenerateRatio,
+    DomainError,
+    IndistinguishableNetworks,
+)
 
 
 def make_state(**overrides) -> NetworkState:
@@ -70,6 +75,12 @@ class TestJoinProbabilities:
     def test_empty_merchant_side_is_an_error(self):
         with pytest.raises(BothSidesEmpty):
             join_probabilities(make_state(m_a=0.0, m_b=0.0))
+
+    def test_overflowing_weight_is_a_domain_error(self):
+        with pytest.raises(DomainError):
+            join_probabilities(make_state(m_a=1e308, alpha=1.5))
+        with pytest.raises(DomainError):
+            simulate_network_growth(make_state(c_a=1e308, beta=1.5), 50, seed=0)
 
     def test_expected_mode_advances_counts_one_step(self):
         state = make_state(expectation_mode="expected")

@@ -30,12 +30,20 @@ from zkpoi.errors import (
     UnknownPseudonym,
     WrongSession,
 )
-from zkpoi.identity import GENESIS, YEAR, generate_ca_hierarchy, issue_identity_cert
+from zkpoi.identity import (
+    GENESIS,
+    YEAR,
+    CertChain,
+    EPassport,
+    generate_ca_hierarchy,
+    issue_identity_cert,
+)
 from zkpoi.registry import (
     STATUS_OFFLINE,
     STATUS_ONLINE,
     Registry,
     RegistryView,
+    default_identity_attributes,
     encode_attributes,
     load_log,
 )
@@ -261,6 +269,46 @@ class TestTakeOffline:
         entry = registry.register(sealed(session, make_bundle(card, store)), session, NOW)
         assert entry.status == STATUS_ONLINE
         assert registry.online_count() == 1
+
+    def test_reregistration_releases_the_identifier_and_attributes(self, world):
+        store, hierarchy = world
+        registry = Registry(store, NETWORK, seed=16, allow_reregistration=True)
+        session = registry.open_session(CLIENT)
+        other, card = make_card(hierarchy, 27), make_card(hierarchy, 28)
+        registry.register(sealed(session, make_bundle(other, store)), session, NOW)
+        tags_of_other = registry.host_view()["id_tags"]
+        registry.register(sealed(session, make_bundle(card, store)), session, NOW)
+        leaf = encode_attributes(default_identity_attributes(card.chain))
+        assert len(registry.host_view()["id_tags"]) == 2
+        assert registry.accumulator.contains(leaf)
+        off = make_bundle(card, store, suffix=SUFFIX_OFF)
+        registry.take_offline(sealed(session, off), session, NOW)
+        assert registry.host_view()["id_tags"] == tags_of_other
+        assert not registry.accumulator.contains(leaf)
+        registry.register(sealed(session, make_bundle(card, store)), session, NOW)
+        assert len(registry.host_view()["id_tags"]) == 2
+        assert registry.online_count() == 2
+
+
+class TestVerifyOnce:
+    def test_admission_and_removal_decode_the_document_once(self, world, monkeypatch):
+        store, hierarchy = world
+        registry = Registry(store, NETWORK, seed=17, allow_reregistration=True)
+        session = registry.open_session(CLIENT)
+        card = make_card(hierarchy, 29)
+        reg_blob = sealed(session, make_bundle(card, store))
+        off_blob = sealed(session, make_bundle(card, store, suffix=SUFFIX_OFF))
+        decodes = []
+        for cls in (CertChain, EPassport):
+            def counting(blob, _decode=cls.from_bytes):
+                decodes.append(blob)
+                return _decode(blob)
+            monkeypatch.setattr(cls, "from_bytes", staticmethod(counting))
+        registry.register(reg_blob, session, NOW)
+        assert len(decodes) == 1
+        registry.take_offline(off_blob, session, NOW)
+        assert len(decodes) == 2
+        assert not hasattr(registry, "_uid_by_digest")
 
 
 # ---------------------------------------------------------------------------

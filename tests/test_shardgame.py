@@ -333,12 +333,6 @@ class TestProtocolRuns:
         assert a.payoffs == b.payoffs
         assert a.classification == b.classification
 
-    def test_only_complete_gossip_is_modeled(self):
-        params = params_with()
-        with pytest.raises(ValueError):
-            run_receipt_protocol(params, make_miners(8, 14), RAND,
-                                 gossip_topology="ring")
-
 
 # ---------------------------------------------------------------------------
 # Equilibrium checking
