@@ -14,8 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from numbers import Real
 
 from ..errors import DegenerateBaseline, Infeasible, TooLarge, ZeroMiners
 
@@ -24,22 +23,31 @@ _ENUMERATION_CAP = 200_000  # candidate allocations an exhaustive scan may touch
 
 def _as_grid(value, k: int, m: int, name: str) -> tuple[tuple[float, ...], ...]:
     """Coerce a scalar, per-puzzle sequence, or full K x M grid to K x M."""
-    if np.isscalar(value):
-        rows = [[float(value)] * m for _ in range(k)]
+    if isinstance(value, Real):
+        rows = [[value] * m for _ in range(k)]
+    elif _is_numbers(value, k):
+        rows = [[v] * m for v in value]
+    elif _is_sized(value, k) and all(_is_numbers(row, m) for row in value):
+        rows = value
     else:
-        arr = np.asarray(value, dtype=float)
-        if arr.shape == (k,):
-            rows = [[float(v)] * m for v in arr]
-        elif arr.shape == (k, m):
-            rows = arr.tolist()
-        else:
-            raise ValueError(f"{name} must be scalar, length-{k}, or {k}x{m}")
+        raise ValueError(f"{name} must be scalar, length-{k}, or {k}x{m}")
     grid = tuple(tuple(float(v) for v in row) for row in rows)
     for row in grid:
         for v in row:
             if v < 0:
                 raise ValueError(f"{name} entries must be >= 0")
     return grid
+
+
+def _is_sized(value, n: int) -> bool:
+    try:
+        return len(value) == n
+    except TypeError:
+        return False
+
+
+def _is_numbers(value, n: int) -> bool:
+    return _is_sized(value, n) and all(isinstance(v, Real) for v in value)
 
 
 @dataclass(frozen=True)
@@ -76,7 +84,7 @@ class Allocation:
     def __init__(self, loads):
         rows = []
         for row in loads:
-            if np.isscalar(row):
+            if isinstance(row, Real):
                 row = (row,)
             cells = tuple(int(v) for v in row)
             if any(v < 0 for v in cells):

@@ -6,9 +6,8 @@ between uniformly-distributed and power-law-concentrated mining rewards.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from ..errors import TooLarge
 from ._roots import bisect_root
@@ -18,32 +17,47 @@ _TENSOR_CAP = 1_000_000  # payoff entries an exhaustive pass may touch
 
 @dataclass(frozen=True)
 class PayoffMatrix:
-    """n-player finite game. u[s1, ..., sn, i] is player i's payoff at the
-    pure profile (s1, ..., sn); strategies[i] names player i's options."""
+    """n-player finite game. u[s1][...][sn][i] is player i's payoff at the
+    pure profile (s1, ..., sn), held as nested tuples of floats (read-only);
+    strategies[i] names player i's options. Any nested sequence of numbers
+    of that shape (a numpy array included) is accepted as u."""
 
     strategies: tuple[tuple[str, ...], ...]
-    u: np.ndarray
+    u: tuple
 
     def __init__(self, strategies, u):
         strategies = tuple(tuple(s) for s in strategies)
-        u = np.asarray(u, dtype=float)
         expected = tuple(len(s) for s in strategies) + (len(strategies),)
-        if u.shape != expected:
-            raise ValueError(f"payoff tensor shape {u.shape} != {expected}")
-        if not np.isfinite(u).all():
-            raise ValueError("payoffs must be finite")
-        if u.size > _TENSOR_CAP:
+        try:
+            u = _frozen_tensor(u, expected)
+        except TypeError:
+            raise ValueError(f"payoff tensor shape != {expected}") from None
+        if math.prod(expected) > _TENSOR_CAP:
             raise TooLarge("payoff tensor too large for exhaustive analysis")
         object.__setattr__(self, "strategies", strategies)
         object.__setattr__(self, "u", u)
-        u.setflags(write=False)
 
     @property
     def num_players(self) -> int:
         return len(self.strategies)
 
     def payoff(self, player: int, profile: tuple[int, ...]) -> float:
-        return float(self.u[tuple(profile) + (player,)])
+        cell = self.u
+        for s in profile:
+            cell = cell[s]
+        return cell[player]
+
+
+def _frozen_tensor(u, shape: tuple[int, ...], depth: int = 0):
+    """u as nested tuples of finite floats; ValueError unless u has shape."""
+    if depth == len(shape):
+        value = float(u)
+        if not math.isfinite(value):
+            raise ValueError("payoffs must be finite")
+        return value
+    if len(u) != shape[depth]:
+        raise ValueError(f"payoff tensor shape != {shape}")
+    return tuple(_frozen_tensor(row, shape, depth + 1) for row in u)
 
 
 def is_pure_nash(matrix: PayoffMatrix, profile: tuple[int, ...]) -> bool:
@@ -135,6 +149,18 @@ def _insert(ctx: tuple[int, ...], i: int, s: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
+def _linspace(lo: float, hi: float, n: int) -> list[float]:
+    """numpy.linspace(lo, hi, n), bit for bit: lo + i * step, then hi."""
+    if n < 0:
+        raise ValueError(f"Number of samples, {n}, must be non-negative.")
+    if n < 2:
+        return [lo][:n]
+    step = (hi - lo) / (n - 1)
+    if step == 0:  # numpy's path when the step underflows
+        return [i / (n - 1) * (hi - lo) + lo for i in range(n - 1)] + [hi]
+    return [i * step + lo for i in range(n - 1)] + [hi]
+
+
 def _payoff_fn(u):
     if callable(u):
         return u
@@ -175,7 +201,7 @@ def is_ess(u, strategies, candidate, *, epsilon0: float = 0.1,
         if gap_mutant < 0:
             hi = min(hi, 0.5 * gap_resident / (gap_resident - gap_mutant))
         lo = min(1e-3, hi / 2)
-        for eps in np.linspace(lo, hi, grid_points):
+        for eps in _linspace(lo, hi, grid_points):
             fit_resident = (1 - eps) * resident + eps * pay(candidate, mutant)
             fit_mutant = (1 - eps) * against_resident + eps * pay(mutant, mutant)
             if not fit_resident > fit_mutant:
@@ -191,10 +217,15 @@ UDCE = "UDCE"
 PLFC = "PLFC"
 
 
-def zipf_shares(population: int, exponent: float) -> np.ndarray:
-    """Rank-ordered power-law reward shares summing to one."""
-    weights = np.arange(1, population + 1, dtype=float) ** (-exponent)
-    return weights / weights.sum()
+def _power_sum(count: int, exponent: float) -> float:
+    """The correctly rounded sum of k ** -exponent over k = 1..count."""
+    return math.fsum(map(pow, range(1, count + 1), itertools.repeat(-exponent)))
+
+
+def zipf_shares(population: int, exponent: float) -> list[float]:
+    """Rank-ordered power-law reward shares summing to one, as a list."""
+    total = _power_sum(population, exponent)
+    return [k ** -exponent / total for k in range(1, population + 1)]
 
 
 def calibrate_power_law(population: int, top_count: int, top_share: float) -> float:
@@ -203,8 +234,8 @@ def calibrate_power_law(population: int, top_count: int, top_share: float) -> fl
     if not 0 < top_share < 1 or not 0 < top_count < population:
         raise ValueError("need 0 < top_share < 1 and 0 < top_count < population")
 
-    def gap(s):
-        return float(zipf_shares(population, s)[:top_count].sum()) - top_share
+    def gap(s):  # the top holders' share, from the power sums alone
+        return _power_sum(top_count, s) / _power_sum(population, s) - top_share
 
     return bisect_root(gap, 1e-3, 16.0, xtol=1e-12)
 
@@ -238,7 +269,7 @@ def udce_vs_plfc_game(miner_count: int, pow_cost_model, reward_r: float, *,
     if share_model == "zipf":
         s = exponent if exponent is not None else calibrate_power_law(
             population, top_count, top_share)
-        plfc_share = float(zipf_shares(population, s)[-1])
+        plfc_share = population ** -s / _power_sum(population, s)  # zipf_shares[-1]
         udce_share = 1.0 / population
     elif share_model == "winner_take_all":
         plfc_share = udce_share = 1.0 / miner_count
@@ -248,9 +279,11 @@ def udce_vs_plfc_game(miner_count: int, pow_cost_model, reward_r: float, *,
         raise ValueError(f"unknown share model {share_model!r}")
     udce_pay = reward_r * udce_share - udce_cost
     plfc_pay = reward_r * plfc_share - pow_cost
-    shape = (2,) * miner_count + (miner_count,)
-    u = np.empty(shape)
-    for profile in itertools.product((0, 1), repeat=miner_count):
-        for i, choice in enumerate(profile):
-            u[profile + (i,)] = udce_pay if choice == 0 else plfc_pay
-    return PayoffMatrix(strategies=((UDCE, PLFC),) * miner_count, u=u)
+    pays = (udce_pay, plfc_pay)
+
+    def tensor(profile):  # u[s1]...[sn][i] = pays[s_i]
+        if len(profile) == miner_count:
+            return [pays[choice] for choice in profile]
+        return [tensor(profile + (choice,)) for choice in (0, 1)]
+
+    return PayoffMatrix(strategies=((UDCE, PLFC),) * miner_count, u=tensor(()))

@@ -9,11 +9,12 @@ winner-take-all; below one, shares equalize.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-
-import numpy as np
+from array import array
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 from ..errors import BothSidesEmpty, DegenerateRatio, DomainError, IndistinguishableNetworks
+from ._pcg64 import PCG64
 
 EXPECTATION_MODES = ("current", "expected")
 
@@ -58,6 +59,18 @@ def _attraction(count_a: float, count_b: float, exponent: float,
     return wa / (wa + wb), wb / (wa + wb)
 
 
+def _join_split(m_a, m_b, c_a, c_b, lam, alpha, beta, expected: bool,
+                ) -> tuple[tuple[float, float], tuple[float, float]]:
+    merch = _attraction(c_a, c_b, beta, "customers")
+    cust = _attraction(m_a, m_b, alpha, "merchants")
+    if expected:
+        exp_c = (c_a + lam * cust[0], c_b + lam * cust[1])
+        exp_m = (m_a + (1 - lam) * merch[0], m_b + (1 - lam) * merch[1])
+        merch = _attraction(exp_c[0], exp_c[1], beta, "customers")
+        cust = _attraction(exp_m[0], exp_m[1], alpha, "merchants")
+    return merch, cust
+
+
 def join_probabilities(state: NetworkState,
                        ) -> tuple[tuple[float, float], tuple[float, float]]:
     """((merchant->A, merchant->B), (customer->A, customer->B)).
@@ -68,42 +81,52 @@ def join_probabilities(state: NetworkState,
     current-count probabilities times the arrival split), modeling joiners
     who anticipate the next arrival rather than react to the present.
     """
-    merch = _attraction(state.c_a, state.c_b, state.beta, "customers")
-    cust = _attraction(state.m_a, state.m_b, state.alpha, "merchants")
-    if state.expectation_mode == "expected":
-        exp_c = (state.c_a + state.lam * cust[0], state.c_b + state.lam * cust[1])
-        exp_m = (state.m_a + (1 - state.lam) * merch[0],
-                 state.m_b + (1 - state.lam) * merch[1])
-        merch = _attraction(exp_c[0], exp_c[1], state.beta, "customers")
-        cust = _attraction(exp_m[0], exp_m[1], state.alpha, "merchants")
-    return merch, cust
+    return _join_split(state.m_a, state.m_b, state.c_a, state.c_b, state.lam,
+                       state.alpha, state.beta, state.expectation_mode == "expected")
 
 
-def simulate_network_growth(state: NetworkState, steps: int, seed: int) -> np.ndarray:
+class GrowthPath(Sequence):
+    """Rows (m_a, m_b, c_a, c_b), one per step, held in one flat array of
+    doubles; supports len(), path[t] (negative t included) and iteration."""
+
+    def __init__(self, flat: array):
+        self._flat = flat
+
+    def __len__(self) -> int:
+        return len(self._flat) // 4
+
+    def __getitem__(self, t: int) -> tuple[float, float, float, float]:
+        t = range(len(self))[t]  # negative t and IndexError as for a list
+        return tuple(self._flat[4 * t:4 * t + 4])
+
+
+def simulate_network_growth(state: NetworkState, steps: int, seed: int) -> GrowthPath:
     """Agent-by-agent growth: each step one arrival is a customer with
     probability lam (else a merchant) and joins a network per
-    join_probabilities. Returns an array of shape (steps+1, 4) holding
-    (m_a, m_b, c_a, c_b) per step, starting with the initial state."""
+    join_probabilities. Returns steps+1 rows (m_a, m_b, c_a, c_b), starting
+    with the initial state; the draws are numpy's default_rng(seed) stream."""
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    rng = np.random.default_rng(seed)
-    current = state
-    path = np.empty((steps + 1, 4))
-    path[0] = (current.m_a, current.m_b, current.c_a, current.c_b)
-    for t in range(1, steps + 1):
-        merch, cust = join_probabilities(current)
-        if rng.random() < current.lam:
-            if rng.random() < cust[0]:
-                current = replace(current, c_a=current.c_a + 1)
+    draw = PCG64(seed).random
+    m_a, m_b, c_a, c_b = state.m_a, state.m_b, state.c_a, state.c_b
+    lam, alpha, beta = state.lam, state.alpha, state.beta
+    expected = state.expectation_mode == "expected"
+    flat = array("d", (m_a, m_b, c_a, c_b))
+    extend = flat.extend
+    for _ in range(steps):
+        merch, cust = _join_split(m_a, m_b, c_a, c_b, lam, alpha, beta, expected)
+        if draw() < lam:
+            if draw() < cust[0]:
+                c_a += 1
             else:
-                current = replace(current, c_b=current.c_b + 1)
+                c_b += 1
         else:
-            if rng.random() < merch[0]:
-                current = replace(current, m_a=current.m_a + 1)
+            if draw() < merch[0]:
+                m_a += 1
             else:
-                current = replace(current, m_b=current.m_b + 1)
-        path[t] = (current.m_a, current.m_b, current.c_a, current.c_b)
-    return path
+                m_b += 1
+        extend((m_a, m_b, c_a, c_b))
+    return GrowthPath(flat)
 
 
 # ---------------------------------------------------------------------------
@@ -178,16 +201,16 @@ def sample_static_joins(state: NetworkState, n_joins: int, seed: int,
     """Joins drawn against frozen counts (a short observation window):
     (customer joins to A, customer total, merchant joins to A, merchant
     total)."""
-    rng = np.random.default_rng(seed)
+    draw = PCG64(seed).random
     merch, cust = join_probabilities(state)
     cust_a = cust_total = merch_a = merch_total = 0
     for _ in range(n_joins):
-        if rng.random() < state.lam:
+        if draw() < state.lam:
             cust_total += 1
-            cust_a += rng.random() < cust[0]
+            cust_a += draw() < cust[0]
         else:
             merch_total += 1
-            merch_a += rng.random() < merch[0]
+            merch_a += draw() < merch[0]
     return cust_a, cust_total, merch_a, merch_total
 
 

@@ -101,13 +101,21 @@ class _Params:
             _fail(f"params.{key}", f"must be <= {hi}")
         return value
 
-    def number(self, key, default, lo=None, hi=None, *, exclusive=False):
-        value = self._get(key, default)
+    @staticmethod
+    def _real(path, value) -> float:
+        """The one scalar check behind number and number_list."""
         if isinstance(value, bool) or not isinstance(value, (int, float)):
-            _fail(f"params.{key}", "must be a number")
-        value = float(value)
+            _fail(path, "must be a number")
+        try:
+            value = float(value)
+        except OverflowError:
+            _fail(path, "must fit in a 64-bit float")
         if math.isnan(value):
-            _fail(f"params.{key}", "must be a number, not NaN")
+            _fail(path, "must be a number, not NaN")
+        return value
+
+    def number(self, key, default, lo=None, hi=None, *, exclusive=False):
+        value = self._real(f"params.{key}", self._get(key, default))
         if lo is not None and (value <= lo if exclusive else value < lo):
             _fail(f"params.{key}", f"must be {'>' if exclusive else '>='} {lo}")
         if hi is not None and value > hi:
@@ -134,11 +142,7 @@ class _Params:
             _fail(f"params.{key}", "must be a non-empty array of numbers")
         out = []
         for i, v in enumerate(value):
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                _fail(f"params.{key}[{i}]", "must be a number")
-            v = float(v)
-            if math.isnan(v):
-                _fail(f"params.{key}[{i}]", "must be a number, not NaN")
+            v = self._real(f"params.{key}[{i}]", v)
             if (lo is not None and v < lo) or (hi is not None and v > hi):
                 _fail(f"params.{key}[{i}]", f"must lie in [{lo}, {hi}]")
             out.append(v)
@@ -469,7 +473,7 @@ def _scenario_econ_dominance(p: _Params, seed: int) -> ScenarioResult:
     reward = p.number("reward", 4.0, lo=0.0)
     pow_cost = p.number("pow_cost", 1.5, lo=0.0)
     share_model = p.text("share_model", "zipf", {"zipf", "winner_take_all", "uniform"})
-    population = p.integer("population", 10_000, lo=2)
+    population = p.integer("population", 10_000, lo=2, hi=10_000_000)
     top_count = p.integer("top_count", 16, lo=1)
     top_share = p.number("top_share", 0.9, lo=0.0, hi=1.0, exclusive=True)
     udce_cost = p.number("udce_cost", 0.0, lo=0.0)
@@ -527,7 +531,8 @@ def _scenario_econ_network(p: _Params, seed: int) -> ScenarioResult:
     rows = []
     for t in range(0, steps + 1, stride):
         m_a_t, m_b_t, c_a_t, c_b_t = path[t]
-        share = m_a_t / (m_a_t + m_b_t)
+        merchants = m_a_t + m_b_t
+        share = m_a_t / merchants if merchants else math.nan  # no merchants yet
         rows.append({"t": t, "m_a": m_a_t, "m_b": m_b_t, "c_a": c_a_t, "c_b": c_b_t,
                      "merchant_share_a": share})
     return ScenarioResult(

@@ -23,8 +23,6 @@ import math
 import random
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .crypto import SigningKey, hash_parts, verify_signature
 from .errors import (
     DegenerateDenominator,
@@ -404,23 +402,23 @@ def _gossip_and_collect(members: list[MinerState], pool: tuple[str, ...],
             if tx in m.tx_list:
                 signed[(tx_digest, m.miner_id)] = sign_receipt(m.key, tx_digest, m.miner_id)
     holders = [m for m in members if m.behavior != BEHAVIOR_LAZY]
+    ordered = sorted(signed.items())
     for h in holders:
-        h.receipts = [r for (tx_digest, rid), r in sorted(signed.items()) if rid != h.miner_id]
+        h.receipts = [r for (tx_digest, rid), r in ordered if rid != h.miner_id]
 
-    evidence: set[tuple[bytes, str]] = set()
     if sample_size <= 0:
-        return evidence
+        return set()
+    # Holders sample overlapping receipts; each distinct one is verified once.
+    sampled: dict[tuple[bytes, str], None] = {}
     for h in holders:
         per_counterparty: dict[str, list[Receipt]] = {}
         for r in h.receipts:
             per_counterparty.setdefault(r.recipient, []).append(r)
         for recipient in sorted(per_counterparty):
             receipts = per_counterparty[recipient]
-            chosen = rng.sample(receipts, min(sample_size, len(receipts)))
-            for receipt in chosen:
-                if receipt.verify(by_id[receipt.recipient].pk):
-                    evidence.add((receipt.tx_hash, receipt.recipient))
-    return evidence
+            for r in rng.sample(receipts, min(sample_size, len(receipts))):
+                sampled[(r.tx_hash, r.recipient)] = None
+    return {key for key in sampled if signed[key].verify(by_id[key[1]].pk)}
 
 
 def run_receipt_protocol(params: GameParams, miners: list[MinerState], epoch_randomness,
@@ -573,9 +571,12 @@ def decentralization_check(player_powers: dict[str, list[float]], m: int,
         raise EmptyPopulation("no players to measure")
     if not 0.0 <= delta <= 100.0:
         raise ValueError("delta is a percentile in [0, 100]")
-    effective = np.array([float(sum(powers)) for powers in player_powers.values()])
-    ep_max = float(effective.max())
-    ep_delta = float(np.percentile(effective, delta, method="lower"))
+    effective = sorted(float(sum(powers)) for powers in player_powers.values())
+    if any(map(math.isnan, effective)):  # NaN propagates, so the check fails
+        effective = [math.nan] * len(effective)
+    ep_max = effective[-1]
+    # the "lower" percentile: the sample at rank floor((n - 1) * delta / 100)
+    ep_delta = effective[math.floor((len(effective) - 1) * (delta / 100))]
     if ep_delta == 0.0:
         ratio = math.inf if ep_max > 0 else 1.0
     else:

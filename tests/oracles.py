@@ -245,6 +245,36 @@ def sample_joins(rng, m_a, m_b, c_a, c_b, alpha, beta, lam, n_joins):
     return cust_a, cust_total, merch_a, merch_total
 
 
+def growth_path(m_a, m_b, c_a, c_b, lam, alpha, beta, expected, steps, seed):
+    """Agent-by-agent network growth on numpy's default_rng(seed): an
+    array of shape (steps + 1, 4) holding (m_a, m_b, c_a, c_b) per step."""
+
+    def split(x, y, power):
+        wx, wy = x**power, y**power
+        return wx / (wx + wy), wy / (wx + wy)
+
+    rng = np.random.default_rng(seed)
+    path = np.empty((steps + 1, 4))
+    path[0] = (m_a, m_b, c_a, c_b)
+    for t in range(1, steps + 1):
+        merch, cust = split(c_a, c_b, beta), split(m_a, m_b, alpha)
+        if expected:  # react to counts advanced by one expected arrival
+            merch, cust = (
+                split(c_a + lam * cust[0], c_b + lam * cust[1], beta),
+                split(m_a + (1 - lam) * merch[0], m_b + (1 - lam) * merch[1], alpha))
+        if rng.random() < lam:
+            if rng.random() < cust[0]:
+                c_a += 1
+            else:
+                c_b += 1
+        elif rng.random() < merch[0]:
+            m_a += 1
+        else:
+            m_b += 1
+        path[t] = (m_a, m_b, c_a, c_b)
+    return path
+
+
 def elasticity_from_tallies(frac_a, count_a, count_b):
     return (math.log(frac_a) - math.log(1.0 - frac_a)) / (math.log(count_a) - math.log(count_b))
 

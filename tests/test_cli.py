@@ -80,6 +80,14 @@ class TestColdStart:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
+    def test_cli_import_loads_no_numpy(self, child_env):
+        probe = ("import sys, zkpoi.cli; "
+                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))")
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                              text=True, env=child_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
 
 class TestSuccessPath:
     def test_csv_payload_on_stdout_manifest_on_stderr(self, capsys):
@@ -248,6 +256,41 @@ class TestConfigErrors:
         assert code == 2
         assert out == ""
         assert err.strip() == f"config error: params.{key}: must be a number, not NaN"
+
+    @pytest.mark.parametrize("group,verb,params,key", [
+        ("econ", "ess", {"u_aa": 10**400}, "u_aa"),
+        ("econ", "ess", {"u_aa": -10**400}, "u_aa"),
+        ("sim", "epoch", {"penalty": 10**400}, "penalty"),
+        ("econ", "circulation", {"deltas": [10**400]}, "deltas[0]"),
+        ("econ", "circulation", {"deltas": [0.5, -10**400]}, "deltas[1]"),
+    ], ids=["ess", "ess-negative", "epoch", "deltas0", "deltas1"])
+    def test_integer_beyond_float_range_is_a_config_error(self, capsys, config_file,
+                                                           group, verb, params, key):
+        cfg = config_file({"params": params})
+        code, out, err = run_cli([group, verb, "--config", cfg], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.strip() == f"config error: params.{key}: must fit in a 64-bit float"
+
+    def test_largest_float_integer_is_still_accepted(self, capsys, config_file):
+        cfg = config_file({"params": {"u_aa": int(1.7976931348623157e308)}})
+        code, out, _ = run_cli(["econ", "ess", "--config", cfg], capsys)
+        assert code == 0
+        assert out
+
+    def test_dominance_population_is_capped(self, capsys, config_file):
+        cfg = config_file({"params": {"population": 10**7 + 1}})
+        code, out, err = run_cli(["econ", "dominance", "--config", cfg], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.strip() == "config error: params.population: must be <= 10000000"
+
+    def test_network_without_merchants_reports_a_nan_share(self, capsys, config_file):
+        cfg = config_file({"params": {"m_a": 0, "m_b": 0, "steps": 0}})
+        code, out, err = run_cli(["econ", "network", "--config", cfg], capsys)
+        assert code == 0
+        assert out.splitlines()[1] == "0,0,0,2,1,nan"
+        assert json.loads(err)["scenario"] == "econ.network"
 
     def test_infinity_is_not_caught_as_nan(self, capsys, config_file):
         cfg = config_file({"params": {"u_aa": float("inf")}})

@@ -1,0 +1,68 @@
+"""Config extremes: every scenario parameter set to hostile JSON values.
+
+For each scenario, one parameter at a time is replaced on a light base
+config by a JSON extreme (NaN, infinities, 1e308, integers of 400 digits,
+negatives, wrong types, empty and nested lists), and one unknown key is
+added. The CLI must answer each with exit code 0, 1 or 2 and never let an
+exception escape. To keep the sweep short, each parameter takes every
+other value of the list, alternating so that neighbouring parameters
+cover the rest.
+"""
+
+from __future__ import annotations
+
+import json
+
+import pytest
+
+from zkpoi import cli, runner
+
+LIGHT_CRYPTO = {"count": 2, "kdf_iterations": 4}
+BASES = {
+    "identity.gen": {"count": 2},
+    "identity.validate": {"count": 2},
+    "register.build": LIGHT_CRYPTO,
+    "register.verify": LIGHT_CRYPTO,
+    "registry.register": LIGHT_CRYPTO,
+    "registry.offline": LIGHT_CRYPTO,
+    "registry.dump": LIGHT_CRYPTO,
+    "sim.epoch": {},
+    "econ.congestion": {},
+    "econ.poa": {},
+    "econ.dominance": {"population": 100},
+    "econ.ess": {},
+    "econ.network": {"steps": 200},
+    "econ.circulation": {},
+}
+EXTREMES = [float("nan"), float("inf"), float("-inf"), 1e308, -1e308, 10**400, -10**400,
+            -1, "x", [], [[1]], True, None, {}]
+
+
+def scenario_keys(scenario: str) -> list[str]:
+    """The parameter names a scenario reads, found by running it once."""
+    params = runner._Params(dict(BASES[scenario]))
+    runner.SCENARIOS[scenario](params, 0)
+    return sorted(params.seen)
+
+
+def test_every_scenario_has_a_base():
+    assert set(BASES) == set(runner.SCENARIOS)
+
+
+@pytest.mark.parametrize("scenario", sorted(BASES))
+def test_extreme_params_give_an_exit_code(scenario, tmp_path, capsys):
+    cases = [(key, value) for i, key in enumerate(scenario_keys(scenario))
+             for j, value in enumerate(EXTREMES) if (i + j) % 2 == 0]
+    cases.append(("no_such_parameter", 1))
+    config = tmp_path / "config.json"
+    leaks = []
+    for key, value in cases:
+        config.write_text(json.dumps({"params": {**BASES[scenario], key: value}}))
+        try:
+            code = cli.main([*scenario.split("."), "--config", str(config), "--seed", "1"])
+        except Exception as exc:  # what the console script would print as a traceback
+            code = f"{type(exc).__name__}: {exc}"
+        err = capsys.readouterr().err
+        if code not in (0, 1, 2) or "Traceback" in err:
+            leaks.append(f"params.{key} = {json.dumps(value)[:24]}: {code}")
+    assert not leaks, "\n".join(leaks)

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -93,6 +94,17 @@ class TestUtilityAndInstance:
             CongestionInstance(k=0, n_miners=3, mu=1.0, gamma=0.0)
         with pytest.raises(ValueError):
             CongestionInstance(k=1, n_miners=3, mu=1.0, gamma=0.0, deadline=0.0)
+
+    @pytest.mark.parametrize("mu", [[[1.0, 2.0], [3.0]], [[1.0], 2.0], None, "ab"])
+    def test_ragged_or_non_numeric_grids_rejected(self, mu):
+        with pytest.raises(ValueError):
+            CongestionInstance(k=2, n_miners=3, mu=mu, gamma=0.0)
+
+    def test_array_like_grids_coerce(self):
+        inst = CongestionInstance(k=2, n_miners=3, mu=np.array([1, 2]),
+                                  gamma=np.float64(0.5))
+        assert inst.mu == ((1.0,), (2.0,))
+        assert inst.gamma == ((0.5,), (0.5,))
 
     def test_allocation_shapes(self):
         alloc = Allocation.single((2, 0, 1))

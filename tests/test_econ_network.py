@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from zkpoi.econ.network import (
     NetworkState,
     estimate_elasticities,
@@ -102,12 +103,13 @@ class TestJoinProbabilities:
 class TestGrowthSimulation:
     def test_path_shape_and_conservation(self):
         path = simulate_network_growth(make_state(), steps=50, seed=9)
-        assert path.shape == (51, 4)
-        assert tuple(path[0]) == (2.0, 1.0, 1.0, 1.0)
-        totals = path.sum(axis=1)
-        assert np.array_equal(totals, np.arange(5, 56))
-        assert np.all(np.diff(path, axis=0) >= 0)
-        assert np.all(np.diff(path, axis=0).sum(axis=1) == 1)
+        assert len(path) == 51
+        assert all(len(row) == 4 for row in path)
+        assert path[0] == (2.0, 1.0, 1.0, 1.0)
+        assert [sum(row) for row in path] == list(range(5, 56))
+        steps = [[b - a for a, b in zip(path[t - 1], path[t])] for t in range(1, len(path))]
+        assert all(d >= 0 for step in steps for d in step)
+        assert all(sum(step) == 1 for step in steps)
 
     def test_deterministic_per_seed(self):
         a = simulate_network_growth(make_state(), steps=100, seed=42)
@@ -118,7 +120,20 @@ class TestGrowthSimulation:
 
     def test_zero_steps_returns_initial_row(self):
         path = simulate_network_growth(make_state(), steps=0, seed=1)
-        assert path.shape == (1, 4)
+        assert len(path) == 1
+        assert path[0] == path[-1] == (2.0, 1.0, 1.0, 1.0)
+        with pytest.raises(IndexError):
+            path[1]
+
+    @pytest.mark.parametrize("mode", ["current", "expected"])
+    @pytest.mark.parametrize("seed", [0, 7, 2**63])
+    def test_matches_the_numpy_reference_loop(self, mode, seed):
+        state = make_state(m_a=3.0, m_b=2.0, c_a=1.0, c_b=4.0, alpha=1.3, beta=0.8,
+                           lam=0.4, expectation_mode=mode)
+        reference = oracles.growth_path(3.0, 2.0, 1.0, 4.0, 0.4, 1.3, 0.8,
+                                        mode == "expected", 2000, seed)
+        path = simulate_network_growth(state, steps=2000, seed=seed)
+        assert np.array_equal(np.array(list(path)), reference)
 
     def test_negative_steps_rejected(self):
         with pytest.raises(ValueError):

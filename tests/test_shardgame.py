@@ -4,7 +4,9 @@ checks, and shard-safety probabilities."""
 from __future__ import annotations
 
 import math
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,6 +26,7 @@ from zkpoi.shardgame import (
     COOPERATOR,
     DEFECTOR,
     GameParams,
+    Receipt,
     assign_shards,
     cooperation_thresholds,
     deal_transactions,
@@ -325,6 +328,27 @@ class TestProtocolRuns:
                 assert len(values) <= len(set(
                     len(m.tx_list) for m in miners if m.miner_id in shard.cooperators))
 
+    def test_each_sampled_receipt_is_verified_once(self, monkeypatch):
+        sampled, verified = [], []
+        real_sample, real_verify = random.Random.sample, Receipt.verify
+
+        def sample(rng, population, k, **kwargs):
+            chosen = real_sample(rng, population, k, **kwargs)
+            sampled.extend((r.tx_hash, r.recipient) for r in chosen
+                           if isinstance(r, Receipt))
+            return chosen
+
+        def verify(receipt, recipient_pk):
+            verified.append((receipt.tx_hash, receipt.recipient))
+            return real_verify(receipt, recipient_pk)
+
+        monkeypatch.setattr(random.Random, "sample", sample)
+        monkeypatch.setattr(Receipt, "verify", verify)
+        miners = make_miners(8, 14, {BEHAVIOR_LAZY: 1})
+        run_receipt_protocol(params_with(), miners, RAND, receipt_sample_size=3)
+        assert len(sampled) > len(set(sampled))  # holders sample the same receipts
+        assert sorted(verified) == sorted(set(sampled))
+
     def test_runs_are_deterministic(self):
         params = params_with()
         behaviors = {BEHAVIOR_LAZY: 1, BEHAVIOR_IGNORER: 1}
@@ -465,6 +489,21 @@ class TestDecentralization:
         powers = {"a": [0.0], "b": [1.0]}
         report = decentralization_check(powers, m=1, epsilon=10.0, delta=0)
         assert report.ratio == math.inf
+        assert not report.ok
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1, max_size=40),
+           st.floats(min_value=0.0, max_value=100.0))
+    def test_percentile_matches_numpy_lower(self, totals, delta):
+        powers = {f"p{i}": [total] for i, total in enumerate(totals)}
+        report = decentralization_check(powers, m=1, epsilon=0.1, delta=delta)
+        assert report.ep_max == max(totals)
+        assert report.ep_percentile == np.percentile(totals, delta, method="lower")
+
+    def test_nan_power_fails_the_check(self):
+        powers = {"a": [1.0], "b": [math.nan], "c": [2.0]}
+        report = decentralization_check(powers, m=1, epsilon=10.0, delta=0)
+        assert math.isnan(report.ep_max) and math.isnan(report.ep_percentile)
         assert not report.ok
 
     def test_empty_population_raises(self):
