@@ -7,33 +7,10 @@ prove the derivation to an attested registry that admits each person once,
 then study the surrounding incentives — per-epoch cooperation games over
 sharded validation, mining as a congestion game, reward-regime dominance,
 network effects between competing payment networks, and token circulation.
+
+Each name is imported from the module that defines it (`from zkpoi import
+identity`, `from zkpoi.econ import congestion`); this package itself exports
+only `__version__`.
 """
 
 __version__ = "0.1.0"
-
-from . import (  # noqa: F401
-    accumulator,
-    attestation,
-    codec,
-    credential,
-    crypto,
-    econ,
-    errors,
-    identity,
-    registry,
-    shardgame,
-)
-
-__all__ = [
-    "__version__",
-    "accumulator",
-    "attestation",
-    "codec",
-    "credential",
-    "crypto",
-    "econ",
-    "errors",
-    "identity",
-    "registry",
-    "shardgame",
-]

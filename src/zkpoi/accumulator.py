@@ -47,7 +47,6 @@ class NonMembershipWitness:
 class Accumulator:
     def __init__(self, domain_tag: bytes):
         self.domain_tag = domain_tag
-        self.epoch = 0
         self._leaves: list[bytes] = []  # sorted element digests
         self._levels: list[list[bytes]] | None = None
 
@@ -98,7 +97,6 @@ class Accumulator:
             return False
         self._leaves.insert(i, digest)
         self._levels = None
-        self.epoch += 1
         return True
 
     def _witness_at(self, index: int) -> MembershipWitness:
@@ -137,7 +135,6 @@ def accumulator_remove(acc: Accumulator, element: bytes) -> None:
         raise NotMember(f"element not accumulated: {element!r}")
     del acc._leaves[i]
     acc._levels = None
-    acc.epoch += 1
 
 
 def _root_of(acc_or_root) -> bytes:

@@ -28,21 +28,15 @@ import time
 from dataclasses import dataclass, field
 
 from .codec import Decoder, Encoder, frame_parts
-from .crypto import SigningKey, hash_parts, pbkdf2_sha256, sha256, verify_signature
+from .crypto import SigningKey, hash_parts, pbkdf2_sha256, sha256
 from .errors import DecodeError, EmptyPassphrase, InvalidDocument, NoActiveAuthentication
 from .identity import (
-    CertChain,
-    EPassport,
-    IdentityCard,
+    DOCUMENT_KINDS,
     TrustStore,
     active_auth_sign,
     active_auth_verify,
-    document_hash,
-    document_public_bytes,
-    document_public_key,
-    extract_unique_id,
-    validate_chain,
-    validate_epassport,
+    public_bytes_hash,
+    public_document,
 )
 
 SUFFIX_REG = "REG"
@@ -59,9 +53,6 @@ DEFAULT_KDF_ITERATIONS = 2048
 # The degraded path cannot anchor unpredictability in a chip signature, so it
 # spends more KDF work instead of less to keep offline guessing expensive.
 AA_ABSENT_ITERATION_MULTIPLIER = 8
-
-_DOC_KIND_CHAIN = "card-chain"
-_DOC_KIND_EPASSPORT = "epassport"
 
 
 @dataclass(frozen=True)
@@ -106,7 +97,7 @@ def derive_keypair(passphrase: str, doc_hash: bytes, params: KdfParams) -> Deriv
         raise EmptyPassphrase("a passphrase is mandatory")
     salt = hash_parts(b"kdf-salt", doc_hash, params.salt,
                       params.iteration_count.to_bytes(8, "big"))
-    seed = pbkdf2_sha256(passphrase, salt, params.iteration_count, 32)
+    seed = pbkdf2_sha256(passphrase, salt, params.iteration_count)
     sk = SigningKey.from_seed(seed)
     return DerivedKeyPair(pk=sk.public_bytes, sk=sk)
 
@@ -150,11 +141,10 @@ class TransparentEvidence:
     aa_mode: str
 
     def decode_document(self):
-        if self.doc_kind == _DOC_KIND_CHAIN:
-            return CertChain.from_bytes(self.doc_bytes)
-        if self.doc_kind == _DOC_KIND_EPASSPORT:
-            return EPassport.from_bytes(self.doc_bytes)
-        raise DecodeError(f"unknown document kind {self.doc_kind!r}")
+        kind = DOCUMENT_KINDS.get(self.doc_kind)
+        if kind is None:
+            raise DecodeError(f"unknown document kind {self.doc_kind!r}")
+        return kind.from_bytes(self.doc_bytes)
 
 
 @dataclass(frozen=True)
@@ -213,19 +203,9 @@ class BundleVerdict:
         return BundleVerdict(False, step, reason)
 
 
-def _validate_document(doc, trust_store: TrustStore, now: int):
-    if isinstance(doc, (IdentityCard, CertChain)):
-        chain = doc.chain if isinstance(doc, IdentityCard) else doc
-        return validate_chain(chain, trust_store, now)
-    if isinstance(doc, EPassport):
-        return validate_epassport(doc, trust_store, now)
-    raise TypeError(f"cannot validate {type(doc).__name__}")
-
-
 def _absent_mode_secret(passphrase: str, doc_hash: bytes, iteration_count: int) -> bytes:
     salt = hash_parts(b"degraded-secret-salt", doc_hash)
-    return pbkdf2_sha256(passphrase, salt,
-                         iteration_count * AA_ABSENT_ITERATION_MULTIPLIER, 32)
+    return pbkdf2_sha256(passphrase, salt, iteration_count * AA_ABSENT_ITERATION_MULTIPLIER)
 
 
 def build_registration_bundle(doc, passphrase: str, blockchain_id: str,
@@ -242,11 +222,13 @@ def build_registration_bundle(doc, passphrase: str, blockchain_id: str,
     """
     if aa_mode not in (AA_MODE_FULL, AA_MODE_ABSENT):
         raise ValueError(f"unknown aa_mode {aa_mode!r}")
-    report = _validate_document(doc, trust_store, now)
+    public = public_document(doc)
+    report = public.validate(trust_store, now)
     if not report.accepted:
         raise InvalidDocument(report)
-    unique_id = extract_unique_id(doc)
-    doc_digest = document_hash(doc)
+    unique_id = public.unique_id()
+    doc_bytes = public.public_bytes()
+    doc_digest = public_bytes_hash(doc_bytes)
     keypair = derive_keypair(passphrase, doc_digest,
                              KdfParams(iteration_count=kdf_iterations, salt=doc_digest))
     if aa_mode == AA_MODE_FULL:
@@ -256,8 +238,7 @@ def build_registration_bundle(doc, passphrase: str, blockchain_id: str,
         secret = _absent_mode_secret(passphrase, doc_digest, kdf_iterations)
         sign_pk = None
     pseudonym = derive_pseudonym(secret, blockchain_id, unique_id, suffix)
-    kind = _DOC_KIND_EPASSPORT if isinstance(doc, EPassport) else _DOC_KIND_CHAIN
-    evidence = TransparentEvidence(doc_kind=kind, doc_bytes=document_public_bytes(doc),
+    evidence = TransparentEvidence(doc_kind=public.kind, doc_bytes=doc_bytes,
                                    secret=secret, aa_mode=aa_mode)
     return RegistrationBundle(pseudonym, keypair.pk, sign_pk, evidence), keypair
 
@@ -275,12 +256,12 @@ def verify_registration_bundle(bundle: RegistrationBundle, trust_store: TrustSto
         doc = bundle.evidence.decode_document()
     except DecodeError as exc:
         return BundleVerdict.fail(3, f"evidence does not decode: {exc}")
-    report = _validate_document(doc, trust_store, now)
+    report = doc.validate(trust_store, now)
     if not report.accepted:
         return BundleVerdict.fail(3, f"document rejected: {report.failure_code.value}")
 
     try:
-        unique_id = extract_unique_id(doc)
+        unique_id = doc.unique_id()
     except Exception as exc:
         return BundleVerdict.fail(4, f"unique id extraction failed: {exc}")
 
@@ -291,7 +272,7 @@ def verify_registration_bundle(bundle: RegistrationBundle, trust_store: TrustSto
 
     if bundle.evidence.aa_mode == AA_MODE_FULL:
         try:
-            doc_pk = document_public_key(doc)
+            doc_pk = doc.public_key()
         except NoActiveAuthentication:
             return BundleVerdict.fail(6, "document publishes no signing key")
         if bundle.sign_pk is None or not active_auth_verify(doc_pk, bundle.pk, bundle.sign_pk):

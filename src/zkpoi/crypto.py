@@ -40,10 +40,11 @@ def hmac_sha256(key: bytes, data: bytes) -> bytes:
     return _hmac.new(key, data, hashlib.sha256).digest()
 
 
-def pbkdf2_sha256(passphrase: str, salt: bytes, iterations: int, length: int = 32) -> bytes:
+def pbkdf2_sha256(passphrase: str, salt: bytes, iterations: int) -> bytes:
+    """A 32-byte PBKDF2-HMAC-SHA256 output."""
     if iterations < 1:
         raise ValueError("iteration count must be >= 1")
-    return hashlib.pbkdf2_hmac("sha256", passphrase.encode("utf-8"), salt, iterations, length)
+    return hashlib.pbkdf2_hmac("sha256", passphrase.encode("utf-8"), salt, iterations, 32)
 
 
 class SigningKey:

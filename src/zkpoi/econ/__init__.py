@@ -1,87 +1,3 @@
 """Economic apparatus: congestion-game equilibria and the price of
 crypto-anarchy, dominance and evolutionary-stability analysis, two-sided
 network-effect dynamics, and stationary token-circulation outputs."""
-
-from .circulation import (
-    CirculationParams,
-    fee_balance,
-    gamma_dynamics,
-    stationary_dm_output,
-)
-from .congestion import (
-    Allocation,
-    CongestionInstance,
-    Deviation,
-    NashSolution,
-    all_nash_allocations,
-    deviation_certificate,
-    miner_utility,
-    potential,
-    price_of_crypto_anarchy,
-    puzzle_win_prob,
-    solve_congestion_nash,
-    total_mining_cost,
-)
-from .games import (
-    PLFC,
-    UDCE,
-    Elimination,
-    IdsdsResult,
-    PayoffMatrix,
-    calibrate_power_law,
-    idsds,
-    is_ess,
-    is_pure_nash,
-    udce_vs_plfc_game,
-    zipf_shares,
-)
-from .network import (
-    NetworkState,
-    estimate_elasticities,
-    integrate_ratio_ode,
-    join_probabilities,
-    overtake_analysis,
-    ratio_ode_step,
-    sample_static_joins,
-    simulate_network_growth,
-    state_ratios,
-)
-
-__all__ = [
-    "Allocation",
-    "CirculationParams",
-    "CongestionInstance",
-    "Deviation",
-    "Elimination",
-    "IdsdsResult",
-    "NashSolution",
-    "NetworkState",
-    "PLFC",
-    "PayoffMatrix",
-    "UDCE",
-    "all_nash_allocations",
-    "calibrate_power_law",
-    "deviation_certificate",
-    "estimate_elasticities",
-    "fee_balance",
-    "gamma_dynamics",
-    "idsds",
-    "integrate_ratio_ode",
-    "is_ess",
-    "is_pure_nash",
-    "join_probabilities",
-    "miner_utility",
-    "overtake_analysis",
-    "potential",
-    "price_of_crypto_anarchy",
-    "puzzle_win_prob",
-    "ratio_ode_step",
-    "sample_static_joins",
-    "simulate_network_growth",
-    "solve_congestion_nash",
-    "state_ratios",
-    "stationary_dm_output",
-    "total_mining_cost",
-    "udce_vs_plfc_game",
-    "zipf_shares",
-]

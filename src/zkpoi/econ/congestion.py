@@ -140,7 +140,7 @@ def miner_utility(instance: CongestionInstance, allocation: Allocation,
     loads = allocation.loads
     if loads[k][m] < 1:
         raise ZeroMiners("utility is defined for an occupied slot")
-    return max(_slot_win_prob(instance, loads, k, m) - instance.gamma[k][m], 0.0)
+    return _slot_utility(instance, loads, k, m)
 
 
 def potential(instance: CongestionInstance, allocation: Allocation) -> float:

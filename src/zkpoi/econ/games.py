@@ -13,6 +13,7 @@ from ..errors import TooLarge
 from ._roots import bisect_root
 
 _TENSOR_CAP = 1_000_000  # payoff entries an exhaustive pass may touch
+ESS_GRID_POINTS = 12  # invasion shares is_ess re-checks per mutant
 
 
 @dataclass(frozen=True)
@@ -167,8 +168,7 @@ def _payoff_fn(u):
     return lambda a, b: float(u[(a, b)])
 
 
-def is_ess(u, strategies, candidate, *, epsilon0: float = 0.1,
-           grid_points: int = 12) -> bool:
+def is_ess(u, strategies, candidate, *, epsilon0: float = 0.1) -> bool:
     """Evolutionary stability of `candidate` in a symmetric two-player game.
 
     For every mutant s' the resident must either beat it against residents
@@ -201,7 +201,7 @@ def is_ess(u, strategies, candidate, *, epsilon0: float = 0.1,
         if gap_mutant < 0:
             hi = min(hi, 0.5 * gap_resident / (gap_resident - gap_mutant))
         lo = min(1e-3, hi / 2)
-        for eps in _linspace(lo, hi, grid_points):
+        for eps in _linspace(lo, hi, ESS_GRID_POINTS):
             fit_resident = (1 - eps) * resident + eps * pay(candidate, mutant)
             fit_mutant = (1 - eps) * against_resident + eps * pay(mutant, mutant)
             if not fit_resident > fit_mutant:

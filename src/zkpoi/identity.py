@@ -20,7 +20,7 @@ from __future__ import annotations
 import datetime as _dt
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Union
+from typing import ClassVar, Union
 
 from .codec import Decoder, Encoder
 from .crypto import SigningKey, hash_parts, verify_signature
@@ -128,10 +128,17 @@ class Certificate:
     def fingerprint(self) -> bytes:
         return hash_parts(b"cert-fingerprint", self.to_bytes())
 
+    def unique_id(self) -> str:
+        if self.unique_id_field is None:
+            raise MissingIdentifier("certificate has no unique identifier field")
+        return self.unique_id_field
+
 
 @dataclass(frozen=True)
 class CertChain:
     """Leaf plus intermediates, leaf first; the root stays in the trust store."""
+
+    kind: ClassVar[str] = "card-chain"
 
     leaf: Certificate
     intermediates: tuple[Certificate, ...]
@@ -145,6 +152,17 @@ class CertChain:
         for cert in self.certs():
             enc.put_bytes(cert.to_bytes())
         return enc.put_bytes(self.root_fingerprint).done()
+
+    public_bytes = to_bytes
+
+    def unique_id(self) -> str:
+        return self.leaf.unique_id()
+
+    def public_key(self) -> bytes:
+        return self.leaf.subject_public_key
+
+    def validate(self, store: TrustStore, now: int) -> ValidationReport:
+        return validate_chain(self, store, now)
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "CertChain":
@@ -383,9 +401,9 @@ class Dg1:
     composite_cd: int
 
     @classmethod
-    def build(cls, *, document_type: str = "P", issuing_state: str, name: str,
-              document_number: str, nationality: str, birth_date: str, sex: str,
-              expiry_date: str, optional_data: str = "") -> "Dg1":
+    def build(cls, *, issuing_state: str, name: str, document_number: str,
+              nationality: str, birth_date: str, sex: str, expiry_date: str,
+              optional_data: str = "") -> "Dg1":
         doc_cd = icao_check_digit(document_number)
         birth_cd = icao_check_digit(birth_date)
         expiry_cd = icao_check_digit(expiry_date)
@@ -394,7 +412,7 @@ class Dg1:
             f"{document_number}{doc_cd}{birth_date}{birth_cd}"
             f"{expiry_date}{expiry_cd}{optional_data}{opt_cd}"
         )
-        return cls(document_type, issuing_state, name, document_number, doc_cd,
+        return cls("P", issuing_state, name, document_number, doc_cd,
                    nationality, birth_date, birth_cd, sex, expiry_date, expiry_cd,
                    optional_data, opt_cd, composite)
 
@@ -445,6 +463,8 @@ class HolderFields:
 
 @dataclass(frozen=True)
 class EPassport:
+    kind: ClassVar[str] = "epassport"
+
     dg1: Dg1
     dg11_personal_number: str | None
     dg15_public_key: bytes | None
@@ -485,6 +505,20 @@ class EPassport:
             .put_bytes(self.dsc.to_bytes())
             .done()
         )
+
+    def unique_id(self) -> str:
+        """The personal number when present, else the document number."""
+        if self.dg11_personal_number is not None:
+            return self.dg11_personal_number
+        return self.dg1.document_number
+
+    def public_key(self) -> bytes:
+        if self.dg15_public_key is None:
+            raise NoActiveAuthentication("passport publishes no chip verification key")
+        return self.dg15_public_key
+
+    def validate(self, store: TrustStore, now: int) -> ValidationReport:
+        return validate_epassport(self, store, now)
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "EPassport":
@@ -581,6 +615,19 @@ def validate_epassport(passport: EPassport, csca_store: TrustStore, now: int) ->
 
 Document = Union[Certificate, CertChain, IdentityCard, EPassport]
 
+# Each document kind by the wire tag a registration bundle carries for it.
+DOCUMENT_KINDS = {cls.kind: cls for cls in (CertChain, EPassport)}
+
+
+def public_document(doc: Document) -> Union[Certificate, CertChain, EPassport]:
+    """The public form of `doc`: an identity card's chain, any other
+    document itself. TypeError for anything that is not a document."""
+    if isinstance(doc, IdentityCard):
+        return doc.chain
+    if isinstance(doc, (Certificate, CertChain, EPassport)):
+        return doc
+    raise TypeError(f"{type(doc).__name__} is not an identity document")
+
 
 def extract_unique_id(doc: Document) -> str:
     """The document's unique identifier.
@@ -588,19 +635,7 @@ def extract_unique_id(doc: Document) -> str:
     Certificates carry it in an explicit field; passports prefer the personal
     number and fall back to the document number.
     """
-    if isinstance(doc, IdentityCard):
-        doc = doc.chain
-    if isinstance(doc, CertChain):
-        doc = doc.leaf
-    if isinstance(doc, Certificate):
-        if doc.unique_id_field is None:
-            raise MissingIdentifier("certificate has no unique identifier field")
-        return doc.unique_id_field
-    if isinstance(doc, EPassport):
-        if doc.dg11_personal_number is not None:
-            return doc.dg11_personal_number
-        return doc.dg1.document_number
-    raise TypeError(f"cannot extract an identifier from {type(doc).__name__}")
+    return public_document(doc).unique_id()
 
 
 def active_auth_sign(doc: Union[IdentityCard, EPassport], message: bytes) -> bytes:
@@ -621,27 +656,17 @@ def active_auth_verify(public_key: bytes, message: bytes, signature: bytes) -> b
 
 def document_public_key(doc: Union[IdentityCard, CertChain, EPassport]) -> bytes:
     """The verification key challenge signatures are checked against."""
-    if isinstance(doc, IdentityCard):
-        doc = doc.chain
-    if isinstance(doc, CertChain):
-        return doc.leaf.subject_public_key
-    if isinstance(doc, EPassport):
-        if doc.dg15_public_key is None:
-            raise NoActiveAuthentication("passport publishes no chip verification key")
-        return doc.dg15_public_key
-    raise TypeError(f"{type(doc).__name__} has no document key")
+    return public_document(doc).public_key()
 
 
 def document_public_bytes(doc: Union[IdentityCard, CertChain, EPassport]) -> bytes:
-    if isinstance(doc, IdentityCard):
-        return doc.chain.to_bytes()
-    if isinstance(doc, CertChain):
-        return doc.to_bytes()
-    if isinstance(doc, EPassport):
-        return doc.public_bytes()
-    raise TypeError(f"cannot serialize {type(doc).__name__}")
+    return public_document(doc).public_bytes()
+
+
+def public_bytes_hash(blob: bytes) -> bytes:
+    """Stable digest of a document's public form; used as a derivation salt."""
+    return hash_parts(b"document-hash", blob)
 
 
 def document_hash(doc: Union[IdentityCard, CertChain, EPassport]) -> bytes:
-    """Stable digest of the document's public form; used as a derivation salt."""
-    return hash_parts(b"document-hash", document_public_bytes(doc))
+    return public_bytes_hash(document_public_bytes(doc))

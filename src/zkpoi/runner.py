@@ -190,11 +190,12 @@ NOW = identity.GENESIS + identity.YEAR  # one year into every validity window
 
 
 def synthesize_documents(kind: str, count: int, hierarchies: int, seed: int, *,
-                         with_aa: bool = True, intermediates: int = 2):
+                         with_aa: bool = True):
     """Deterministic corpus of identity documents across several issuing
-    hierarchies. Returns (trust_store, [documents])."""
+    hierarchies, cards two intermediates below their root. Returns
+    (trust_store, [documents])."""
     if kind == "card":
-        store, hierarchy = identity.generate_ca_hierarchy(hierarchies, intermediates, seed)
+        store, hierarchy = identity.generate_ca_hierarchy(hierarchies, 2, seed)
         docs = []
         for i in range(count):
             issuer = hierarchy.issuers[i % len(hierarchy.issuers)]
@@ -226,15 +227,28 @@ def _doc_label(doc) -> str:
     return doc.certificate.subject_name
 
 
+def _corpus_params(p: _Params) -> tuple[str, int, int]:
+    """The kind, count and hierarchies every document scenario reads first."""
+    kind = p.text("kind", "epassport", {"card", "epassport"})
+    count = p.integer("count", 5, lo=1, hi=100_000)
+    hierarchies = p.integer("hierarchies", 3, lo=1, hi=64)
+    return kind, count, hierarchies
+
+
+def _build_bundle(doc, i: int, seed: int, blockchain_id: str, store, **options):
+    """Bundle for the i-th synthesized document, under its own passphrase."""
+    bundle, _ = credential.build_registration_bundle(
+        doc, f"passphrase-{seed}-{i}", blockchain_id, store, NOW, **options)
+    return bundle
+
+
 # ---------------------------------------------------------------------------
 # Scenarios
 # ---------------------------------------------------------------------------
 
 
 def _scenario_identity_gen(p: _Params, seed: int) -> ScenarioResult:
-    kind = p.text("kind", "epassport", {"card", "epassport"})
-    count = p.integer("count", 5, lo=1, hi=100_000)
-    hierarchies = p.integer("hierarchies", 3, lo=1, hi=64)
+    kind, count, hierarchies = _corpus_params(p)
     with_aa = p.boolean("with_aa", True)
     p.reject_unknown()
     store, docs = synthesize_documents(kind, count, hierarchies, seed, with_aa=with_aa)
@@ -250,17 +264,12 @@ def _scenario_identity_gen(p: _Params, seed: int) -> ScenarioResult:
 
 
 def _scenario_identity_validate(p: _Params, seed: int) -> ScenarioResult:
-    kind = p.text("kind", "epassport", {"card", "epassport"})
-    count = p.integer("count", 5, lo=1, hi=100_000)
-    hierarchies = p.integer("hierarchies", 3, lo=1, hi=64)
+    kind, count, hierarchies = _corpus_params(p)
     p.reject_unknown()
     store, docs = synthesize_documents(kind, count, hierarchies, seed)
     rows = []
     for i, doc in enumerate(docs):
-        if kind == "epassport":
-            report = identity.validate_epassport(doc, store, NOW)
-        else:
-            report = identity.validate_chain(doc.chain.to_bytes(), store, NOW)
+        report = identity.public_document(doc).validate(store, NOW)
         rows.append({"index": i, "label": _doc_label(doc), "verdict": report.verdict,
                      "failure_code": report.failure_code.value if report.failure_code else ""})
     accepted = sum(1 for r in rows if r["verdict"] == "accepted")
@@ -270,9 +279,7 @@ def _scenario_identity_validate(p: _Params, seed: int) -> ScenarioResult:
 
 
 def _scenario_register_build(p: _Params, seed: int) -> ScenarioResult:
-    kind = p.text("kind", "epassport", {"card", "epassport"})
-    count = p.integer("count", 5, lo=1, hi=100_000)
-    hierarchies = p.integer("hierarchies", 3, lo=1, hi=64)
+    kind, count, hierarchies = _corpus_params(p)
     blockchain_id = p.text("blockchain_id", "chain-main")
     aa_mode = p.text("aa_mode", credential.AA_MODE_FULL,
                      {credential.AA_MODE_FULL, credential.AA_MODE_ABSENT})
@@ -282,9 +289,8 @@ def _scenario_register_build(p: _Params, seed: int) -> ScenarioResult:
     store, docs = synthesize_documents(kind, count, hierarchies, seed, with_aa=with_aa)
     rows = []
     for i, doc in enumerate(docs):
-        bundle, _ = credential.build_registration_bundle(
-            doc, f"passphrase-{seed}-{i}", blockchain_id, store, NOW,
-            aa_mode=aa_mode, kdf_iterations=iterations)
+        bundle = _build_bundle(doc, i, seed, blockchain_id, store,
+                               aa_mode=aa_mode, kdf_iterations=iterations)
         blob = bundle.to_bytes()
         rows.append({"index": i, "pseudonym": bundle.pseudonym.label(),
                      "aa_mode": bundle.evidence.aa_mode,
@@ -295,18 +301,14 @@ def _scenario_register_build(p: _Params, seed: int) -> ScenarioResult:
 
 
 def _scenario_register_verify(p: _Params, seed: int) -> ScenarioResult:
-    kind = p.text("kind", "epassport", {"card", "epassport"})
-    count = p.integer("count", 5, lo=1, hi=100_000)
-    hierarchies = p.integer("hierarchies", 3, lo=1, hi=64)
+    kind, count, hierarchies = _corpus_params(p)
     blockchain_id = p.text("blockchain_id", "chain-main")
     iterations = p.integer("kdf_iterations", 512, lo=1, hi=10_000_000)
     p.reject_unknown()
     store, docs = synthesize_documents(kind, count, hierarchies, seed)
     rows = []
     for i, doc in enumerate(docs):
-        bundle, _ = credential.build_registration_bundle(
-            doc, f"passphrase-{seed}-{i}", blockchain_id, store, NOW,
-            kdf_iterations=iterations)
+        bundle = _build_bundle(doc, i, seed, blockchain_id, store, kdf_iterations=iterations)
         reparsed = credential.RegistrationBundle.from_bytes(bundle.to_bytes())
         verdict = credential.verify_registration_bundle(reparsed, store, blockchain_id, NOW)
         rows.append({"index": i, "pseudonym": bundle.pseudonym.label(),
@@ -318,9 +320,7 @@ def _scenario_register_verify(p: _Params, seed: int) -> ScenarioResult:
 
 
 def _registry_round(p: _Params, seed: int, offline_count: int):
-    kind = p.text("kind", "epassport", {"card", "epassport"})
-    count = p.integer("count", 5, lo=1, hi=100_000)
-    hierarchies = p.integer("hierarchies", 3, lo=1, hi=64)
+    kind, count, hierarchies = _corpus_params(p)
     blockchain_id = p.text("blockchain_id", "chain-main")
     iterations = p.integer("kdf_iterations", 512, lo=1, hi=10_000_000)
     p.reject_unknown()
@@ -329,17 +329,12 @@ def _registry_round(p: _Params, seed: int, offline_count: int):
     client = attestation.EnclaveIdentity("zkpoi-wallet", 1)
     policy = attestation.AttestationPolicy.expecting(client, reg.enclave)
     session = reg.open_session(client, policy)
-    bundles = []
     for i, doc in enumerate(docs):
-        bundle, _ = credential.build_registration_bundle(
-            doc, f"passphrase-{seed}-{i}", blockchain_id, store, NOW,
-            kdf_iterations=iterations)
+        bundle = _build_bundle(doc, i, seed, blockchain_id, store, kdf_iterations=iterations)
         reg.register(attestation.seal(session, bundle.to_bytes()), session, NOW)
-        bundles.append((doc, f"passphrase-{seed}-{i}"))
-    for doc, passphrase in bundles[:offline_count]:
-        off, _ = credential.build_registration_bundle(
-            doc, passphrase, blockchain_id, store, NOW,
-            suffix=credential.SUFFIX_OFF, kdf_iterations=iterations)
+    for i, doc in enumerate(docs[:offline_count]):
+        off = _build_bundle(doc, i, seed, blockchain_id, store,
+                            suffix=credential.SUFFIX_OFF, kdf_iterations=iterations)
         reg.take_offline(attestation.seal(session, off.to_bytes()), session, NOW)
     return reg
 
@@ -460,7 +455,7 @@ def _scenario_econ_poa(p: _Params, seed: int) -> ScenarioResult:
     p.reject_unknown()
     nash = cong.all_nash_allocations(instance)
     worst = max(cong.total_mining_cost(instance, a) for a in nash)
-    ratio = cong.price_of_crypto_anarchy(instance, zkpoi_cost=zkpoi_cost)
+    ratio = worst / zkpoi_cost  # the float price_of_crypto_anarchy returns
     rows = [{"nash_count": len(nash), "worst_nash_cost": worst,
              "zkpoi_cost": zkpoi_cost, "ratio": ratio}]
     return ScenarioResult(

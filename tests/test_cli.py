@@ -88,6 +88,16 @@ class TestColdStart:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
+    @pytest.mark.parametrize("module, prefix", [("zkpoi.registry", "zkpoi.econ"),
+                                                ("zkpoi", "zkpoi.")])
+    def test_import_loads_only_what_it_uses(self, child_env, module, prefix):
+        probe = (f"import sys, {module}; "
+                 f"print(sorted(m for m in sys.modules if m.startswith({prefix!r})))")
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                              text=True, env=child_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
 
 class TestSuccessPath:
     def test_csv_payload_on_stdout_manifest_on_stderr(self, capsys):

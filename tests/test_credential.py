@@ -6,7 +6,7 @@ import dataclasses
 
 import pytest
 
-from zkpoi import credential
+from zkpoi import attestation, credential
 from zkpoi.credential import (
     AA_MODE_ABSENT,
     AA_MODE_FULL,
@@ -27,6 +27,7 @@ from zkpoi.crypto import hash_parts, pbkdf2_sha256
 from zkpoi.errors import (
     DecodeError,
     EmptyPassphrase,
+    InvalidBundle,
     InvalidDocument,
     NoActiveAuthentication,
 )
@@ -43,6 +44,7 @@ from zkpoi.identity import (
     issue_epassport,
     issue_identity_cert,
 )
+from zkpoi.registry import Registry
 
 NOW = GENESIS + YEAR
 WINDOW = (GENESIS, GENESIS + 10 * YEAR)
@@ -204,6 +206,14 @@ class TestBundleGeneration:
         with pytest.raises(ValueError):
             build(card, store, aa_mode="partial")
 
+    @pytest.mark.parametrize("doc_index, tag", [(2, "card-chain"), (3, "epassport")],
+                             ids=["card", "passport"])
+    def test_evidence_carries_the_wire_tag(self, world, doc_index, tag):
+        store, doc = world[0], world[doc_index]
+        bundle, _ = build(doc, store)
+        assert bundle.evidence.doc_kind == tag
+        assert RegistrationBundle.from_bytes(bundle.to_bytes()).evidence.doc_kind == tag
+
     def test_decoder_rejects_foreign_suffix(self, world):
         store, _, card, *_ = world
         bundle, _ = build(card, store)
@@ -225,6 +235,21 @@ class TestVerifierSteps:
             bundle, evidence=dataclasses.replace(bundle.evidence, doc_bytes=b"garbage"))
         verdict = verify_registration_bundle(broken, store, NETWORK, NOW)
         assert (verdict.accepted, verdict.code) == (False, "step3")
+
+    def test_step3_unknown_document_kind(self, world):
+        store, _, card, *_ = world
+        bundle, _ = build(card, store)
+        foreign = dataclasses.replace(
+            bundle, evidence=dataclasses.replace(bundle.evidence, doc_kind="driving-licence"))
+        verdict = verify_registration_bundle(foreign, store, NETWORK, NOW)
+        assert (verdict.accepted, verdict.code) == (False, "step3")
+        assert verdict.reason.startswith("evidence does not decode")
+        registry = Registry(store, NETWORK, seed=5)
+        client = attestation.EnclaveIdentity("zkpoi-wallet", 1)
+        session = registry.open_session(client)
+        with pytest.raises(InvalidBundle, match="step3"):
+            registry.register(attestation.seal(session, foreign.to_bytes()), session, NOW)
+        assert registry.log == []
 
     def test_step3_invalid_utf8_unique_id(self, world):
         store, _, card, *_ = world
@@ -349,8 +374,7 @@ class TestAbsentMode:
         bundle, _ = build(plain_passport, store, aa_mode=AA_MODE_ABSENT)
         digest = document_hash(plain_passport)
         expected = pbkdf2_sha256("hunter2 passphrase",
-                                 hash_parts(b"degraded-secret-salt", digest),
-                                 ITERS * 8, 32)
+                                 hash_parts(b"degraded-secret-salt", digest), ITERS * 8)
         assert bundle.evidence.secret == expected
 
     def test_full_and_absent_pseudonyms_differ(self, world):
