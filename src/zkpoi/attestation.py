@@ -14,7 +14,7 @@ to known-good code is exactly the policy set.
 from __future__ import annotations
 
 import secrets
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .crypto import ByteStream, hash_parts, seal_bytes, unseal_bytes
 from .errors import MeasurementMismatch

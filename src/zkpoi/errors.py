@@ -7,6 +7,8 @@ documents and bundles are return values, not exceptions.
 
 from __future__ import annotations
 
+from enum import Enum
+
 
 class ZkpoiError(Exception):
     """Base class for all package errors."""
@@ -60,8 +62,18 @@ class WrongSession(ZkpoiError):
 
 # --- registry ---------------------------------------------------------------
 
+class DuplicateReason(str, Enum):
+    """The uniqueness layer that refused an admission."""
+
+    IDENTIFIER = "identifier"
+    PSEUDONYM = "pseudonym"
+    ATTRIBUTES = "attributes"
+
+
 class DuplicateIdentity(ZkpoiError):
-    pass
+    def __init__(self, message: str, reason: DuplicateReason):
+        super().__init__(message)
+        self.reason = reason
 
 
 class InvalidBundle(ZkpoiError):

@@ -181,9 +181,28 @@ class TrustStore:
     trusted_roots: dict[bytes, bytes]  # fingerprint -> root public key
     allowed_authorities: frozenset[str]
     root_names: dict[str, bytes]  # root subject name -> fingerprint
+    # (issuer key, certificate) pairs whose signature verified inside a
+    # document this store accepted: intermediate CAs and document signers
+    # only, never leaves. Owned by this store; a copy starts empty.
+    _verified_issuers: set[tuple[bytes, Certificate]] = field(
+        default_factory=set, init=False, compare=False, repr=False)
 
     def root_key(self, fingerprint: bytes) -> bytes | None:
         return self.trusted_roots.get(fingerprint)
+
+    def _issuer_signed(self, issuer_key: bytes, cert: Certificate,
+                       fresh: list[tuple[bytes, Certificate]]) -> bool:
+        """Whether `issuer_key` signed `cert`. A pair remembered from an
+        accepted document is not verified again; a pair verified here is
+        appended to `fresh`, which the caller remembers only once the whole
+        document is accepted."""
+        link = (issuer_key, cert)
+        if link in self._verified_issuers:
+            return True
+        if not verify_signature(issuer_key, cert.signature, cert.tbs_bytes()):
+            return False
+        fresh.append(link)
+        return True
 
 
 class CertAuthority:
@@ -329,6 +348,9 @@ def validate_chain(chain: Union[CertChain, bytes], store: TrustStore, now: int,
     3. revocation against the optional (issuer, serial) set — skipped when absent;
     4. issuer/subject linkage and signature along the chain;
     5. the chain terminates at a trusted self-signed root from the store.
+
+    Every step runs on every call; only the signatures on intermediate
+    certificates may come from the store's memo of accepted documents.
     """
     if isinstance(chain, (bytes, bytearray, memoryview)):
         try:
@@ -344,17 +366,25 @@ def validate_chain(chain: Union[CertChain, bytes], store: TrustStore, now: int,
         for cert in certs:
             if (cert.issuer_name, cert.serial) in crl:
                 return ValidationReport.fail(FailureCode.REVOKED, now)
+    fresh: list[tuple[bytes, Certificate]] = []
+
+    def signed(issuer_key: bytes, cert: Certificate) -> bool:
+        if cert is chain.leaf:
+            return verify_signature(issuer_key, cert.signature, cert.tbs_bytes())
+        return store._issuer_signed(issuer_key, cert, fresh)
+
     for child, parent in zip(certs, certs[1:]):
         if child.issuer_name != parent.subject_name or not parent.is_ca:
             return ValidationReport.fail(FailureCode.CHAIN_BROKEN, now)
-        if not verify_signature(parent.subject_public_key, child.signature, child.tbs_bytes()):
+        if not signed(parent.subject_public_key, child):
             return ValidationReport.fail(FailureCode.BAD_SIGNATURE, now)
     top = certs[-1]
     root_key = store.root_key(chain.root_fingerprint)
     if root_key is None or top.issuer_name not in store.allowed_authorities:
         return ValidationReport.fail(FailureCode.NOT_TRUSTED, now)
-    if not verify_signature(root_key, top.signature, top.tbs_bytes()):
+    if not signed(root_key, top):
         return ValidationReport.fail(FailureCode.BAD_SIGNATURE, now)
+    store._verified_issuers.update(fresh)
     return ValidationReport.ok(now)
 
 
@@ -591,6 +621,9 @@ def validate_epassport(passport: EPassport, csca_store: TrustStore, now: int) ->
     (b) the security-object signature verifies under the document signer;
     (c) the document signer traces to a trusted country root;
     (d) the document and signer are inside their validity windows.
+
+    Every check runs on every call; only the root's signature on the
+    document signer may come from the store's memo of accepted documents.
     """
     if passport.computed_dg_hashes() != passport.sod_dg_hashes:
         return ValidationReport.fail(FailureCode.HASH_MISMATCH, now)
@@ -599,13 +632,15 @@ def validate_epassport(passport: EPassport, csca_store: TrustStore, now: int) ->
         return ValidationReport.fail(FailureCode.BAD_SIGNATURE, now)
     root_fp = csca_store.root_names.get(passport.dsc.issuer_name)
     root_key = csca_store.root_key(root_fp) if root_fp is not None else None
+    fresh: list[tuple[bytes, Certificate]] = []
     if (root_key is None
             or passport.dsc.issuer_name not in csca_store.allowed_authorities
-            or not verify_signature(root_key, passport.dsc.signature, passport.dsc.tbs_bytes())):
+            or not csca_store._issuer_signed(root_key, passport.dsc, fresh)):
         return ValidationReport.fail(FailureCode.NOT_TRUSTED, now)
     if not (passport.dsc.not_before <= now <= passport.dsc.not_after
             and now <= expiry_timestamp(passport.dg1.expiry_date)):
         return ValidationReport.fail(FailureCode.EXPIRED, now)
+    csca_store._verified_issuers.update(fresh)
     return ValidationReport.ok(now)
 
 

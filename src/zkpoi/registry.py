@@ -27,6 +27,7 @@ from .crypto import ByteStream, hash_parts, hmac_sha256
 from .errors import (
     DecodeError,
     DuplicateIdentity,
+    DuplicateReason,
     InvalidBundle,
     NoSession,
     ReplayedRegProof,
@@ -169,14 +170,17 @@ class Registry:
         if not verdict.accepted:
             raise InvalidBundle(f"bundle rejected at {verdict.code}: {verdict.reason}")
         if self._id_db.contains(verdict.unique_id):
-            raise DuplicateIdentity("identifier already registered")
+            raise DuplicateIdentity("identifier already registered",
+                                    DuplicateReason.IDENTIFIER)
         existing = self.entries.get(bundle.pseudonym.digest)
         if existing is not None and not (self.allow_reregistration
                                          and existing.status == STATUS_OFFLINE):
-            raise DuplicateIdentity("pseudonym already registered")
+            raise DuplicateIdentity("pseudonym already registered",
+                                    DuplicateReason.PSEUDONYM)
         attributes = default_identity_attributes(verdict.document)
         if not self.accumulator.admit(encode_attributes(attributes)):
-            raise DuplicateIdentity("personal attributes already registered")
+            raise DuplicateIdentity("personal attributes already registered",
+                                    DuplicateReason.ATTRIBUTES)
         self._id_db.add(verdict.unique_id)
         entry = RegistryEntry(pseudonym=bundle.pseudonym, pk=bundle.pk,
                               sign_pk=bundle.sign_pk, status=STATUS_ONLINE,

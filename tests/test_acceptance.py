@@ -115,7 +115,6 @@ def test_criterion_01_registration_suite(report):
 
 def test_criterion_02_rejection_matrix(report):
     problems: list[str] = []
-    rng = random.Random(2001)
     store, hierarchy = identity.generate_ca_hierarchy(3, 2, seed=2001)
     cards = [identity.issue_identity_cert(
         hierarchy, hierarchy.issuers[i % len(hierarchy.issuers)],
@@ -139,61 +138,78 @@ def test_criterion_02_rejection_matrix(report):
         if wrong:
             problems.append(f"{klass}: {len(wrong)}/100 wrong codes ({wrong[0]})")
 
-    # expired: validated at a random time outside the validity window
-    outcomes = []
-    for card in cards:
-        if rng.random() < 0.5:
-            at = WINDOW[1] + rng.randint(1, 10 * YEAR)
-        else:
-            at = WINDOW[0] - rng.randint(1, 10 * YEAR)
-        outcomes.append(identity.validate_chain(card.chain, store, at).failure_code)
-    tally("expired", outcomes, "EXPIRED")
+    def mutant_codes():
+        """(class, failure codes, expected code) for each mutant class."""
+        rng = random.Random(2001)
+        results = []
+        # expired: validated at a random time outside the validity window
+        outcomes = []
+        for card in cards:
+            if rng.random() < 0.5:
+                at = WINDOW[1] + rng.randint(1, 10 * YEAR)
+            else:
+                at = WINDOW[0] - rng.randint(1, 10 * YEAR)
+            outcomes.append(identity.validate_chain(card.chain, store, at).failure_code)
+        results.append(("expired", outcomes, "EXPIRED"))
 
-    # tampered signature on a random chain link
-    outcomes = []
-    for card in cards:
-        chain = card.chain
-        target = rng.randrange(1 + len(chain.intermediates))
-        mangle = lambda cert: dataclasses.replace(
-            cert, signature=rng.randbytes(len(cert.signature)))
-        if target == 0:
-            chain = dataclasses.replace(chain, leaf=mangle(chain.leaf))
-        else:
-            inters = list(chain.intermediates)
-            inters[target - 1] = mangle(inters[target - 1])
-            chain = dataclasses.replace(chain, intermediates=tuple(inters))
-        outcomes.append(identity.validate_chain(chain, store, NOW).failure_code)
-    tally("tampered-signature", outcomes, "BAD_SIGNATURE")
+        # tampered signature on a random chain link
+        outcomes = []
+        for card in cards:
+            chain = card.chain
+            target = rng.randrange(1 + len(chain.intermediates))
+            mangle = lambda cert: dataclasses.replace(
+                cert, signature=rng.randbytes(len(cert.signature)))
+            if target == 0:
+                chain = dataclasses.replace(chain, leaf=mangle(chain.leaf))
+            else:
+                inters = list(chain.intermediates)
+                inters[target - 1] = mangle(inters[target - 1])
+                chain = dataclasses.replace(chain, intermediates=tuple(inters))
+            outcomes.append(identity.validate_chain(chain, store, NOW).failure_code)
+        results.append(("tampered-signature", outcomes, "BAD_SIGNATURE"))
 
-    # broken chain: the leaf's direct parent dropped, or a dangling issuer name
-    outcomes = []
-    for card in cards:
-        chain = card.chain
-        if rng.random() < 0.5 and chain.intermediates:
-            chain = dataclasses.replace(chain, intermediates=chain.intermediates[1:])
-        else:
-            chain = dataclasses.replace(chain, leaf=dataclasses.replace(
-                chain.leaf, issuer_name=f"ghost-authority-{rng.randrange(1000)}"))
-        outcomes.append(identity.validate_chain(chain, store, NOW).failure_code)
-    tally("broken-chain", outcomes, "CHAIN_BROKEN")
+        # broken chain: the leaf's direct parent dropped, or a dangling issuer name
+        outcomes = []
+        for card in cards:
+            chain = card.chain
+            if rng.random() < 0.5 and chain.intermediates:
+                chain = dataclasses.replace(chain, intermediates=chain.intermediates[1:])
+            else:
+                chain = dataclasses.replace(chain, leaf=dataclasses.replace(
+                    chain.leaf, issuer_name=f"ghost-authority-{rng.randrange(1000)}"))
+            outcomes.append(identity.validate_chain(chain, store, NOW).failure_code)
+        results.append(("broken-chain", outcomes, "CHAIN_BROKEN"))
 
-    # untrusted root: internally consistent chains from a foreign hierarchy
-    outcomes = []
-    for i in range(100):
-        stranger = identity.issue_identity_cert(
-            foreign, foreign.issuers[0], f"Stranger {i:03d}",
-            f"STR-{rng.randrange(10**6):06d}", WINDOW)
-        outcomes.append(identity.validate_chain(stranger.chain, store, NOW).failure_code)
-    tally("untrusted-root", outcomes, "NOT_TRUSTED")
+        # untrusted root: internally consistent chains from a foreign hierarchy
+        outcomes = []
+        for i in range(100):
+            stranger = identity.issue_identity_cert(
+                foreign, foreign.issuers[0], f"Stranger {i:03d}",
+                f"STR-{rng.randrange(10**6):06d}", WINDOW)
+            outcomes.append(identity.validate_chain(stranger.chain, store, NOW).failure_code)
+        results.append(("untrusted-root", outcomes, "NOT_TRUSTED"))
 
-    # security-object hash mismatch: mutate a data group under an intact SOD
-    outcomes = []
-    for passport in passports:
-        mutant = dataclasses.replace(passport, dg1=dataclasses.replace(
-            passport.dg1, name=f"ALTERED{rng.randrange(10**6):06d}"))
-        outcomes.append(
-            identity.validate_epassport(mutant, pass_store, NOW).failure_code)
-    tally("sod-hash-mismatch", outcomes, "HASH_MISMATCH")
+        # security-object hash mismatch: mutate a data group under an intact SOD
+        outcomes = []
+        for passport in passports:
+            mutant = dataclasses.replace(passport, dg1=dataclasses.replace(
+                passport.dg1, name=f"ALTERED{rng.randrange(10**6):06d}"))
+            outcomes.append(
+                identity.validate_epassport(mutant, pass_store, NOW).failure_code)
+        results.append(("sod-hash-mismatch", outcomes, "HASH_MISMATCH"))
+        return results
+
+    cold = mutant_codes()
+    # Warm the stores' memo of verified issuer signatures with the clean
+    # documents; the same mutants must then get the same codes.
+    if not (all(identity.validate_chain(card.chain, store, NOW).accepted for card in cards)
+            and all(identity.validate_epassport(p, pass_store, NOW).accepted for p in passports)
+            and store._verified_issuers and pass_store._verified_issuers):
+        problems.append("clean documents did not warm the trust stores")
+    warm = mutant_codes()
+    for (klass, cold_codes, expected), (_, warm_codes, _) in zip(cold, warm):
+        tally(klass, cold_codes, expected)
+        tally(f"{klass} (warm store)", warm_codes, expected)
 
     report(2, "5 mutant classes x 100 randomized instances all rejected with "
               "the correct failure code", problems)

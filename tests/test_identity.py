@@ -486,6 +486,153 @@ class TestPassportValidation:
 
 
 # ---------------------------------------------------------------------------
+# The trust store's memo of verified issuer signatures
+# ---------------------------------------------------------------------------
+
+
+def flip_signature(cert: Certificate) -> Certificate:
+    return dataclasses.replace(cert, signature=bytes([cert.signature[0] ^ 1]) + cert.signature[1:])
+
+
+def memo_certs(store: TrustStore) -> set[Certificate]:
+    return {cert for _, cert in store._verified_issuers}
+
+
+@pytest.fixture()
+def warm_card():
+    """A fresh store whose memo holds the intermediates of one accepted card."""
+    store, hierarchy = generate_ca_hierarchy(2, 2, seed=303)
+    card = issue_identity_cert(hierarchy, hierarchy.issuers[0], "Memo Holder", "UID-M-1",
+                               (GENESIS, GENESIS + 60 * YEAR))
+    assert validate_chain(card.chain, store, NOW).accepted
+    assert memo_certs(store) == set(card.chain.intermediates)
+    return store, hierarchy, card
+
+
+@pytest.fixture()
+def warm_passport(passport_setup):
+    """A fresh store whose memo holds the signer of one accepted passport."""
+    *_, holder, _ = passport_setup
+    store, hierarchy = generate_ca_hierarchy(2, 0, seed=606)
+    csca = hierarchy.authority(hierarchy.issuers[0])
+    dsc = issue_dsc(csca, "printer-m", WINDOW)
+    passport = issue_epassport(csca, dsc, holder, with_aa=True, seed=7)
+    assert validate_epassport(passport, store, NOW).accepted
+    assert memo_certs(store) == {dsc.cert}
+    return store, csca, dsc, holder, passport
+
+
+class TestVerifiedIssuerMemo:
+    def test_warm_store_accepts_again(self, warm_card):
+        store, _, card = warm_card
+        assert validate_chain(card.chain, store, NOW).accepted
+        assert validate_chain(card.chain.to_bytes(), store, NOW).accepted
+
+    def test_leaf_signature_is_never_remembered(self, warm_card):
+        store, _, card = warm_card
+        assert card.certificate not in memo_certs(store)
+        forged = flip_signature(card.certificate)
+        report = validate_chain(chain_with_leaf(card, forged), store, NOW)
+        assert report.failure_code is FailureCode.BAD_SIGNATURE
+
+    @pytest.mark.parametrize("position", [0, 1])
+    def test_flipped_intermediate_signature_is_bad_signature(self, warm_card, position):
+        store, _, card = warm_card
+        inters = list(card.chain.intermediates)
+        inters[position] = flip_signature(inters[position])
+        chain = dataclasses.replace(card.chain, intermediates=tuple(inters))
+        assert validate_chain(chain, store, NOW).failure_code is FailureCode.BAD_SIGNATURE
+
+    def test_ca_outside_its_window_is_expired(self, warm_card):
+        store, _, card = warm_card
+        after_ca_window = GENESIS + 55 * YEAR  # leaf still valid, CAs not
+        report = validate_chain(card.chain, store, after_ca_window)
+        assert report.failure_code is FailureCode.EXPIRED
+
+    def test_revoked_intermediate_is_revoked(self, warm_card):
+        store, _, card = warm_card
+        inter = card.chain.intermediates[0]
+        crl = frozenset({(inter.issuer_name, inter.serial)})
+        report = validate_chain(card.chain, store, NOW, crl=crl)
+        assert report.failure_code is FailureCode.REVOKED
+
+    def test_root_removed_from_the_store_is_not_trusted(self, warm_card):
+        store, _, card = warm_card
+        del store.trusted_roots[card.chain.root_fingerprint]
+        assert validate_chain(card.chain, store, NOW).failure_code is FailureCode.NOT_TRUSTED
+
+    def test_unknown_root_fingerprint_is_not_trusted(self, warm_card):
+        store, _, card = warm_card
+        chain = dataclasses.replace(card.chain, root_fingerprint=bytes(32))
+        assert validate_chain(chain, store, NOW).failure_code is FailureCode.NOT_TRUSTED
+
+    def test_gutted_copy_starts_empty_and_is_not_trusted(self, warm_card):
+        store, _, card = warm_card
+        gutted = dataclasses.replace(store, allowed_authorities=frozenset())
+        assert memo_certs(gutted) == set() and memo_certs(store)
+        assert validate_chain(card.chain, gutted, NOW).failure_code is FailureCode.NOT_TRUSTED
+
+    def test_memo_is_not_part_of_equality_or_repr(self, warm_card):
+        store, _, _ = warm_card
+        cold = TrustStore(store.trusted_roots, store.allowed_authorities, store.root_names)
+        assert cold == store and repr(cold) == repr(store)
+
+    def test_foreign_and_rejected_chains_leave_the_memo_empty(self):
+        store, hierarchy = generate_ca_hierarchy(2, 2, seed=304)
+        _, foreign = generate_ca_hierarchy(2, 2, seed=305)
+        stranger = issue_identity_cert(foreign, foreign.issuers[0], "Stranger", "UID-S", WINDOW)
+        card = issue_identity_cert(hierarchy, hierarchy.issuers[0], "Holder", "UID-H", WINDOW)
+        rejected = {
+            "foreign": stranger.chain,
+            # every intermediate link verifies before the root lookup fails
+            "unknown-root": dataclasses.replace(card.chain, root_fingerprint=bytes(32)),
+            "bad-top": dataclasses.replace(card.chain, intermediates=(
+                card.chain.intermediates[0], flip_signature(card.chain.intermediates[1]))),
+            "bad-leaf": chain_with_leaf(card, flip_signature(card.certificate)),
+        }
+        for name, chain in rejected.items():
+            assert not validate_chain(chain, store, NOW).accepted, name
+            assert store._verified_issuers == set(), name
+        assert validate_chain(card.chain, store, WINDOW[1] + 1).failure_code is FailureCode.EXPIRED
+        assert store._verified_issuers == set()
+
+    def test_tampered_signer_is_not_trusted(self, warm_passport):
+        store, _, _, _, passport = warm_passport
+        for dsc in (dataclasses.replace(passport.dsc, serial=passport.dsc.serial + 1),
+                    flip_signature(passport.dsc)):
+            forged = dataclasses.replace(passport, dsc=dsc)
+            assert validate_epassport(forged, store, NOW).failure_code is FailureCode.NOT_TRUSTED
+        assert validate_epassport(passport, store, NOW).accepted
+
+    def test_remembered_signer_still_checks_the_security_object(self, warm_passport):
+        store, _, _, _, passport = warm_passport
+        sig = passport.sod_signature
+        forged = dataclasses.replace(passport, sod_signature=bytes([sig[0] ^ 1]) + sig[1:])
+        assert validate_epassport(forged, store, NOW).failure_code is FailureCode.BAD_SIGNATURE
+
+    def test_remembered_signer_outside_the_document_window_is_expired(self, warm_passport):
+        store, csca, dsc, holder, _ = warm_passport
+        stale = issue_epassport(csca, dsc, dataclasses.replace(holder, expiry_date="200101"),
+                                with_aa=False, seed=15)
+        assert validate_epassport(stale, store, NOW).failure_code is FailureCode.EXPIRED
+        assert validate_epassport(stale, store, WINDOW[1] + 1).failure_code is FailureCode.EXPIRED
+
+    def test_rejected_passports_leave_the_memo_empty(self, passport_setup):
+        *_, holder, passport = passport_setup
+        store, hierarchy = generate_ca_hierarchy(2, 0, seed=606)
+        csca = hierarchy.authority(hierarchy.issuers[0])
+        dsc = issue_dsc(csca, "printer-r", WINDOW)
+        stale = issue_epassport(csca, dsc, dataclasses.replace(holder, expiry_date="200101"),
+                                with_aa=False, seed=16)
+        # the signer's certificate verifies before the window check fails
+        assert validate_epassport(stale, store, NOW).failure_code is FailureCode.EXPIRED
+        foreign_store, _ = generate_ca_hierarchy(1, 0, seed=404)
+        assert validate_epassport(passport, foreign_store, NOW).failure_code \
+            is FailureCode.NOT_TRUSTED
+        assert store._verified_issuers == set() == foreign_store._verified_issuers
+
+
+# ---------------------------------------------------------------------------
 # Identifiers and challenge signing
 # ---------------------------------------------------------------------------
 

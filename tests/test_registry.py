@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zkpoi import attestation
+from zkpoi import attestation, identity
 from zkpoi.accumulator import (
     accumulator_add,
     accumulator_generate,
@@ -23,6 +23,7 @@ from zkpoi.errors import (
     AlreadyMember,
     DecodeError,
     DuplicateIdentity,
+    DuplicateReason,
     InvalidBundle,
     NoSession,
     NotMember,
@@ -35,7 +36,10 @@ from zkpoi.identity import (
     YEAR,
     CertChain,
     EPassport,
+    HolderFields,
     generate_ca_hierarchy,
+    issue_dsc,
+    issue_epassport,
     issue_identity_cert,
 )
 from zkpoi.registry import (
@@ -107,8 +111,9 @@ class TestRegister:
         registry.register(sealed(session, make_bundle(card, store)), session, NOW)
         # a different passphrase changes the wallet key but not the identity
         retry = make_bundle(card, store, passphrase="another passphrase")
-        with pytest.raises(DuplicateIdentity):
+        with pytest.raises(DuplicateIdentity) as caught:
             registry.register(sealed(session, retry), session, NOW)
+        assert caught.value.reason is DuplicateReason.IDENTIFIER
 
     def test_same_identifier_on_a_new_document_is_caught(self, world, registry):
         store, hierarchy = world
@@ -116,8 +121,10 @@ class TestRegister:
         second = make_card(hierarchy, 3, uid="UID-SHARED")
         session = registry.open_session(CLIENT)
         registry.register(sealed(session, make_bundle(first, store)), session, NOW)
-        with pytest.raises(DuplicateIdentity, match="identifier"):
+        with pytest.raises(DuplicateIdentity) as caught:
             registry.register(sealed(session, make_bundle(second, store)), session, NOW)
+        assert caught.value.reason is DuplicateReason.IDENTIFIER
+        assert str(caught.value) == "identifier already registered"
 
     def test_same_personal_attributes_are_caught(self, world, registry):
         store, hierarchy = world
@@ -125,8 +132,28 @@ class TestRegister:
         second = make_card(hierarchy, 4, subject="Twin Holder", uid="UID-T-2")
         session = registry.open_session(CLIENT)
         registry.register(sealed(session, make_bundle(first, store)), session, NOW)
-        with pytest.raises(DuplicateIdentity, match="attributes"):
+        with pytest.raises(DuplicateIdentity) as caught:
             registry.register(sealed(session, make_bundle(second, store)), session, NOW)
+        assert caught.value.reason is DuplicateReason.ATTRIBUTES
+        assert str(caught.value) == "personal attributes already registered"
+
+    def test_retired_pseudonym_is_caught_once_reregistration_is_closed(self, world):
+        store, hierarchy = world
+        registry = Registry(store, NETWORK, seed=13, allow_reregistration=True)
+        card = make_card(hierarchy, 31)
+        session = registry.open_session(CLIENT)
+        registry.register(sealed(session, make_bundle(card, store)), session, NOW)
+        off = make_bundle(card, store, suffix=SUFFIX_OFF)
+        registry.take_offline(sealed(session, off), session, NOW)  # releases the identifier
+        registry.allow_reregistration = False
+        with pytest.raises(DuplicateIdentity) as caught:
+            registry.register(sealed(session, make_bundle(card, store)), session, NOW)
+        assert caught.value.reason is DuplicateReason.PSEUDONYM
+        assert str(caught.value) == "pseudonym already registered"
+
+    def test_reasons_are_plain_strings(self):
+        assert [r.value for r in DuplicateReason] == ["identifier", "pseudonym", "attributes"]
+        assert DuplicateReason.ATTRIBUTES == "attributes"
 
     def test_distinct_identities_coexist(self, world, registry):
         store, hierarchy = world
@@ -309,6 +336,46 @@ class TestVerifyOnce:
         registry.take_offline(off_blob, session, NOW)
         assert len(decodes) == 2
         assert not hasattr(registry, "_uid_by_digest")
+
+    @staticmethod
+    def count_verifies(monkeypatch) -> list[bytes]:
+        calls = []
+
+        def counting(public_key, signature, message, _verify=identity.verify_signature):
+            calls.append(signature)
+            return _verify(public_key, signature, message)
+        monkeypatch.setattr(identity, "verify_signature", counting)
+        return calls
+
+    def test_warm_card_admission_verifies_four_signatures(self, monkeypatch):
+        """Leaf, leaf again in the registry, key binding and secret: the two
+        intermediates' signatures are remembered by the store."""
+        store, hierarchy = generate_ca_hierarchy(1, 2, seed=406)
+        cards = [issue_identity_cert(hierarchy, hierarchy.issuers[0], f"Subject {i}",
+                                     f"UID-W-{i}", WINDOW) for i in range(2)]
+        registry = Registry(store, NETWORK, seed=18)
+        session = registry.open_session(CLIENT)
+        registry.register(sealed(session, make_bundle(cards[0], store)), session, NOW)
+        calls = self.count_verifies(monkeypatch)
+        registry.register(sealed(session, make_bundle(cards[1], store)), session, NOW)
+        assert len(calls) == 4
+
+    def test_warm_passport_admission_verifies_four_signatures(self, monkeypatch):
+        """Security object twice, key binding and secret: the signer's
+        certificate is remembered by the store."""
+        store, hierarchy = generate_ca_hierarchy(1, 0, seed=405)
+        csca = hierarchy.authority(hierarchy.issuers[0])
+        dsc = issue_dsc(csca, "printer-1", WINDOW)
+        passports = [issue_epassport(csca, dsc, HolderFields(
+            name=f"HOLDER{i}", document_number=f"P{i:07d}", nationality="N00",
+            birth_date="900101", sex="F", expiry_date="450101", issuing_state="N00"),
+            with_aa=True, seed=i) for i in range(2)]
+        registry = Registry(store, NETWORK, seed=19)
+        session = registry.open_session(CLIENT)
+        registry.register(sealed(session, make_bundle(passports[0], store)), session, NOW)
+        calls = self.count_verifies(monkeypatch)
+        registry.register(sealed(session, make_bundle(passports[1], store)), session, NOW)
+        assert len(calls) == 4
 
 
 # ---------------------------------------------------------------------------
