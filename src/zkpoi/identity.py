@@ -472,7 +472,10 @@ class Dg1:
 
 
 def expiry_timestamp(expiry_date: str) -> int:
-    """YYMMDD expiry (end of day, UTC) to unix seconds; years map into 2000-2099."""
+    """YYMMDD expiry (end of day, UTC) to unix seconds; years map into 2000-2099.
+    ValueError unless the date is six ASCII digits naming a calendar day."""
+    if not (len(expiry_date) == 6 and expiry_date.isascii() and expiry_date.isdigit()):
+        raise ValueError(f"expiry date {expiry_date!r} is not YYMMDD")
     year, month, day = 2000 + int(expiry_date[:2]), int(expiry_date[2:4]), int(expiry_date[4:6])
     end = _dt.datetime(year, month, day, 23, 59, 59, tzinfo=_dt.timezone.utc)
     return int(end.timestamp())
@@ -620,7 +623,8 @@ def validate_epassport(passport: EPassport, csca_store: TrustStore, now: int) ->
     (a) every populated data group hashes to its security-object entry;
     (b) the security-object signature verifies under the document signer;
     (c) the document signer traces to a trusted country root;
-    (d) the document and signer are inside their validity windows.
+    (d) the signer, then the document, are inside their validity windows;
+        a document expiry that is not a YYMMDD date is a grammar error.
 
     Every check runs on every call; only the root's signature on the
     document signer may come from the store's memo of accepted documents.
@@ -637,8 +641,13 @@ def validate_epassport(passport: EPassport, csca_store: TrustStore, now: int) ->
             or passport.dsc.issuer_name not in csca_store.allowed_authorities
             or not csca_store._issuer_signed(root_key, passport.dsc, fresh)):
         return ValidationReport.fail(FailureCode.NOT_TRUSTED, now)
-    if not (passport.dsc.not_before <= now <= passport.dsc.not_after
-            and now <= expiry_timestamp(passport.dg1.expiry_date)):
+    if not passport.dsc.not_before <= now <= passport.dsc.not_after:
+        return ValidationReport.fail(FailureCode.EXPIRED, now)
+    try:
+        expiry = expiry_timestamp(passport.dg1.expiry_date)
+    except ValueError:
+        return ValidationReport.fail(FailureCode.GRAMMAR_ERROR, now)
+    if now > expiry:
         return ValidationReport.fail(FailureCode.EXPIRED, now)
     csca_store._verified_issuers.update(fresh)
     return ValidationReport.ok(now)

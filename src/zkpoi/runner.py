@@ -10,21 +10,51 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import importlib.util
 import io
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass
 
-from . import __version__, attestation, credential, identity, registry, shardgame
+from . import __version__
 from .codec import canonical_json
-from .econ import circulation as circ
-from .econ import congestion as cong
-from .econ import games, network
 from .errors import ConfigInvalid, DomainError, IoFailure
 
 SCHEMA_VERSION = 1
 FLOAT_FORMAT = ".9g"
+
+
+def _lazy_modules(*names: str) -> list:
+    """Register each `zkpoi.<name>` in sys.modules, bound on its parent
+    package as an import binds it, but executed only on its first attribute
+    access. A module that is already imported is returned as it is."""
+    modules = []
+    for name in names:
+        full = f"{__package__}.{name}"
+        module = sys.modules.get(full)
+        if module is None:
+            spec = importlib.util.find_spec(full)
+            spec.loader = importlib.util.LazyLoader(spec.loader)
+            module = importlib.util.module_from_spec(spec)
+            sys.modules[full] = module
+            spec.loader.exec_module(module)
+            parent, _, child = full.rpartition(".")
+            setattr(sys.modules[parent], child, module)
+        modules.append(module)
+    return modules
+
+
+# A scenario runs only the modules it touches, so `zkpoi --version` and the
+# econ scenarios never load `cryptography`. The modules reached only through
+# the others are registered too: every module a scenario can run is then in
+# sys.modules before any of it executes, where run-time patching can see it.
+attestation, credential, identity, registry, shardgame = _lazy_modules(
+    "attestation", "credential", "identity", "registry", "shardgame")
+circ, cong, games, network = _lazy_modules(
+    "econ.circulation", "econ.congestion", "econ.games", "econ.network")
+_lazy_modules("crypto", "accumulator", "econ._roots", "econ._pcg64")
 
 
 # ---------------------------------------------------------------------------
@@ -185,27 +215,29 @@ class RunManifest:
 # Shared fixtures
 # ---------------------------------------------------------------------------
 
-VALIDITY_10Y = (identity.GENESIS, identity.GENESIS + 10 * identity.YEAR)
-NOW = identity.GENESIS + identity.YEAR  # one year into every validity window
+def _now() -> int:
+    """One year into every validity window `synthesize_documents` issues."""
+    return identity.GENESIS + identity.YEAR
 
 
 def synthesize_documents(kind: str, count: int, hierarchies: int, seed: int, *,
                          with_aa: bool = True):
     """Deterministic corpus of identity documents across several issuing
-    hierarchies, cards two intermediates below their root. Returns
-    (trust_store, [documents])."""
+    hierarchies, cards two intermediates below their root, each valid for
+    ten years from genesis. Returns (trust_store, [documents])."""
+    validity = (identity.GENESIS, identity.GENESIS + 10 * identity.YEAR)
     if kind == "card":
         store, hierarchy = identity.generate_ca_hierarchy(hierarchies, 2, seed)
         docs = []
         for i in range(count):
             issuer = hierarchy.issuers[i % len(hierarchy.issuers)]
             docs.append(identity.issue_identity_cert(
-                hierarchy, issuer, f"Holder {i:06d}", f"UID-{seed}-{i:08d}", VALIDITY_10Y))
+                hierarchy, issuer, f"Holder {i:06d}", f"UID-{seed}-{i:08d}", validity))
         return store, docs
     if kind == "epassport":
         store, hierarchy = identity.generate_ca_hierarchy(hierarchies, 0, seed)
         cscas = [hierarchy.authorities[name] for name in hierarchy.issuers]
-        dscs = [identity.issue_dsc(csca, f"signer-{i}", VALIDITY_10Y)
+        dscs = [identity.issue_dsc(csca, f"signer-{i}", validity)
                 for i, csca in enumerate(cscas)]
         docs = []
         for i in range(count):
@@ -238,7 +270,7 @@ def _corpus_params(p: _Params) -> tuple[str, int, int]:
 def _build_bundle(doc, i: int, seed: int, blockchain_id: str, store, **options):
     """Bundle for the i-th synthesized document, under its own passphrase."""
     bundle, _ = credential.build_registration_bundle(
-        doc, f"passphrase-{seed}-{i}", blockchain_id, store, NOW, **options)
+        doc, f"passphrase-{seed}-{i}", blockchain_id, store, _now(), **options)
     return bundle
 
 
@@ -269,7 +301,7 @@ def _scenario_identity_validate(p: _Params, seed: int) -> ScenarioResult:
     store, docs = synthesize_documents(kind, count, hierarchies, seed)
     rows = []
     for i, doc in enumerate(docs):
-        report = identity.public_document(doc).validate(store, NOW)
+        report = identity.public_document(doc).validate(store, _now())
         rows.append({"index": i, "label": _doc_label(doc), "verdict": report.verdict,
                      "failure_code": report.failure_code.value if report.failure_code else ""})
     accepted = sum(1 for r in rows if r["verdict"] == "accepted")
@@ -310,7 +342,7 @@ def _scenario_register_verify(p: _Params, seed: int) -> ScenarioResult:
     for i, doc in enumerate(docs):
         bundle = _build_bundle(doc, i, seed, blockchain_id, store, kdf_iterations=iterations)
         reparsed = credential.RegistrationBundle.from_bytes(bundle.to_bytes())
-        verdict = credential.verify_registration_bundle(reparsed, store, blockchain_id, NOW)
+        verdict = credential.verify_registration_bundle(reparsed, store, blockchain_id, _now())
         rows.append({"index": i, "pseudonym": bundle.pseudonym.label(),
                      "ok": verdict.accepted, "failed_step": verdict.failed_step or 0,
                      "reason": verdict.reason or ""})
@@ -331,11 +363,11 @@ def _registry_round(p: _Params, seed: int, offline_count: int):
     session = reg.open_session(client, policy)
     for i, doc in enumerate(docs):
         bundle = _build_bundle(doc, i, seed, blockchain_id, store, kdf_iterations=iterations)
-        reg.register(attestation.seal(session, bundle.to_bytes()), session, NOW)
+        reg.register(attestation.seal(session, bundle.to_bytes()), session, _now())
     for i, doc in enumerate(docs[:offline_count]):
         off = _build_bundle(doc, i, seed, blockchain_id, store,
                             suffix=credential.SUFFIX_OFF, kdf_iterations=iterations)
-        reg.take_offline(attestation.seal(session, off.to_bytes()), session, NOW)
+        reg.take_offline(attestation.seal(session, off.to_bytes()), session, _now())
     return reg
 
 

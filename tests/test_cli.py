@@ -71,7 +71,76 @@ class TestArgparseSurface:
             assert proc.stdout.strip() == f"zkpoi {__version__}"
 
 
+# Runs `zkpoi.cli.main` on each argv list given as JSON, in one fresh
+# interpreter, and reports the exit codes and the modules loaded.
+CHILD_RUNS = """
+import contextlib, io, json, sys
+import zkpoi.cli
+
+def loaded(package):
+    return sorted(m for m in sys.modules if m.split(".")[0] == package)
+
+at_import = loaded("zkpoi")
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            codes.append(zkpoi.cli.main(argv))
+        except SystemExit as exc:
+            codes.append(exc.code)
+print(json.dumps({"codes": codes, "zkpoi_at_import": at_import, "zkpoi": loaded("zkpoi"),
+                  "cryptography": loaded("cryptography")}))
+"""
+
+
+def run_in_child(child_env, argvs) -> dict:
+    proc = subprocess.run([sys.executable, "-c", CHILD_RUNS, json.dumps(argvs)],
+                          capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def smoke_argv(group, verb, doc, tmp_path) -> list[str]:
+    argv = [group, verb, "--seed", "1"]
+    if doc:
+        path = tmp_path / f"{group}.{verb}.json"
+        path.write_text(json.dumps(doc))
+        argv += ["--config", str(path)]
+    return argv
+
+
 class TestColdStart:
+    def test_version_loads_no_cryptography(self, child_env):
+        ran = run_in_child(child_env, [["--version"]])
+        assert ran["codes"] == [0]
+        assert ran["cryptography"] == []
+
+    @pytest.mark.parametrize("verb", ["congestion", "poa", "dominance", "ess", "network",
+                                      "circulation"])
+    def test_econ_scenario_loads_no_cryptography(self, child_env, tmp_path, verb):
+        (doc,) = [d for g, v, d in SMOKE_RUNS if (g, v) == ("econ", verb)]
+        ran = run_in_child(child_env, [smoke_argv("econ", verb, doc, tmp_path)])
+        assert ran["codes"] == [0]
+        assert ran["cryptography"] == []
+
+    def test_scenarios_load_no_module_the_cli_import_did_not_register(self, child_env,
+                                                                      tmp_path):
+        """Run-time instruments patch the modules in sys.modules after the CLI
+        is imported; every module a scenario runs must already be there."""
+        ran = run_in_child(child_env, [smoke_argv(g, v, d, tmp_path)
+                                       for g, v, d in SMOKE_RUNS])
+        assert ran["codes"] == [0] * len(SMOKE_RUNS)
+        assert ran["zkpoi"] == ran["zkpoi_at_import"]
+        assert ran["cryptography"] != []  # the identity scenarios did run
+
+    def test_registered_module_imports_by_its_dotted_name(self, child_env):
+        probe = ("import zkpoi.cli; import zkpoi.attestation, zkpoi.econ.games; "
+                 "print(zkpoi.attestation.seal.__name__, zkpoi.econ.games.is_ess.__name__)")
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                              text=True, env=child_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["seal", "is_ess"]
+
     def test_cli_import_loads_no_scipy(self, child_env):
         probe = ("import sys, zkpoi.cli; "
                  "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
@@ -442,11 +511,8 @@ SMOKE_RUNS = [
 class TestScenarioSmoke:
     @pytest.mark.parametrize("group,verb,doc", SMOKE_RUNS,
                              ids=[f"{g}.{v}" for g, v, _ in SMOKE_RUNS])
-    def test_scenario_runs_clean(self, group, verb, doc, capsys, config_file):
-        argv = [group, verb, "--seed", "1"]
-        if doc:
-            argv += ["--config", config_file(doc, name=f"{group}.{verb}.json")]
-        code, out, err = run_cli(argv, capsys)
+    def test_scenario_runs_clean(self, group, verb, doc, capsys, tmp_path):
+        code, out, err = run_cli(smoke_argv(group, verb, doc, tmp_path), capsys)
         assert code == 0
         assert out
         manifest = json.loads(err)

@@ -163,6 +163,12 @@ class TestExpiryTimestamp:
     def test_leap_day_accepted(self):
         assert expiry_timestamp("240229") - expiry_timestamp("240228") == 86400
 
+    @pytest.mark.parametrize("date", ["991399", "ABCDEF", "45010", "230229", "4501 1",
+                                      "-10101", "\uff14\uff15\uff10\uff11\uff10\uff11"])
+    def test_anything_but_a_yymmdd_day_is_a_value_error(self, date):
+        with pytest.raises(ValueError):
+            expiry_timestamp(date)
+
 
 # ---------------------------------------------------------------------------
 # Certificate and chain encoding
@@ -453,6 +459,23 @@ class TestPassportValidation:
         store, _, csca, dsc, holder, _ = passport_setup
         stale_holder = dataclasses.replace(holder, expiry_date="200101")
         passport = issue_epassport(csca, dsc, stale_holder, with_aa=False, seed=12)
+        assert validate_epassport(passport, store, NOW).failure_code is FailureCode.EXPIRED
+
+    @pytest.mark.parametrize("date", ["991399", "ABCDEF", "45010"])
+    def test_malformed_expiry_is_a_grammar_error(self, passport_setup, date):
+        store, _, csca, dsc, holder, _ = passport_setup
+        passport = issue_epassport(csca, dsc, dataclasses.replace(holder, expiry_date=date),
+                                   with_aa=False, seed=15)
+        report = validate_epassport(passport, store, NOW)
+        assert not report.accepted
+        assert report.failure_code is FailureCode.GRAMMAR_ERROR
+
+    def test_signer_window_precedes_expiry_grammar(self, passport_setup):
+        store, _, csca, _, holder, _ = passport_setup
+        short_dsc = issue_dsc(csca, "printer-short3", (GENESIS, NOW - 1))
+        passport = issue_epassport(csca, short_dsc,
+                                   dataclasses.replace(holder, expiry_date="991399"),
+                                   with_aa=False, seed=16)
         assert validate_epassport(passport, store, NOW).failure_code is FailureCode.EXPIRED
 
     def test_hash_check_precedes_signature_check(self, passport_setup):

@@ -3,6 +3,7 @@ and the set accumulator underneath."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -177,6 +178,27 @@ class TestRegister:
         session = registry.open_session(CLIENT)
         with pytest.raises(InvalidBundle, match="step3"):
             registry.register(sealed(session, bundle), session, WINDOW[1] + 1)
+
+    @pytest.mark.parametrize("date", ["991399", "ABCDEF", "45010"])
+    def test_malformed_passport_expiry_rejected_with_step(self, date):
+        """The registry re-validates the disclosed document: a trusted signer's
+        passport with an expiry that is not YYMMDD is refused at step 3."""
+        store, hierarchy = generate_ca_hierarchy(1, 0, seed=406)
+        csca = hierarchy.authority(hierarchy.issuers[0])
+        dsc = issue_dsc(csca, "printer-1", WINDOW)
+        holder = HolderFields(name="HOLDER", document_number="P0000001", nationality="N00",
+                              birth_date="900101", sex="F", expiry_date="450101",
+                              issuing_state="N00")
+        bundle = make_bundle(issue_epassport(csca, dsc, holder, with_aa=True, seed=1), store)
+        malformed = issue_epassport(csca, dsc, dataclasses.replace(holder, expiry_date=date),
+                                    with_aa=True, seed=1)
+        forged = dataclasses.replace(bundle, evidence=dataclasses.replace(
+            bundle.evidence, doc_bytes=malformed.public_bytes()))
+        registry = Registry(store, NETWORK, seed=20)
+        session = registry.open_session(CLIENT)
+        with pytest.raises(InvalidBundle, match="step3: document rejected: GrammarError"):
+            registry.register(sealed(session, forged), session, NOW)
+        assert registry.online_count() == 0
 
 
 # ---------------------------------------------------------------------------
