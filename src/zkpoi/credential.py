@@ -26,17 +26,21 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import Collection
 
 from .codec import Decoder, Encoder, frame_parts
 from .crypto import SigningKey, hash_parts, pbkdf2_sha256, sha256
 from .errors import DecodeError, EmptyPassphrase, InvalidDocument, NoActiveAuthentication
 from .identity import (
     DOCUMENT_KINDS,
+    SignatureCheck,
     TrustStore,
+    active_auth_check,
     active_auth_sign,
     active_auth_verify,
     public_bytes_hash,
     public_document,
+    verify_unless_recorded,
 )
 
 SUFFIX_REG = "REG"
@@ -193,6 +197,9 @@ class BundleVerdict:
     # The verified document and its unique id; None on a rejected verdict.
     unique_id: str | None = None
     document: object = field(default=None, compare=False, repr=False)
+    # The document-signature and secret checks verified rather than found in
+    # the caller's record; the caller records them once it admits the entry.
+    checks: tuple[SignatureCheck, ...] = field(default=(), compare=False, repr=False)
 
     @property
     def code(self) -> str | None:
@@ -244,19 +251,23 @@ def build_registration_bundle(doc, passphrase: str, blockchain_id: str,
 
 
 def verify_registration_bundle(bundle: RegistrationBundle, trust_store: TrustStore,
-                               blockchain_id: str, now: int) -> BundleVerdict:
+                               blockchain_id: str, now: int, *,
+                               verified: Collection[SignatureCheck] = ()) -> BundleVerdict:
     """Re-execute the generation checks; report the first failing step.
 
     Step 3 validates the disclosed document, step 4 extracts the unique id,
     step 5 recomputes the pseudonym, step 6 checks the key binding and step
     7 checks the secret itself. Steps 6-7 apply only to full-mode bundles.
-    An accepting verdict carries the decoded document and its unique id.
+    An accepting verdict carries the decoded document, its unique id and the
+    checks it verified. The document's signature and the secret are not
+    verified again when equal to a check in the caller's record `verified`;
+    every other check runs on every call.
     """
     try:
         doc = bundle.evidence.decode_document()
     except DecodeError as exc:
         return BundleVerdict.fail(3, f"evidence does not decode: {exc}")
-    report = doc.validate(trust_store, now)
+    report = doc.validate(trust_store, now, verified=verified)
     if not report.accepted:
         return BundleVerdict.fail(3, f"document rejected: {report.failure_code.value}")
 
@@ -265,11 +276,14 @@ def verify_registration_bundle(bundle: RegistrationBundle, trust_store: TrustSto
     except Exception as exc:
         return BundleVerdict.fail(4, f"unique id extraction failed: {exc}")
 
+    if not bundle.evidence.secret:
+        return BundleVerdict.fail(5, "pseudonym secret is empty")
     expected = derive_pseudonym(bundle.evidence.secret, blockchain_id, unique_id,
                                 bundle.pseudonym.suffix)
     if expected.digest != bundle.pseudonym.digest:
         return BundleVerdict.fail(5, "pseudonym digest does not recompute")
 
+    checks = list(report.checks)
     if bundle.evidence.aa_mode == AA_MODE_FULL:
         try:
             doc_pk = doc.public_key()
@@ -277,9 +291,11 @@ def verify_registration_bundle(bundle: RegistrationBundle, trust_store: TrustSto
             return BundleVerdict.fail(6, "document publishes no signing key")
         if bundle.sign_pk is None or not active_auth_verify(doc_pk, bundle.pk, bundle.sign_pk):
             return BundleVerdict.fail(6, "key binding signature does not verify")
-        if not verify_signature_secret(doc_pk, bundle.evidence.secret):
+        secret_check = active_auth_check(doc_pk, PREFIXED_COMMON_STRING.encode("utf-8"),
+                                         bundle.evidence.secret)
+        if not verify_unless_recorded(secret_check, verified, checks):
             return BundleVerdict.fail(7, "pseudonym secret does not verify")
-    return BundleVerdict(True, unique_id=unique_id, document=doc)
+    return BundleVerdict(True, unique_id=unique_id, document=doc, checks=tuple(checks))
 
 
 def kdf_wall_time(passphrase: str, doc_hash: bytes, iteration_count: int) -> float:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import datetime as _dt
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import ClassVar, Union
+from typing import ClassVar, Collection, Union
 
 from .codec import Decoder, Encoder
 from .crypto import SigningKey, hash_parts, verify_signature
@@ -36,6 +36,9 @@ GENESIS = 1_600_000_000
 YEAR = 365 * 24 * 3600
 
 _AA_CONTEXT = b"zkpoi/active-auth/v1"
+
+# One Ed25519 check: (public key, signature, signed bytes).
+SignatureCheck = tuple[bytes, bytes, bytes]
 
 
 class FailureCode(str, Enum):
@@ -53,14 +56,17 @@ class ValidationReport:
     verdict: str  # "accepted" | "rejected"
     failure_code: FailureCode | None
     checked_at: int
+    # The document's own signature checks this validation verified rather
+    # than found in the caller's record; empty on a rejected report.
+    checks: tuple[SignatureCheck, ...] = field(default=(), compare=False, repr=False)
 
     @property
     def accepted(self) -> bool:
         return self.verdict == "accepted"
 
     @staticmethod
-    def ok(now: int) -> "ValidationReport":
-        return ValidationReport("accepted", None, now)
+    def ok(now: int, checks: list[SignatureCheck]) -> "ValidationReport":
+        return ValidationReport("accepted", None, now, tuple(checks))
 
     @staticmethod
     def fail(code: FailureCode, now: int) -> "ValidationReport":
@@ -129,8 +135,8 @@ class Certificate:
         return hash_parts(b"cert-fingerprint", self.to_bytes())
 
     def unique_id(self) -> str:
-        if self.unique_id_field is None:
-            raise MissingIdentifier("certificate has no unique identifier field")
+        if not self.unique_id_field:
+            raise MissingIdentifier("certificate has no unique identifier")
         return self.unique_id_field
 
 
@@ -161,8 +167,9 @@ class CertChain:
     def public_key(self) -> bytes:
         return self.leaf.subject_public_key
 
-    def validate(self, store: TrustStore, now: int) -> ValidationReport:
-        return validate_chain(self, store, now)
+    def validate(self, store: TrustStore, now: int, *,
+                 verified: Collection[SignatureCheck] = ()) -> ValidationReport:
+        return validate_chain(self, store, now, verified=verified)
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "CertChain":
@@ -340,7 +347,8 @@ def issue_identity_cert(hierarchy: CaHierarchy, authority_name: str, subject: st
 
 
 def validate_chain(chain: Union[CertChain, bytes], store: TrustStore, now: int,
-                   crl: frozenset[tuple[str, int]] | None = None) -> ValidationReport:
+                   crl: frozenset[tuple[str, int]] | None = None, *,
+                   verified: Collection[SignatureCheck] = ()) -> ValidationReport:
     """Five-step chain validation.
 
     1. grammar (canonical decode, when raw bytes are given);
@@ -350,7 +358,9 @@ def validate_chain(chain: Union[CertChain, bytes], store: TrustStore, now: int,
     5. the chain terminates at a trusted self-signed root from the store.
 
     Every step runs on every call; only the signatures on intermediate
-    certificates may come from the store's memo of accepted documents.
+    certificates may come from the store's memo of accepted documents, and
+    the leaf's from the caller's record `verified`. An accepting report
+    carries the leaf check when it was verified here.
     """
     if isinstance(chain, (bytes, bytearray, memoryview)):
         try:
@@ -367,10 +377,12 @@ def validate_chain(chain: Union[CertChain, bytes], store: TrustStore, now: int,
             if (cert.issuer_name, cert.serial) in crl:
                 return ValidationReport.fail(FailureCode.REVOKED, now)
     fresh: list[tuple[bytes, Certificate]] = []
+    checks: list[SignatureCheck] = []
 
     def signed(issuer_key: bytes, cert: Certificate) -> bool:
         if cert is chain.leaf:
-            return verify_signature(issuer_key, cert.signature, cert.tbs_bytes())
+            return verify_unless_recorded((issuer_key, cert.signature, cert.tbs_bytes()),
+                                          verified, checks)
         return store._issuer_signed(issuer_key, cert, fresh)
 
     for child, parent in zip(certs, certs[1:]):
@@ -385,7 +397,7 @@ def validate_chain(chain: Union[CertChain, bytes], store: TrustStore, now: int,
     if not signed(root_key, top):
         return ValidationReport.fail(FailureCode.BAD_SIGNATURE, now)
     store._verified_issuers.update(fresh)
-    return ValidationReport.ok(now)
+    return ValidationReport.ok(now, checks)
 
 
 # ---------------------------------------------------------------------------
@@ -434,6 +446,7 @@ class Dg1:
     def build(cls, *, issuing_state: str, name: str, document_number: str,
               nationality: str, birth_date: str, sex: str, expiry_date: str,
               optional_data: str = "") -> "Dg1":
+        expiry_timestamp(expiry_date)  # ValueError unless a YYMMDD day
         doc_cd = icao_check_digit(document_number)
         birth_cd = icao_check_digit(birth_date)
         expiry_cd = icao_check_digit(expiry_date)
@@ -506,12 +519,6 @@ class EPassport:
     dsc: Certificate
     aa_secret: SigningKey | None = field(repr=False, compare=False, default=None)
 
-    def dg_hash(self, group: int) -> bytes | None:
-        for g, h in self.sod_dg_hashes:
-            if g == group:
-                return h
-        return None
-
     def computed_dg_hashes(self) -> tuple[tuple[int, bytes], ...]:
         groups: list[tuple[int, bytes]] = [(1, hash_parts(b"dg", b"\x01", self.dg1.to_bytes()))]
         if self.dg11_personal_number is not None:
@@ -542,16 +549,21 @@ class EPassport:
     def unique_id(self) -> str:
         """The personal number when present, else the document number."""
         if self.dg11_personal_number is not None:
-            return self.dg11_personal_number
-        return self.dg1.document_number
+            unique_id = self.dg11_personal_number
+        else:
+            unique_id = self.dg1.document_number
+        if not unique_id:
+            raise MissingIdentifier("passport has an empty unique identifier")
+        return unique_id
 
     def public_key(self) -> bytes:
         if self.dg15_public_key is None:
             raise NoActiveAuthentication("passport publishes no chip verification key")
         return self.dg15_public_key
 
-    def validate(self, store: TrustStore, now: int) -> ValidationReport:
-        return validate_epassport(self, store, now)
+    def validate(self, store: TrustStore, now: int, *,
+                 verified: Collection[SignatureCheck] = ()) -> ValidationReport:
+        return validate_epassport(self, store, now, verified=verified)
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "EPassport":
@@ -617,7 +629,8 @@ def issue_epassport(csca: CertAuthority, dsc: DscHandle, holder: HolderFields,
     return replace(draft, sod_signature=dsc.sign(draft.sod_payload()))
 
 
-def validate_epassport(passport: EPassport, csca_store: TrustStore, now: int) -> ValidationReport:
+def validate_epassport(passport: EPassport, csca_store: TrustStore, now: int, *,
+                       verified: Collection[SignatureCheck] = ()) -> ValidationReport:
     """Passive-authentication checks, in fixed order.
 
     (a) every populated data group hashes to its security-object entry;
@@ -627,12 +640,16 @@ def validate_epassport(passport: EPassport, csca_store: TrustStore, now: int) ->
         a document expiry that is not a YYMMDD date is a grammar error.
 
     Every check runs on every call; only the root's signature on the
-    document signer may come from the store's memo of accepted documents.
+    document signer may come from the store's memo of accepted documents,
+    and the security object's from the caller's record `verified`. An
+    accepting report carries the security-object check when it was
+    verified here.
     """
     if passport.computed_dg_hashes() != passport.sod_dg_hashes:
         return ValidationReport.fail(FailureCode.HASH_MISMATCH, now)
-    if not verify_signature(passport.dsc.subject_public_key, passport.sod_signature,
-                            passport.sod_payload()):
+    checks: list[SignatureCheck] = []
+    if not verify_unless_recorded((passport.dsc.subject_public_key, passport.sod_signature,
+                                   passport.sod_payload()), verified, checks):
         return ValidationReport.fail(FailureCode.BAD_SIGNATURE, now)
     root_fp = csca_store.root_names.get(passport.dsc.issuer_name)
     root_key = csca_store.root_key(root_fp) if root_fp is not None else None
@@ -650,7 +667,7 @@ def validate_epassport(passport: EPassport, csca_store: TrustStore, now: int) ->
     if now > expiry:
         return ValidationReport.fail(FailureCode.EXPIRED, now)
     csca_store._verified_issuers.update(fresh)
-    return ValidationReport.ok(now)
+    return ValidationReport.ok(now, checks)
 
 
 # ---------------------------------------------------------------------------
@@ -694,8 +711,26 @@ def active_auth_sign(doc: Union[IdentityCard, EPassport], message: bytes) -> byt
     raise NoActiveAuthentication(f"{type(doc).__name__} cannot sign challenges")
 
 
+def active_auth_check(public_key: bytes, message: bytes, signature: bytes) -> SignatureCheck:
+    """The check behind a challenge signature, as `verify_unless_recorded` takes it."""
+    return (public_key, signature, hash_parts(_AA_CONTEXT, message))
+
+
 def active_auth_verify(public_key: bytes, message: bytes, signature: bytes) -> bool:
-    return verify_signature(public_key, signature, hash_parts(_AA_CONTEXT, message))
+    return verify_signature(*active_auth_check(public_key, message, signature))
+
+
+def verify_unless_recorded(check: SignatureCheck, verified: Collection[SignatureCheck],
+                           fresh: list[SignatureCheck]) -> bool:
+    """Whether the check's key signed its bytes. A check equal to one in
+    `verified` is not verified again; one verified here is appended to
+    `fresh`, which the caller records only once it admits the document."""
+    if check in verified:
+        return True
+    if not verify_signature(*check):
+        return False
+    fresh.append(check)
+    return True
 
 
 def document_public_key(doc: Union[IdentityCard, CertChain, EPassport]) -> bytes:

@@ -1,11 +1,14 @@
 """The simulated permissionless registry: one pseudonym per person.
 
 Registration runs entirely inside attested logic: the bundle arrives sealed
-under an attestation session, is re-verified from scratch, and the unique
-identifier the verdict carries is checked against a keyed-tag store whose
-key only the attested logic holds; the verified document is not decoded
-again. The host observes pseudonym digests, public keys and opaque
-tags; it never sees a plaintext identifier. A second uniqueness layer, the
+under an attestation session, is re-verified, and the unique identifier the
+verdict carries is checked against a keyed-tag store whose key only the
+attested logic holds; the verified document is not decoded again. Only the
+document's own signature and the pseudonym secret may come from the
+registry's record of the checks behind the entries it admitted, so a
+repeat presentation of an admitted document costs one signature check.
+The host observes pseudonym digests, public keys and opaque tags; it never
+sees a plaintext identifier. A second uniqueness layer, the
 set accumulator over stable personal attributes, catches re-issued
 documents whose identifier changed.
 
@@ -34,7 +37,7 @@ from .errors import (
     UnknownPseudonym,
 )
 from .credential import SUFFIX_REG, Pseudonym, RegistrationBundle, verify_registration_bundle
-from .identity import CertChain, EPassport, TrustStore
+from .identity import CertChain, EPassport, SignatureCheck, TrustStore
 
 REGISTRY_ENCLAVE = attestation.EnclaveIdentity(name="zkpoi-registry", version=1)
 
@@ -124,6 +127,10 @@ class Registry:
         self.accumulator: Accumulator = accumulator_generate(seed)
         self.entries: dict[bytes, RegistryEntry] = {}  # digest -> entry
         self.log: list[dict] = []
+        # Document-signature and secret checks that verified inside the
+        # bundles this registry admitted; a repeat presentation of an
+        # admitted document is not verified against them again.
+        self._verified: set[SignatureCheck] = set()
 
     # -- sessions -------------------------------------------------------------
 
@@ -166,7 +173,8 @@ class Registry:
         bundle = self._unseal_bundle(session, sealed_bundle)
         if bundle.pseudonym.suffix != SUFFIX_REG:
             raise InvalidBundle("registration requires a REG-suffix pseudonym")
-        verdict = verify_registration_bundle(bundle, self.trust_store, self.blockchain_id, now)
+        verdict = verify_registration_bundle(bundle, self.trust_store, self.blockchain_id, now,
+                                             verified=self._verified)
         if not verdict.accepted:
             raise InvalidBundle(f"bundle rejected at {verdict.code}: {verdict.reason}")
         if self._id_db.contains(verdict.unique_id):
@@ -182,6 +190,7 @@ class Registry:
             raise DuplicateIdentity("personal attributes already registered",
                                     DuplicateReason.ATTRIBUTES)
         self._id_db.add(verdict.unique_id)
+        self._verified.update(verdict.checks)
         entry = RegistryEntry(pseudonym=bundle.pseudonym, pk=bundle.pk,
                               sign_pk=bundle.sign_pk, status=STATUS_ONLINE,
                               registered_at=self.epoch)
@@ -199,7 +208,8 @@ class Registry:
         bundle = self._unseal_bundle(session, sealed_off_bundle)
         if bundle.pseudonym.suffix == SUFFIX_REG:
             raise ReplayedRegProof("a registration proof cannot retire a pseudonym")
-        verdict = verify_registration_bundle(bundle, self.trust_store, self.blockchain_id, now)
+        verdict = verify_registration_bundle(bundle, self.trust_store, self.blockchain_id, now,
+                                             verified=self._verified)
         if not verdict.accepted:
             raise InvalidBundle(f"bundle rejected at {verdict.code}: {verdict.reason}")
         entry = self.entries.get(bundle.pseudonym.digest)

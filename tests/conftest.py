@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import os
 from pathlib import Path
 
@@ -25,4 +26,33 @@ def child_env():
             p for p in (package_parent, env.get("PYTHONPATH")) if p)
         env.update(overrides)
         return env
+    return make
+
+
+@pytest.fixture
+def verify_calls(monkeypatch):
+    """The signatures handed to Ed25519 verification from now on, in order.
+
+    Every document, key-binding and secret check goes through
+    ``identity.verify_signature``, so counting there counts them all."""
+    from zkpoi import identity
+
+    calls: list[bytes] = []
+
+    def counting(public_key, signature, message, _verify=identity.verify_signature):
+        calls.append(signature)
+        return _verify(public_key, signature, message)
+    monkeypatch.setattr(identity, "verify_signature", counting)
+    return calls
+
+
+@pytest.fixture
+def with_expiry():
+    """Re-sign a passport under its signer with another DG1 expiry: the
+    document an issuer that skipped ``Dg1.build``'s date check would make."""
+    def make(passport, dsc, expiry_date):
+        dg1 = dataclasses.replace(passport.dg1, expiry_date=expiry_date)
+        draft = dataclasses.replace(passport, dg1=dg1)
+        draft = dataclasses.replace(draft, sod_dg_hashes=draft.computed_dg_hashes())
+        return dataclasses.replace(draft, sod_signature=dsc.sign(draft.sod_payload()))
     return make

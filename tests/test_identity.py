@@ -137,6 +137,11 @@ class TestDg1:
         dg1 = self.build()
         assert Dg1.from_bytes(dg1.to_bytes()) == dg1
 
+    @pytest.mark.parametrize("date", ["991399", "ABCDEF", "45010"])
+    def test_expiry_that_is_not_a_yymmdd_day_is_refused(self, date):
+        with pytest.raises(ValueError):
+            self.build(expiry_date=date)
+
     def test_tampered_number_breaks_composite(self):
         dg1 = self.build()
         forged = dataclasses.replace(dg1, document_number="L898902C4")
@@ -462,20 +467,19 @@ class TestPassportValidation:
         assert validate_epassport(passport, store, NOW).failure_code is FailureCode.EXPIRED
 
     @pytest.mark.parametrize("date", ["991399", "ABCDEF", "45010"])
-    def test_malformed_expiry_is_a_grammar_error(self, passport_setup, date):
+    def test_malformed_expiry_is_a_grammar_error(self, passport_setup, with_expiry, date):
         store, _, csca, dsc, holder, _ = passport_setup
-        passport = issue_epassport(csca, dsc, dataclasses.replace(holder, expiry_date=date),
-                                   with_aa=False, seed=15)
+        passport = with_expiry(issue_epassport(csca, dsc, holder, with_aa=False, seed=15),
+                               dsc, date)
         report = validate_epassport(passport, store, NOW)
         assert not report.accepted
         assert report.failure_code is FailureCode.GRAMMAR_ERROR
 
-    def test_signer_window_precedes_expiry_grammar(self, passport_setup):
+    def test_signer_window_precedes_expiry_grammar(self, passport_setup, with_expiry):
         store, _, csca, _, holder, _ = passport_setup
         short_dsc = issue_dsc(csca, "printer-short3", (GENESIS, NOW - 1))
-        passport = issue_epassport(csca, short_dsc,
-                                   dataclasses.replace(holder, expiry_date="991399"),
-                                   with_aa=False, seed=16)
+        passport = with_expiry(issue_epassport(csca, short_dsc, holder, with_aa=False, seed=16),
+                               short_dsc, "991399")
         assert validate_epassport(passport, store, NOW).failure_code is FailureCode.EXPIRED
 
     def test_hash_check_precedes_signature_check(self, passport_setup):
@@ -672,6 +676,23 @@ class TestUniqueId:
         stripped = dataclasses.replace(card.certificate, unique_id_field=None)
         with pytest.raises(MissingIdentifier):
             extract_unique_id(stripped)
+
+    def test_card_with_empty_field_raises(self, card_setup):
+        _, _, card = card_setup
+        emptied = dataclasses.replace(card.certificate, unique_id_field="")
+        with pytest.raises(MissingIdentifier):
+            extract_unique_id(emptied)
+
+    @pytest.mark.parametrize("personal_number, document_number",
+                             [("", "X1234567"), (None, "")])
+    def test_passport_with_empty_id_raises(self, passport_setup, personal_number,
+                                           document_number):
+        *_, passport = passport_setup
+        emptied = dataclasses.replace(
+            passport, dg11_personal_number=personal_number,
+            dg1=dataclasses.replace(passport.dg1, document_number=document_number))
+        with pytest.raises(MissingIdentifier):
+            extract_unique_id(emptied)
 
     def test_passport_prefers_personal_number(self, passport_setup):
         *_, passport = passport_setup

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zkpoi import attestation, identity
+from zkpoi import attestation
 from zkpoi.accumulator import (
     accumulator_add,
     accumulator_generate,
@@ -19,13 +19,14 @@ from zkpoi.accumulator import (
     accumulator_verify,
     accumulator_verify_non_membership,
 )
-from zkpoi.credential import SUFFIX_OFF, SUFFIX_REG, build_registration_bundle
+from zkpoi.credential import SUFFIX_OFF, SUFFIX_REG, build_registration_bundle, derive_pseudonym
 from zkpoi.errors import (
     AlreadyMember,
     DecodeError,
     DuplicateIdentity,
     DuplicateReason,
     InvalidBundle,
+    MissingIdentifier,
     NoSession,
     NotMember,
     ReplayedRegProof,
@@ -38,6 +39,7 @@ from zkpoi.identity import (
     CertChain,
     EPassport,
     HolderFields,
+    active_auth_sign,
     generate_ca_hierarchy,
     issue_dsc,
     issue_epassport,
@@ -76,6 +78,32 @@ def make_card(hierarchy, index, *, subject=None, uid=None):
     return issue_identity_cert(hierarchy, hierarchy.issuers[index % 2],
                                subject or f"Subject {index:03d}",
                                uid or f"UID-R-{index:03d}", WINDOW)
+
+
+def passport_issuer(seed):
+    """A trust store with one country root and a document signer under it."""
+    store, hierarchy = generate_ca_hierarchy(1, 0, seed=seed)
+    csca = hierarchy.authority(hierarchy.issuers[0])
+    return store, csca, issue_dsc(csca, "printer-1", WINDOW)
+
+
+def make_holder(index, **overrides):
+    return dataclasses.replace(HolderFields(
+        name=f"HOLDER{index}", document_number=f"P{index:07d}", nationality="N00",
+        birth_date="900101", sex="F", expiry_date="450101", issuing_state="N00"), **overrides)
+
+
+def with_document(bundle, doc):
+    """`bundle` disclosing `doc` instead of its own document."""
+    return dataclasses.replace(bundle, evidence=dataclasses.replace(
+        bundle.evidence, doc_bytes=doc.public_bytes()))
+
+
+def with_secret(bundle, secret, unique_id):
+    """`bundle` carrying `secret`, with the pseudonym recomputed to match."""
+    return dataclasses.replace(
+        bundle, pseudonym=derive_pseudonym(secret, NETWORK, unique_id),
+        evidence=dataclasses.replace(bundle.evidence, secret=secret))
 
 
 def make_bundle(card, store, passphrase="holder passphrase", suffix=SUFFIX_REG):
@@ -180,25 +208,51 @@ class TestRegister:
             registry.register(sealed(session, bundle), session, WINDOW[1] + 1)
 
     @pytest.mark.parametrize("date", ["991399", "ABCDEF", "45010"])
-    def test_malformed_passport_expiry_rejected_with_step(self, date):
+    def test_malformed_passport_expiry_rejected_with_step(self, with_expiry, date):
         """The registry re-validates the disclosed document: a trusted signer's
         passport with an expiry that is not YYMMDD is refused at step 3."""
-        store, hierarchy = generate_ca_hierarchy(1, 0, seed=406)
-        csca = hierarchy.authority(hierarchy.issuers[0])
-        dsc = issue_dsc(csca, "printer-1", WINDOW)
-        holder = HolderFields(name="HOLDER", document_number="P0000001", nationality="N00",
-                              birth_date="900101", sex="F", expiry_date="450101",
-                              issuing_state="N00")
-        bundle = make_bundle(issue_epassport(csca, dsc, holder, with_aa=True, seed=1), store)
-        malformed = issue_epassport(csca, dsc, dataclasses.replace(holder, expiry_date=date),
-                                    with_aa=True, seed=1)
-        forged = dataclasses.replace(bundle, evidence=dataclasses.replace(
-            bundle.evidence, doc_bytes=malformed.public_bytes()))
+        store, csca, dsc = passport_issuer(406)
+        passport = issue_epassport(csca, dsc, make_holder(1), with_aa=True, seed=1)
+        forged = with_document(make_bundle(passport, store), with_expiry(passport, dsc, date))
         registry = Registry(store, NETWORK, seed=20)
         session = registry.open_session(CLIENT)
         with pytest.raises(InvalidBundle, match="step3: document rejected: GrammarError"):
             registry.register(sealed(session, forged), session, NOW)
         assert registry.online_count() == 0
+
+    def test_empty_secret_rejected_at_step5(self, world, registry):
+        store, hierarchy = world
+        bundle = make_bundle(make_card(hierarchy, 11), store)
+        emptied = dataclasses.replace(bundle, evidence=dataclasses.replace(
+            bundle.evidence, secret=b""))
+        session = registry.open_session(CLIENT)
+        with pytest.raises(InvalidBundle, match="step5: pseudonym secret is empty"):
+            registry.register(sealed(session, emptied), session, NOW)
+
+    def test_empty_card_identifier_rejected_at_step4(self, world, registry):
+        store, hierarchy = world
+        anonymous = issue_identity_cert(hierarchy, hierarchy.issuers[0], "Subject 012", "",
+                                        WINDOW)
+        with pytest.raises(MissingIdentifier):
+            make_bundle(anonymous, store)
+        forged = with_document(make_bundle(make_card(hierarchy, 12), store), anonymous.chain)
+        session = registry.open_session(CLIENT)
+        with pytest.raises(InvalidBundle, match="step4"):
+            registry.register(sealed(session, forged), session, NOW)
+
+    def test_empty_personal_number_rejected_at_step4(self):
+        store, csca, dsc = passport_issuer(406)
+        passport = issue_epassport(csca, dsc, make_holder(1, personal_number="PN-1"),
+                                   with_aa=True, seed=1)
+        emptied = issue_epassport(csca, dsc, make_holder(1, personal_number=""),
+                                  with_aa=True, seed=1)
+        with pytest.raises(MissingIdentifier):
+            make_bundle(emptied, store)
+        registry = Registry(store, NETWORK, seed=20)
+        session = registry.open_session(CLIENT)
+        with pytest.raises(InvalidBundle, match="step4"):
+            registry.register(sealed(session, with_document(make_bundle(passport, store), emptied)),
+                              session, NOW)
 
 
 # ---------------------------------------------------------------------------
@@ -359,45 +413,138 @@ class TestVerifyOnce:
         assert len(decodes) == 2
         assert not hasattr(registry, "_uid_by_digest")
 
-    @staticmethod
-    def count_verifies(monkeypatch) -> list[bytes]:
-        calls = []
-
-        def counting(public_key, signature, message, _verify=identity.verify_signature):
-            calls.append(signature)
-            return _verify(public_key, signature, message)
-        monkeypatch.setattr(identity, "verify_signature", counting)
-        return calls
-
-    def test_warm_card_admission_verifies_four_signatures(self, monkeypatch):
+    def test_warm_card_admission_verifies_four_signatures(self, warm_cards, verify_calls):
         """Leaf, leaf again in the registry, key binding and secret: the two
         intermediates' signatures are remembered by the store."""
-        store, hierarchy = generate_ca_hierarchy(1, 2, seed=406)
-        cards = [issue_identity_cert(hierarchy, hierarchy.issuers[0], f"Subject {i}",
-                                     f"UID-W-{i}", WINDOW) for i in range(2)]
-        registry = Registry(store, NETWORK, seed=18)
-        session = registry.open_session(CLIENT)
-        registry.register(sealed(session, make_bundle(cards[0], store)), session, NOW)
-        calls = self.count_verifies(monkeypatch)
+        store, _, registry, session, cards = warm_cards
+        verify_calls.clear()
         registry.register(sealed(session, make_bundle(cards[1], store)), session, NOW)
-        assert len(calls) == 4
+        assert len(verify_calls) == 4
 
-    def test_warm_passport_admission_verifies_four_signatures(self, monkeypatch):
+    def test_warm_passport_admission_verifies_four_signatures(self, warm_passports,
+                                                              verify_calls):
         """Security object twice, key binding and secret: the signer's
         certificate is remembered by the store."""
-        store, hierarchy = generate_ca_hierarchy(1, 0, seed=405)
-        csca = hierarchy.authority(hierarchy.issuers[0])
-        dsc = issue_dsc(csca, "printer-1", WINDOW)
-        passports = [issue_epassport(csca, dsc, HolderFields(
-            name=f"HOLDER{i}", document_number=f"P{i:07d}", nationality="N00",
-            birth_date="900101", sex="F", expiry_date="450101", issuing_state="N00"),
-            with_aa=True, seed=i) for i in range(2)]
-        registry = Registry(store, NETWORK, seed=19)
-        session = registry.open_session(CLIENT)
-        registry.register(sealed(session, make_bundle(passports[0], store)), session, NOW)
-        calls = self.count_verifies(monkeypatch)
+        store, registry, session, passports = warm_passports
+        verify_calls.clear()
         registry.register(sealed(session, make_bundle(passports[1], store)), session, NOW)
-        assert len(calls) == 4
+        assert len(verify_calls) == 4
+
+    def test_duplicate_card_verifies_two_signatures(self, warm_cards, verify_calls):
+        """The wallet's leaf and the registry's key binding: the registry
+        verified this leaf and secret when it admitted the card."""
+        store, _, registry, session, cards = warm_cards
+        verify_calls.clear()
+        retry = make_bundle(cards[0], store, passphrase="another passphrase")
+        with pytest.raises(DuplicateIdentity):
+            registry.register(sealed(session, retry), session, NOW)
+        assert len(verify_calls) == 2
+
+    def test_duplicate_passport_verifies_two_signatures(self, warm_passports, verify_calls):
+        store, registry, session, passports = warm_passports
+        verify_calls.clear()
+        retry = make_bundle(passports[0], store, passphrase="another passphrase")
+        with pytest.raises(DuplicateIdentity):
+            registry.register(sealed(session, retry), session, NOW)
+        assert len(verify_calls) == 2
+
+    def test_renewed_card_verifies_four_signatures(self, warm_cards, verify_calls):
+        """A renewal is a new document: new serial, key, leaf and secret."""
+        store, hierarchy, registry, session, _ = warm_cards
+        renewed = issue_identity_cert(hierarchy, hierarchy.issuers[0], "Subject 0", "UID-W-0",
+                                      WINDOW)
+        verify_calls.clear()
+        with pytest.raises(DuplicateIdentity):
+            registry.register(sealed(session, make_bundle(renewed, store)), session, NOW)
+        assert len(verify_calls) == 4
+
+    def test_another_registry_verifies_the_admitted_card_again(self, warm_cards,
+                                                               verify_calls):
+        store, _, _, _, cards = warm_cards
+        other = Registry(store, NETWORK, seed=21)
+        session = other.open_session(CLIENT)
+        verify_calls.clear()
+        other.register(sealed(session, make_bundle(cards[0], store)), session, NOW)
+        assert len(verify_calls) == 4
+
+    def test_duplicate_with_another_valid_secret_fails_at_step7(self, warm_cards):
+        """A holder can sign any number of other messages: a signature that
+        is not over the common string is verified and refused."""
+        store, _, registry, session, cards = warm_cards
+        secret = active_auth_sign(cards[0], b"another challenge")
+        forged = with_secret(make_bundle(cards[0], store, passphrase="another passphrase"),
+                             secret, "UID-W-0")
+        with pytest.raises(InvalidBundle, match="step7"):
+            registry.register(sealed(session, forged), session, NOW)
+
+    def test_admitted_leaf_under_a_swapped_intermediate_fails_at_step3(self, warm_cards):
+        """The leaf's issuer re-keyed and validly re-signed by its own parent:
+        same leaf bytes and signature under another issuer key, so the only
+        failing check is the leaf's, and it is not a recorded one."""
+        store, hierarchy, registry, session, cards = warm_cards
+        chain = cards[0].chain
+        issuer = chain.intermediates[0]
+        parent = hierarchy.authority(issuer.issuer_name)
+        rekeyed = dataclasses.replace(
+            issuer, subject_public_key=parent.derive_subject_key(b"rogue").public_bytes)
+        swapped_issuer = dataclasses.replace(rekeyed, signature=parent.sign(rekeyed.tbs_bytes()))
+        swapped = dataclasses.replace(chain, intermediates=(swapped_issuer,
+                                                            *chain.intermediates[1:]))
+        forged = with_document(make_bundle(cards[0], store, passphrase="another passphrase"),
+                               swapped)
+        with pytest.raises(InvalidBundle, match="step3: document rejected: BadSignature"):
+            registry.register(sealed(session, forged), session, NOW)
+
+    def test_only_admissions_grow_the_record(self, warm_cards):
+        store, hierarchy, registry, session, cards = warm_cards
+        record = set(registry._verified)
+        assert len(record) == 2  # the first card's leaf and secret
+        renewed = issue_identity_cert(hierarchy, hierarchy.issuers[0], "Subject 0", "UID-W-0",
+                                      WINDOW)
+        bad_secret = with_secret(make_bundle(cards[1], store),
+                                 active_auth_sign(cards[1], b"another challenge"), "UID-W-1")
+        refused = [
+            (registry.register, make_bundle(cards[0], store, passphrase="another"),
+             DuplicateIdentity),
+            (registry.register, make_bundle(renewed, store), DuplicateIdentity),
+            (registry.register, bad_secret, InvalidBundle),
+            (registry.take_offline, make_bundle(cards[1], store, suffix=SUFFIX_OFF),
+             UnknownPseudonym),
+        ]
+        for operation, bundle, error in refused:
+            with pytest.raises(error):
+                operation(sealed(session, bundle), session, NOW)
+            assert registry._verified == record
+        registry.take_offline(sealed(session, make_bundle(cards[0], store, suffix=SUFFIX_OFF)),
+                              session, NOW)
+        assert registry._verified == record
+        registry.register(sealed(session, make_bundle(cards[1], store)), session, NOW)
+        assert len(registry._verified) == 4 and record < registry._verified
+
+
+@pytest.fixture()
+def warm_cards():
+    """A registry on a two-intermediate hierarchy that admitted the first of
+    two cards."""
+    store, hierarchy = generate_ca_hierarchy(1, 2, seed=406)
+    cards = [issue_identity_cert(hierarchy, hierarchy.issuers[0], f"Subject {i}",
+                                 f"UID-W-{i}", WINDOW) for i in range(2)]
+    registry = Registry(store, NETWORK, seed=18)
+    session = registry.open_session(CLIENT)
+    registry.register(sealed(session, make_bundle(cards[0], store)), session, NOW)
+    return store, hierarchy, registry, session, cards
+
+
+@pytest.fixture()
+def warm_passports():
+    """A registry that admitted the first of two passports from one signer."""
+    store, csca, dsc = passport_issuer(405)
+    passports = [issue_epassport(csca, dsc, make_holder(i), with_aa=True, seed=i)
+                 for i in range(2)]
+    registry = Registry(store, NETWORK, seed=19)
+    session = registry.open_session(CLIENT)
+    registry.register(sealed(session, make_bundle(passports[0], store)), session, NOW)
+    return store, registry, session, passports
 
 
 # ---------------------------------------------------------------------------
