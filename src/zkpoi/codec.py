@@ -11,18 +11,18 @@ signature or hash check will catch it.
 from __future__ import annotations
 
 import json
+import struct
 
 from .errors import DecodeError
 
-_LEN_BYTES = 4
-_MAX_FIELD = 2**32 - 1
+# The one length prefix: a 4-byte big-endian count. Packing a length that
+# does not fit, or unpacking past the end of a buffer, raises struct.error.
+_LEN = struct.Struct(">I")
 
 
 def frame(payload: bytes) -> bytes:
     """Length-prefix a single byte string."""
-    if len(payload) > _MAX_FIELD:
-        raise ValueError("field too long to frame")
-    return len(payload).to_bytes(_LEN_BYTES, "big") + payload
+    return frame_parts(payload)
 
 
 def frame_parts(*parts: bytes) -> bytes:
@@ -32,7 +32,10 @@ def frame_parts(*parts: bytes) -> bytes:
     ``a || b || c`` in protocol descriptions: no split of the output can be
     produced by a different tuple of inputs.
     """
-    return b"".join(frame(p) for p in parts)
+    try:
+        return b"".join([_LEN.pack(len(p)) + p for p in parts])
+    except struct.error:
+        raise ValueError("field too long to frame") from None
 
 
 class Encoder:
@@ -73,22 +76,25 @@ class Decoder:
     """Strict reader for the Encoder format; raises DecodeError on any defect."""
 
     def __init__(self, blob: bytes, expect_tag: str):
-        self._view = memoryview(blob)
+        self._blob = bytes(blob)
+        self._end = len(self._blob)
         self._pos = 0
         tag = self.take_bytes()
         if tag != expect_tag.encode("utf-8"):
             raise DecodeError(f"unexpected structure tag {tag!r}")
 
     def take_bytes(self) -> bytes:
-        if self._pos + _LEN_BYTES > len(self._view):
-            raise DecodeError("truncated length prefix")
-        n = int.from_bytes(self._view[self._pos : self._pos + _LEN_BYTES], "big")
-        self._pos += _LEN_BYTES
-        if self._pos + n > len(self._view):
+        pos = self._pos
+        try:
+            (n,) = _LEN.unpack_from(self._blob, pos)
+        except struct.error:
+            raise DecodeError("truncated length prefix") from None
+        start = pos + _LEN.size
+        end = start + n
+        if end > self._end:
             raise DecodeError("field overruns buffer")
-        out = bytes(self._view[self._pos : self._pos + n])
-        self._pos += n
-        return out
+        self._pos = end
+        return self._blob[start:end]
 
     def take_text(self) -> str:
         raw = self.take_bytes()
@@ -118,7 +124,7 @@ class Decoder:
         return self.take_text() if self.take_bool() else None
 
     def finish(self) -> None:
-        if self._pos != len(self._view):
+        if self._pos != self._end:
             raise DecodeError("trailing bytes after structure")
 
 

@@ -18,6 +18,7 @@ failure code names the first check that failed.
 from __future__ import annotations
 
 import datetime as _dt
+import functools
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import ClassVar, Collection, Union
@@ -78,6 +79,33 @@ class ValidationReport:
 # ---------------------------------------------------------------------------
 
 
+def _encoded_once(encode):
+    """Run a frozen document's encoding method once per instance.
+
+    The bytes are kept in the instance dict under ``_<method name>``,
+    outside the dataclass fields: equality, hashing, repr and
+    `dataclasses.replace` never see them, so a replaced copy (a renewal, a
+    forgery) encodes afresh. `_remember` seeds the memo with bytes a
+    document was decoded from or signed; the codec is canonical, so
+    encoding the fields again would give those very bytes."""
+    key = "_" + encode.__name__
+
+    @functools.wraps(encode)
+    def once(self) -> bytes:
+        encoded = self.__dict__.get(key)
+        if encoded is None:
+            encoded = self.__dict__[key] = encode(self)
+        return encoded
+    return once
+
+
+def _remember(doc, **encodings: bytes):
+    """Seed `doc`'s memo: each `_encoded_once` method name with its bytes."""
+    for name, encoded in encodings.items():
+        doc.__dict__["_" + name] = encoded
+    return doc
+
+
 @dataclass(frozen=True)
 class Certificate:
     subject_name: str
@@ -90,6 +118,7 @@ class Certificate:
     is_ca: bool
     signature: bytes  # issuer signature over tbs_bytes()
 
+    @_encoded_once
     def tbs_bytes(self) -> bytes:
         """To-be-signed portion: every field except the signature."""
         return (
@@ -105,11 +134,13 @@ class Certificate:
             .done()
         )
 
+    @_encoded_once
     def to_bytes(self) -> bytes:
         return Encoder("cert:v1").put_bytes(self.tbs_bytes()).put_bytes(self.signature).done()
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "Certificate":
+        blob = bytes(blob)  # the memo keeps immutable bytes
         outer = Decoder(blob, "cert:v1")
         tbs = outer.take_bytes()
         signature = outer.take_bytes()
@@ -129,7 +160,7 @@ class Certificate:
         d.finish()
         if cert.not_before >= cert.not_after:
             raise DecodeError("validity window is reversed or empty")
-        return cert
+        return _remember(cert, tbs_bytes=tbs, to_bytes=blob)
 
     def fingerprint(self) -> bytes:
         return hash_parts(b"cert-fingerprint", self.to_bytes())
@@ -153,6 +184,7 @@ class CertChain:
     def certs(self) -> tuple[Certificate, ...]:
         return (self.leaf, *self.intermediates)
 
+    @_encoded_once
     def to_bytes(self) -> bytes:
         enc = Encoder("chain:v1").put_u64(len(self.intermediates) + 1)
         for cert in self.certs():
@@ -173,6 +205,7 @@ class CertChain:
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "CertChain":
+        blob = bytes(blob)  # the memo keeps immutable bytes
         d = Decoder(blob, "chain:v1")
         count = d.take_u64()
         if count < 1:
@@ -180,7 +213,8 @@ class CertChain:
         certs = [Certificate.from_bytes(d.take_bytes()) for _ in range(count)]
         root_fp = d.take_bytes()
         d.finish()
-        return cls(leaf=certs[0], intermediates=tuple(certs[1:]), root_fingerprint=root_fp)
+        chain = cls(leaf=certs[0], intermediates=tuple(certs[1:]), root_fingerprint=root_fp)
+        return _remember(chain, to_bytes=blob)
 
 
 @dataclass(frozen=True)
@@ -260,7 +294,8 @@ def _make_cert(subject: str, issuer: str, serial: int, window: tuple[int, int],
                signer: SigningKey) -> Certificate:
     unsigned = Certificate(subject, issuer, serial, window[0], window[1],
                            subject_key, unique_id, is_ca, signature=b"")
-    return replace(unsigned, signature=signer.sign(unsigned.tbs_bytes()))
+    tbs = unsigned.tbs_bytes()
+    return _remember(replace(unsigned, signature=signer.sign(tbs)), tbs_bytes=tbs)
 
 
 def generate_ca_hierarchy(country_count: int, intermediates_per_root: int,
@@ -335,7 +370,10 @@ class IdentityCard:
 
 def issue_identity_cert(hierarchy: CaHierarchy, authority_name: str, subject: str,
                         unique_id: str, validity: tuple[int, int]) -> IdentityCard:
-    """Issue an end-entity certificate for `subject` under the named authority."""
+    """Issue an end-entity certificate for `subject` under the named authority.
+    ValueError for an empty `unique_id`, which no wallet could register."""
+    if not unique_id:
+        raise ValueError("an identity certificate needs a non-empty unique identifier")
     auth = hierarchy.authority(authority_name)
     serial = auth.allocate_serial()
     holder_key = auth.derive_subject_key(b"holder", serial.to_bytes(8, "big"), subject.encode())
@@ -446,7 +484,8 @@ class Dg1:
     def build(cls, *, issuing_state: str, name: str, document_number: str,
               nationality: str, birth_date: str, sex: str, expiry_date: str,
               optional_data: str = "") -> "Dg1":
-        expiry_timestamp(expiry_date)  # ValueError unless a YYMMDD day
+        yymmdd_timestamp(birth_date)  # ValueError unless a YYMMDD day
+        yymmdd_timestamp(expiry_date)
         doc_cd = icao_check_digit(document_number)
         birth_cd = icao_check_digit(birth_date)
         expiry_cd = icao_check_digit(expiry_date)
@@ -484,12 +523,13 @@ class Dg1:
         return out
 
 
-def expiry_timestamp(expiry_date: str) -> int:
-    """YYMMDD expiry (end of day, UTC) to unix seconds; years map into 2000-2099.
-    ValueError unless the date is six ASCII digits naming a calendar day."""
-    if not (len(expiry_date) == 6 and expiry_date.isascii() and expiry_date.isdigit()):
-        raise ValueError(f"expiry date {expiry_date!r} is not YYMMDD")
-    year, month, day = 2000 + int(expiry_date[:2]), int(expiry_date[2:4]), int(expiry_date[4:6])
+def yymmdd_timestamp(date: str) -> int:
+    """YYMMDD date (end of day, UTC) to unix seconds; years map into 2000-2099.
+    ValueError unless the date is six ASCII digits naming a calendar day.
+    The one date check of the DG1 birth and expiry dates."""
+    if not (len(date) == 6 and date.isascii() and date.isdigit()):
+        raise ValueError(f"date {date!r} is not YYMMDD")
+    year, month, day = 2000 + int(date[:2]), int(date[2:4]), int(date[4:6])
     end = _dt.datetime(year, month, day, 23, 59, 59, tzinfo=_dt.timezone.utc)
     return int(end.timestamp())
 
@@ -608,6 +648,8 @@ def issue_epassport(csca: CertAuthority, dsc: DscHandle, holder: HolderFields,
     """Assemble a passport whose security object the given DSC signs.
 
     with_aa=False leaves both the chip key and its public data group absent.
+    ValueError for a holder without a non-empty unique identifier, or with
+    a birth or expiry date that is not a YYMMDD day.
     """
     if dsc.cert.issuer_name != csca.name:
         raise UnknownAuthority("document signer was not issued by the given country root")
@@ -624,6 +666,10 @@ def issue_epassport(csca: CertAuthority, dsc: DscHandle, holder: HolderFields,
     draft = EPassport(dg1=dg1, dg11_personal_number=holder.personal_number,
                       dg15_public_key=dg15, sod_dg_hashes=(), sod_signature=b"",
                       dsc=dsc.cert, aa_secret=aa_secret)
+    try:
+        draft.unique_id()
+    except MissingIdentifier as exc:
+        raise ValueError(str(exc)) from None
     hashes = draft.computed_dg_hashes()
     draft = replace(draft, sod_dg_hashes=hashes)
     return replace(draft, sod_signature=dsc.sign(draft.sod_payload()))
@@ -637,7 +683,8 @@ def validate_epassport(passport: EPassport, csca_store: TrustStore, now: int, *,
     (b) the security-object signature verifies under the document signer;
     (c) the document signer traces to a trusted country root;
     (d) the signer, then the document, are inside their validity windows;
-        a document expiry that is not a YYMMDD date is a grammar error.
+        a document expiry or birth date that is not a YYMMDD date is a
+        grammar error.
 
     Every check runs on every call; only the root's signature on the
     document signer may come from the store's memo of accepted documents,
@@ -661,7 +708,8 @@ def validate_epassport(passport: EPassport, csca_store: TrustStore, now: int, *,
     if not passport.dsc.not_before <= now <= passport.dsc.not_after:
         return ValidationReport.fail(FailureCode.EXPIRED, now)
     try:
-        expiry = expiry_timestamp(passport.dg1.expiry_date)
+        expiry = yymmdd_timestamp(passport.dg1.expiry_date)
+        yymmdd_timestamp(passport.dg1.birth_date)
     except ValueError:
         return ValidationReport.fail(FailureCode.GRAMMAR_ERROR, now)
     if now > expiry:

@@ -47,12 +47,43 @@ def verify_calls(monkeypatch):
 
 
 @pytest.fixture
-def with_expiry():
-    """Re-sign a passport under its signer with another DG1 expiry: the
-    document an issuer that skipped ``Dg1.build``'s date check would make."""
-    def make(passport, dsc, expiry_date):
-        dg1 = dataclasses.replace(passport.dg1, expiry_date=expiry_date)
-        draft = dataclasses.replace(passport, dg1=dg1)
+def encode_calls(monkeypatch):
+    """The structure tags of the ``Encoder``s built from now on, in order.
+
+    Documents, bundles and attribute tuples are encoded in the identity,
+    credential and registry modules, so counting their ``Encoder`` counts
+    every structure encoded; ``cert:v1``, ``cert-tbs:v1`` and ``chain:v1``
+    are certificate encodings."""
+    from zkpoi import codec, credential, identity, registry
+
+    tags: list[str] = []
+
+    def counting(tag, _encoder=codec.Encoder):
+        tags.append(tag)
+        return _encoder(tag)
+    for module in (identity, credential, registry):
+        monkeypatch.setattr(module, "Encoder", counting)
+    return tags
+
+
+@pytest.fixture
+def resigned():
+    """Re-sign a document under its issuer with other fields: the document
+    an issuer that skipped its own checks (a YYMMDD date, a non-empty
+    identifier) would make. A card takes leaf certificate fields and its
+    issuing ``CertAuthority``; a passport takes DG1 fields or
+    ``dg11_personal_number`` and its ``DscHandle``."""
+    from zkpoi.identity import IdentityCard
+
+    def make(doc, signer, **fields):
+        if isinstance(doc, IdentityCard):
+            leaf = dataclasses.replace(doc.certificate, **fields)
+            leaf = dataclasses.replace(leaf, signature=signer.sign(leaf.tbs_bytes()))
+            return dataclasses.replace(doc, chain=dataclasses.replace(doc.chain, leaf=leaf))
+        dg1_names = {f.name for f in dataclasses.fields(doc.dg1)}
+        dg1 = dataclasses.replace(doc.dg1, **{k: fields.pop(k) for k in list(fields)
+                                              if k in dg1_names})
+        draft = dataclasses.replace(doc, dg1=dg1, **fields)
         draft = dataclasses.replace(draft, sod_dg_hashes=draft.computed_dg_hashes())
-        return dataclasses.replace(draft, sod_signature=dsc.sign(draft.sod_payload()))
+        return dataclasses.replace(draft, sod_signature=signer.sign(draft.sod_payload()))
     return make

@@ -88,3 +88,29 @@ def test_invalid_utf8_optional_text_is_a_decode_error():
     d = Decoder(blob, "T")
     with pytest.raises(DecodeError, match="utf-8"):
         d.take_opt_text()
+
+
+class _FourGiB(bytes):
+    """Claims 2**32 bytes without holding them."""
+
+    def __len__(self):
+        return 2**32
+
+
+@pytest.mark.parametrize("encode", [frame, lambda p: frame_parts(b"ok", p)],
+                         ids=["frame", "frame_parts"])
+def test_field_too_long_to_frame_is_a_value_error(encode):
+    with pytest.raises(ValueError, match="too long to frame"):
+        encode(_FourGiB())
+
+
+def test_length_prefix_bounds():
+    assert frame(b"") == b"\x00\x00\x00\x00"
+    assert frame_parts(b"a", b"") == b"\x00\x00\x00\x01a\x00\x00\x00\x00"
+
+
+@pytest.mark.parametrize("blob", [b"\x00\x00", b"\x00\x00\x00\x01", b"\x00\x00\x00\x01T\x00"])
+def test_short_prefix_or_overrun_is_a_decode_error(blob):
+    with pytest.raises(DecodeError):
+        d = Decoder(blob, "T")
+        d.take_bytes()

@@ -269,10 +269,10 @@ class TestVerifierSteps:
         assert verdict.code == "step3"
         assert "Expired" in verdict.reason
 
-    def test_step4_identifier_missing(self, world):
+    def test_step4_identifier_missing(self, world, resigned):
         store, hierarchy, card, *_ = world
-        nameless = issue_identity_cert(hierarchy, hierarchy.issuers[0],
-                                       "Nameless", None, WINDOW)
+        nameless = resigned(card, hierarchy.authority(card.certificate.issuer_name),
+                            subject_name="Nameless", unique_id_field=None)
         bundle, _ = build(card, store)
         swapped = dataclasses.replace(
             bundle, evidence=dataclasses.replace(bundle.evidence,

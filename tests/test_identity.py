@@ -31,7 +31,7 @@ from zkpoi.identity import (
     active_auth_verify,
     document_hash,
     document_public_key,
-    expiry_timestamp,
+    yymmdd_timestamp,
     extract_unique_id,
     generate_ca_hierarchy,
     icao_check_digit,
@@ -142,6 +142,11 @@ class TestDg1:
         with pytest.raises(ValueError):
             self.build(expiry_date=date)
 
+    @pytest.mark.parametrize("date", ["991399", "ABCDEF", ""])
+    def test_birth_date_that_is_not_a_yymmdd_day_is_refused(self, date):
+        with pytest.raises(ValueError):
+            self.build(birth_date=date)
+
     def test_tampered_number_breaks_composite(self):
         dg1 = self.build()
         forged = dataclasses.replace(dg1, document_number="L898902C4")
@@ -157,22 +162,22 @@ class TestDg1:
 class TestExpiryTimestamp:
     def test_millennium_anchor(self):
         # 2000-01-01T00:00:00Z = 946684800; end of day adds 86399 seconds.
-        assert expiry_timestamp("000101") == 946684800 + 86399
+        assert yymmdd_timestamp("000101") == 946684800 + 86399
 
     def test_consecutive_days_differ_by_one_day(self):
-        assert expiry_timestamp("000102") - expiry_timestamp("000101") == 86400
+        assert yymmdd_timestamp("000102") - yymmdd_timestamp("000101") == 86400
 
     def test_years_map_into_twenty_first_century(self):
-        assert expiry_timestamp("990101") > expiry_timestamp("000101")
+        assert yymmdd_timestamp("990101") > yymmdd_timestamp("000101")
 
     def test_leap_day_accepted(self):
-        assert expiry_timestamp("240229") - expiry_timestamp("240228") == 86400
+        assert yymmdd_timestamp("240229") - yymmdd_timestamp("240228") == 86400
 
     @pytest.mark.parametrize("date", ["991399", "ABCDEF", "45010", "230229", "4501 1",
                                       "-10101", "\uff14\uff15\uff10\uff11\uff10\uff11"])
     def test_anything_but_a_yymmdd_day_is_a_value_error(self, date):
         with pytest.raises(ValueError):
-            expiry_timestamp(date)
+            yymmdd_timestamp(date)
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +215,87 @@ class TestCertificateEncoding:
         other = dataclasses.replace(cert, serial=cert.serial + 1)
         assert cert.fingerprint() != other.fingerprint()
         assert len(cert.fingerprint()) == 32
+
+
+def without_memo(chain: CertChain) -> CertChain:
+    """A copy of `chain` whose certificates hold no encoding memo."""
+    return dataclasses.replace(chain, leaf=dataclasses.replace(chain.leaf),
+                               intermediates=tuple(dataclasses.replace(c)
+                                                   for c in chain.intermediates))
+
+
+CERT_ENCODINGS = {"cert:v1", "cert-tbs:v1", "chain:v1"}
+
+
+class TestEncodingMemo:
+    """Documents keep the canonical bytes they were issued or decoded with;
+    the memo stays outside the dataclass fields."""
+
+    def test_memo_is_invisible_to_equality_hashing_and_repr(self, card_setup):
+        _, _, card = card_setup
+        card.chain.to_bytes()
+        decoded = CertChain.from_bytes(card.chain.to_bytes())
+        for chain in (card.chain, decoded):
+            bare = without_memo(chain)
+            for cert, copy in zip(chain.certs(), bare.certs()):
+                assert vars(cert).keys() > vars(copy).keys()
+                assert cert == copy and hash(cert) == hash(copy)
+                assert repr(cert) == repr(copy) and "_tbs_bytes" not in repr(cert)
+                assert cert.tbs_bytes() == copy.tbs_bytes()
+                assert cert.to_bytes() == copy.to_bytes()
+            assert chain == bare and hash(chain) == hash(bare) and repr(chain) == repr(bare)
+            assert chain.to_bytes() == bare.to_bytes()
+
+    def test_replaced_certificate_encodes_afresh(self, card_setup):
+        store, _, card = card_setup
+        leaf = CertChain.from_bytes(card.chain.to_bytes()).leaf
+        renumbered = dataclasses.replace(leaf, serial=leaf.serial + 1)
+        assert "_tbs_bytes" not in vars(renumbered)
+        assert renumbered.tbs_bytes() != leaf.tbs_bytes()
+        assert renumbered.tbs_bytes() == dataclasses.replace(renumbered).tbs_bytes()
+        assert Certificate.from_bytes(renumbered.to_bytes()) == renumbered
+        report = validate_chain(chain_with_leaf(card, renumbered), store, NOW)
+        assert report.failure_code is FailureCode.BAD_SIGNATURE
+
+    def test_flipped_tbs_byte_in_decoded_chain_fails_signature(self, card_setup):
+        store, _, card = card_setup
+        blob = card.chain.to_bytes()
+        at = blob.index(b"Alice Example")
+        flipped = blob[:at] + b"B" + blob[at + 1:]
+        decoded = CertChain.from_bytes(flipped)
+        assert decoded.leaf.subject_name == "Blice Example"
+        assert decoded.to_bytes() == flipped
+        assert validate_chain(decoded, store, NOW).failure_code is FailureCode.BAD_SIGNATURE
+        assert validate_chain(flipped, store, NOW).failure_code is FailureCode.BAD_SIGNATURE
+
+    def test_warm_duplicate_build_and_register_encode_no_certificate(self, encode_calls):
+        from zkpoi import attestation
+        from zkpoi.credential import build_registration_bundle
+        from zkpoi.errors import DuplicateIdentity
+        from zkpoi.registry import Registry
+
+        store, hierarchy = generate_ca_hierarchy(1, 2, seed=303)
+        card = issue_identity_cert(hierarchy, hierarchy.issuers[0], "Memo Holder",
+                                   "UID-M-1", WINDOW)
+        registry = Registry(store, "chain-memo", seed=5)
+        session = registry.open_session(attestation.EnclaveIdentity("zkpoi-wallet", 1))
+
+        def admit(passphrase):
+            bundle, _ = build_registration_bundle(card, passphrase, "chain-memo", store, NOW,
+                                                  kdf_iterations=2)
+            registry.register(attestation.seal(session, bundle.to_bytes()), session, NOW)
+
+        encode_calls.clear()
+        admit("first")
+        # The issuer kept the tbs it signed and the registry keeps the bytes it
+        # decoded: the wallet's first build encodes the public forms only.
+        assert sorted(t for t in encode_calls if t in CERT_ENCODINGS) == [
+            "cert:v1", "cert:v1", "cert:v1", "chain:v1"]
+        encode_calls.clear()
+        with pytest.raises(DuplicateIdentity):
+            admit("second")
+        assert "bundle:v1" in encode_calls
+        assert not CERT_ENCODINGS.intersection(encode_calls)
 
 
 # ---------------------------------------------------------------------------
@@ -467,19 +553,28 @@ class TestPassportValidation:
         assert validate_epassport(passport, store, NOW).failure_code is FailureCode.EXPIRED
 
     @pytest.mark.parametrize("date", ["991399", "ABCDEF", "45010"])
-    def test_malformed_expiry_is_a_grammar_error(self, passport_setup, with_expiry, date):
+    def test_malformed_expiry_is_a_grammar_error(self, passport_setup, resigned, date):
         store, _, csca, dsc, holder, _ = passport_setup
-        passport = with_expiry(issue_epassport(csca, dsc, holder, with_aa=False, seed=15),
-                               dsc, date)
+        passport = resigned(issue_epassport(csca, dsc, holder, with_aa=False, seed=15),
+                            dsc, expiry_date=date)
         report = validate_epassport(passport, store, NOW)
         assert not report.accepted
         assert report.failure_code is FailureCode.GRAMMAR_ERROR
 
-    def test_signer_window_precedes_expiry_grammar(self, passport_setup, with_expiry):
+    @pytest.mark.parametrize("date", ["991399", "ABCDEF", ""])
+    def test_malformed_birth_date_is_a_grammar_error(self, passport_setup, resigned, date):
+        store, _, csca, dsc, holder, _ = passport_setup
+        passport = resigned(issue_epassport(csca, dsc, holder, with_aa=False, seed=17),
+                            dsc, birth_date=date)
+        report = validate_epassport(passport, store, NOW)
+        assert not report.accepted
+        assert report.failure_code is FailureCode.GRAMMAR_ERROR
+
+    def test_signer_window_precedes_expiry_grammar(self, passport_setup, resigned):
         store, _, csca, _, holder, _ = passport_setup
         short_dsc = issue_dsc(csca, "printer-short3", (GENESIS, NOW - 1))
-        passport = with_expiry(issue_epassport(csca, short_dsc, holder, with_aa=False, seed=16),
-                               short_dsc, "991399")
+        passport = resigned(issue_epassport(csca, short_dsc, holder, with_aa=False, seed=16),
+                            short_dsc, expiry_date="991399")
         assert validate_epassport(passport, store, NOW).failure_code is FailureCode.EXPIRED
 
     def test_hash_check_precedes_signature_check(self, passport_setup):
@@ -706,6 +801,29 @@ class TestUniqueId:
     def test_unsupported_type_raises(self):
         with pytest.raises(TypeError):
             extract_unique_id(object())
+
+    def test_card_issuer_refuses_an_empty_identifier(self, card_setup):
+        _, hierarchy, _ = card_setup
+        with pytest.raises(ValueError, match="non-empty unique identifier"):
+            issue_identity_cert(hierarchy, hierarchy.issuers[0], "Nobody", "", WINDOW)
+
+    @pytest.mark.parametrize("personal_number, document_number",
+                             [("", "X1234567"), (None, ""), ("", "")])
+    def test_passport_issuer_refuses_an_empty_identifier(self, passport_setup,
+                                                         personal_number, document_number):
+        _, _, csca, dsc, holder, _ = passport_setup
+        anonymous = dataclasses.replace(holder, personal_number=personal_number,
+                                        document_number=document_number)
+        with pytest.raises(ValueError, match="empty unique identifier"):
+            issue_epassport(csca, dsc, anonymous, with_aa=True, seed=8)
+
+    def test_passport_issuer_accepts_a_personal_number_without_document_number(
+            self, passport_setup):
+        store, _, csca, dsc, holder, _ = passport_setup
+        passport = issue_epassport(csca, dsc, dataclasses.replace(holder, document_number=""),
+                                   with_aa=True, seed=9)
+        assert validate_epassport(passport, store, NOW).accepted
+        assert extract_unique_id(passport) == "PN-42"
 
 
 class TestChallengeSigning:

@@ -208,12 +208,13 @@ class TestRegister:
             registry.register(sealed(session, bundle), session, WINDOW[1] + 1)
 
     @pytest.mark.parametrize("date", ["991399", "ABCDEF", "45010"])
-    def test_malformed_passport_expiry_rejected_with_step(self, with_expiry, date):
+    def test_malformed_passport_expiry_rejected_with_step(self, resigned, date):
         """The registry re-validates the disclosed document: a trusted signer's
         passport with an expiry that is not YYMMDD is refused at step 3."""
         store, csca, dsc = passport_issuer(406)
         passport = issue_epassport(csca, dsc, make_holder(1), with_aa=True, seed=1)
-        forged = with_document(make_bundle(passport, store), with_expiry(passport, dsc, date))
+        forged = with_document(make_bundle(passport, store),
+                               resigned(passport, dsc, expiry_date=date))
         registry = Registry(store, NETWORK, seed=20)
         session = registry.open_session(CLIENT)
         with pytest.raises(InvalidBundle, match="step3: document rejected: GrammarError"):
@@ -229,23 +230,23 @@ class TestRegister:
         with pytest.raises(InvalidBundle, match="step5: pseudonym secret is empty"):
             registry.register(sealed(session, emptied), session, NOW)
 
-    def test_empty_card_identifier_rejected_at_step4(self, world, registry):
+    def test_empty_card_identifier_rejected_at_step4(self, world, registry, resigned):
         store, hierarchy = world
-        anonymous = issue_identity_cert(hierarchy, hierarchy.issuers[0], "Subject 012", "",
-                                        WINDOW)
+        card = make_card(hierarchy, 12)
+        anonymous = resigned(card, hierarchy.authority(card.certificate.issuer_name),
+                             unique_id_field="")
         with pytest.raises(MissingIdentifier):
             make_bundle(anonymous, store)
-        forged = with_document(make_bundle(make_card(hierarchy, 12), store), anonymous.chain)
+        forged = with_document(make_bundle(card, store), anonymous.chain)
         session = registry.open_session(CLIENT)
         with pytest.raises(InvalidBundle, match="step4"):
             registry.register(sealed(session, forged), session, NOW)
 
-    def test_empty_personal_number_rejected_at_step4(self):
+    def test_empty_personal_number_rejected_at_step4(self, resigned):
         store, csca, dsc = passport_issuer(406)
         passport = issue_epassport(csca, dsc, make_holder(1, personal_number="PN-1"),
                                    with_aa=True, seed=1)
-        emptied = issue_epassport(csca, dsc, make_holder(1, personal_number=""),
-                                  with_aa=True, seed=1)
+        emptied = resigned(passport, dsc, dg11_personal_number="")
         with pytest.raises(MissingIdentifier):
             make_bundle(emptied, store)
         registry = Registry(store, NETWORK, seed=20)
@@ -253,6 +254,20 @@ class TestRegister:
         with pytest.raises(InvalidBundle, match="step4"):
             registry.register(sealed(session, with_document(make_bundle(passport, store), emptied)),
                               session, NOW)
+
+    @pytest.mark.parametrize("date", ["991399", "ABCDEF", ""])
+    def test_malformed_birth_date_rejected_at_step3(self, resigned, date):
+        """The birth date is an accumulator attribute: a trusted signer's
+        passport whose birth date is not YYMMDD is refused at step 3."""
+        store, csca, dsc = passport_issuer(406)
+        passport = issue_epassport(csca, dsc, make_holder(1), with_aa=True, seed=1)
+        forged = with_document(make_bundle(passport, store),
+                               resigned(passport, dsc, birth_date=date))
+        registry = Registry(store, NETWORK, seed=20)
+        session = registry.open_session(CLIENT)
+        with pytest.raises(InvalidBundle, match="step3: document rejected: GrammarError"):
+            registry.register(sealed(session, forged), session, NOW)
+        assert registry.online_count() == 0
 
 
 # ---------------------------------------------------------------------------
