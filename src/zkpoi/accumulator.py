@@ -79,10 +79,14 @@ class Accumulator:
         return hash_parts(_ROOT_TAG, self.domain_tag, top,
                           len(self._leaves).to_bytes(8, "big"))
 
-    def contains(self, element: bytes) -> bool:
+    def _search(self, element: bytes) -> tuple[bytes, int, bool]:
+        """The element's digest, its index in the sorted leaves, and whether it is there."""
         digest = self.element_digest(element)
         i = bisect.bisect_left(self._leaves, digest)
-        return i < len(self._leaves) and self._leaves[i] == digest
+        return digest, i, i < len(self._leaves) and self._leaves[i] == digest
+
+    def contains(self, element: bytes) -> bool:
+        return self._search(element)[2]
 
     # -- mutation --------------------------------------------------------------
 
@@ -91,13 +95,11 @@ class Accumulator:
 
         The cheap path used by bulk registration: no witness is built.
         """
-        digest = self.element_digest(element)
-        i = bisect.bisect_left(self._leaves, digest)
-        if i < len(self._leaves) and self._leaves[i] == digest:
-            return False
-        self._leaves.insert(i, digest)
-        self._levels = None
-        return True
+        digest, i, present = self._search(element)
+        if not present:
+            self._leaves.insert(i, digest)
+            self._levels = None
+        return not present
 
     def _witness_at(self, index: int) -> MembershipWitness:
         levels = self._tree()
@@ -122,16 +124,17 @@ def accumulator_generate(seed: int) -> Accumulator:
 
 def accumulator_add(acc: Accumulator, element: bytes) -> MembershipWitness:
     """Insert an element and return its membership witness for the new root."""
-    if not acc.admit(element):
+    digest, i, present = acc._search(element)
+    if present:
         raise AlreadyMember(f"element already accumulated: {element!r}")
-    digest = acc.element_digest(element)
-    return acc._witness_at(bisect.bisect_left(acc._leaves, digest))
+    acc._leaves.insert(i, digest)
+    acc._levels = None
+    return acc._witness_at(i)
 
 
 def accumulator_remove(acc: Accumulator, element: bytes) -> None:
-    digest = acc.element_digest(element)
-    i = bisect.bisect_left(acc._leaves, digest)
-    if i >= len(acc._leaves) or acc._leaves[i] != digest:
+    _, i, present = acc._search(element)
+    if not present:
         raise NotMember(f"element not accumulated: {element!r}")
     del acc._leaves[i]
     acc._levels = None
@@ -181,9 +184,8 @@ def accumulator_verify(acc_or_root, element: bytes, witness: MembershipWitness) 
 
 def accumulator_non_membership(acc: Accumulator, element: bytes) -> NonMembershipWitness:
     """Adjacency proof that `element` is absent from the current set."""
-    digest = acc.element_digest(element)
-    i = bisect.bisect_left(acc._leaves, digest)
-    if i < len(acc._leaves) and acc._leaves[i] == digest:
+    _, i, present = acc._search(element)
+    if present:
         raise AlreadyMember(f"element already accumulated: {element!r}")
     left = acc._witness_at(i - 1) if i > 0 else None
     right = acc._witness_at(i) if i < len(acc._leaves) else None

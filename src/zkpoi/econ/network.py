@@ -56,6 +56,8 @@ def _attraction(count_a: float, count_b: float, exponent: float,
         wa, wb = count_a ** exponent, count_b ** exponent
     except OverflowError as exc:
         raise DomainError(f"{side} count to the power {exponent} overflows") from exc
+    if wa == 0.0 and wb == 0.0:
+        raise DomainError(f"both {side} counts to the power {exponent} underflow to zero")
     return wa / (wa + wb), wb / (wa + wb)
 
 

@@ -222,28 +222,11 @@ class TrustStore:
     trusted_roots: dict[bytes, bytes]  # fingerprint -> root public key
     allowed_authorities: frozenset[str]
     root_names: dict[str, bytes]  # root subject name -> fingerprint
-    # (issuer key, certificate) pairs whose signature verified inside a
-    # document this store accepted: intermediate CAs and document signers
-    # only, never leaves. Owned by this store; a copy starts empty.
-    _verified_issuers: set[tuple[bytes, Certificate]] = field(
+    # Issuer signature checks verified inside a document this store
+    # accepted: intermediate CAs and document signers only, never leaves.
+    # Owned by this store; a copy starts empty.
+    _verified_issuers: set[SignatureCheck] = field(
         default_factory=set, init=False, compare=False, repr=False)
-
-    def root_key(self, fingerprint: bytes) -> bytes | None:
-        return self.trusted_roots.get(fingerprint)
-
-    def _issuer_signed(self, issuer_key: bytes, cert: Certificate,
-                       fresh: list[tuple[bytes, Certificate]]) -> bool:
-        """Whether `issuer_key` signed `cert`. A pair remembered from an
-        accepted document is not verified again; a pair verified here is
-        appended to `fresh`, which the caller remembers only once the whole
-        document is accepted."""
-        link = (issuer_key, cert)
-        if link in self._verified_issuers:
-            return True
-        if not verify_signature(issuer_key, cert.signature, cert.tbs_bytes()):
-            return False
-        fresh.append(link)
-        return True
 
 
 class CertAuthority:
@@ -395,10 +378,11 @@ def validate_chain(chain: Union[CertChain, bytes], store: TrustStore, now: int,
     4. issuer/subject linkage and signature along the chain;
     5. the chain terminates at a trusted self-signed root from the store.
 
-    Every step runs on every call; only the signatures on intermediate
-    certificates may come from the store's memo of accepted documents, and
-    the leaf's from the caller's record `verified`. An accepting report
-    carries the leaf check when it was verified here.
+    Every step runs on every call. Each signature check goes through
+    `verify_unless_recorded`: an intermediate certificate's against the
+    store's record of accepted documents, the leaf's against the caller's
+    record `verified`. An accepting report carries the leaf check when it
+    was verified here.
     """
     if isinstance(chain, (bytes, bytearray, memoryview)):
         try:
@@ -414,14 +398,14 @@ def validate_chain(chain: Union[CertChain, bytes], store: TrustStore, now: int,
         for cert in certs:
             if (cert.issuer_name, cert.serial) in crl:
                 return ValidationReport.fail(FailureCode.REVOKED, now)
-    fresh: list[tuple[bytes, Certificate]] = []
+    fresh: list[SignatureCheck] = []
     checks: list[SignatureCheck] = []
 
     def signed(issuer_key: bytes, cert: Certificate) -> bool:
+        check = (issuer_key, cert.signature, cert.tbs_bytes())
         if cert is chain.leaf:
-            return verify_unless_recorded((issuer_key, cert.signature, cert.tbs_bytes()),
-                                          verified, checks)
-        return store._issuer_signed(issuer_key, cert, fresh)
+            return verify_unless_recorded(check, verified, checks)
+        return verify_unless_recorded(check, store._verified_issuers, fresh)
 
     for child, parent in zip(certs, certs[1:]):
         if child.issuer_name != parent.subject_name or not parent.is_ca:
@@ -429,7 +413,7 @@ def validate_chain(chain: Union[CertChain, bytes], store: TrustStore, now: int,
         if not signed(parent.subject_public_key, child):
             return ValidationReport.fail(FailureCode.BAD_SIGNATURE, now)
     top = certs[-1]
-    root_key = store.root_key(chain.root_fingerprint)
+    root_key = store.trusted_roots.get(chain.root_fingerprint)
     if root_key is None or top.issuer_name not in store.allowed_authorities:
         return ValidationReport.fail(FailureCode.NOT_TRUSTED, now)
     if not signed(root_key, top):
@@ -686,26 +670,27 @@ def validate_epassport(passport: EPassport, csca_store: TrustStore, now: int, *,
         a document expiry or birth date that is not a YYMMDD date is a
         grammar error.
 
-    Every check runs on every call; only the root's signature on the
-    document signer may come from the store's memo of accepted documents,
-    and the security object's from the caller's record `verified`. An
-    accepting report carries the security-object check when it was
-    verified here.
+    Every check runs on every call. Each signature check goes through
+    `verify_unless_recorded`: the root's on the document signer against the
+    store's record of accepted documents, the security object's against the
+    caller's record `verified`. An accepting report carries the
+    security-object check when it was verified here.
     """
     if passport.computed_dg_hashes() != passport.sod_dg_hashes:
         return ValidationReport.fail(FailureCode.HASH_MISMATCH, now)
+    dsc = passport.dsc
     checks: list[SignatureCheck] = []
-    if not verify_unless_recorded((passport.dsc.subject_public_key, passport.sod_signature,
+    if not verify_unless_recorded((dsc.subject_public_key, passport.sod_signature,
                                    passport.sod_payload()), verified, checks):
         return ValidationReport.fail(FailureCode.BAD_SIGNATURE, now)
-    root_fp = csca_store.root_names.get(passport.dsc.issuer_name)
-    root_key = csca_store.root_key(root_fp) if root_fp is not None else None
-    fresh: list[tuple[bytes, Certificate]] = []
+    root_key = csca_store.trusted_roots.get(csca_store.root_names.get(dsc.issuer_name))
+    fresh: list[SignatureCheck] = []
     if (root_key is None
-            or passport.dsc.issuer_name not in csca_store.allowed_authorities
-            or not csca_store._issuer_signed(root_key, passport.dsc, fresh)):
+            or dsc.issuer_name not in csca_store.allowed_authorities
+            or not verify_unless_recorded((root_key, dsc.signature, dsc.tbs_bytes()),
+                                          csca_store._verified_issuers, fresh)):
         return ValidationReport.fail(FailureCode.NOT_TRUSTED, now)
-    if not passport.dsc.not_before <= now <= passport.dsc.not_after:
+    if not dsc.not_before <= now <= dsc.not_after:
         return ValidationReport.fail(FailureCode.EXPIRED, now)
     try:
         expiry = yymmdd_timestamp(passport.dg1.expiry_date)

@@ -277,6 +277,11 @@ def load_log(path) -> list[dict]:
         missing = {"op", "pseudonym", "pk", "epoch"} - rec.keys()
         if missing:
             raise DecodeError(f"log line {line_no} lacks fields {sorted(missing)}")
+        # The types export_log writes: text fields and a non-negative integer epoch.
+        epoch = rec["epoch"]
+        if not (all(isinstance(rec[key], str) for key in ("op", "pseudonym", "pk"))
+                and type(epoch) is int and epoch >= 0):
+            raise DecodeError(f"log line {line_no} has a field of the wrong type")
         records.append(rec)
     return records
 

@@ -66,3 +66,20 @@ def test_extreme_params_give_an_exit_code(scenario, tmp_path, capsys):
         if code not in (0, 1, 2) or "Traceback" in err:
             leaks.append(f"params.{key} = {json.dumps(value)[:24]}: {code}")
     assert not leaks, "\n".join(leaks)
+
+
+# Whole configs whose join weights both underflow to zero: the CLI reports a
+# DomainError rather than dividing by zero.
+UNDERFLOWING_NETWORKS = [
+    {"m_a": 1e-200, "m_b": 2e-200, "c_a": 1, "c_b": 1, "alpha": 2, "steps": 3},
+    {"m_a": 0.5, "m_b": 0.5, "c_a": 0.5, "c_b": 0.5, "alpha": 1e308, "beta": 1e308},
+]
+
+
+@pytest.mark.parametrize("params", UNDERFLOWING_NETWORKS)
+def test_underflowing_network_weights_are_a_domain_error(params, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"params": params}))
+    assert cli.main(["econ", "network", "--config", str(config), "--seed", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: DomainError") and "Traceback" not in err

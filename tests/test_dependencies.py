@@ -75,3 +75,35 @@ def test_unused_import_scan_sees_a_dead_name(tmp_path):
                       "from dataclasses import dataclass, field\n\n"
                       "@dataclass\nclass A:\n    x: int = os.sep\n")
     assert unused_imports(module) == {"_json", "field"}
+
+
+def dead_private_names(source_root: Path) -> set[str]:
+    """Private functions, methods and classes defined under `source_root`
+    whose name no module there reads, as a plain name or an attribute."""
+    defined, read = set(), set()
+    for path in source_root.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if node.name.startswith("_") and not node.name.endswith("__"):
+                    defined.add(node.name)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return defined - read
+
+
+def test_no_dead_private_names():
+    assert dead_private_names(ROOT / "src" / "zkpoi") == set()
+
+
+def test_dead_private_name_scan_sees_a_dead_name(tmp_path):
+    (tmp_path / "a.py").write_text("def _used():\n    pass\n\n"
+                                   "def _dead():\n    pass\n\n"
+                                   "class Store:\n    def _orphan(self):\n        pass\n\n"
+                                   "    def _signed(self):\n        pass\n\n"
+                                   "class _Hidden:\n    def __init__(self):\n"
+                                   "        self._orphan = None\n")
+    (tmp_path / "b.py").write_text("from a import _used\n\n"
+                                   "def check(store):\n    _used()\n    return store._signed()\n")
+    assert dead_private_names(tmp_path) == {"_dead", "_orphan", "_Hidden"}

@@ -83,6 +83,13 @@ class TestJoinProbabilities:
         with pytest.raises(DomainError):
             simulate_network_growth(make_state(c_a=1e308, beta=1.5), 50, seed=0)
 
+    def test_underflowing_weights_are_a_domain_error(self):
+        with pytest.raises(DomainError):
+            join_probabilities(make_state(m_a=1e-200, m_b=2e-200, alpha=2.0))
+        with pytest.raises(DomainError):
+            join_probabilities(make_state(m_a=0.5, m_b=0.5, c_a=0.5, c_b=0.5,
+                                          alpha=1e308, beta=1e308))
+
     def test_expected_mode_advances_counts_one_step(self):
         state = make_state(expectation_mode="expected")
         merch, cust = join_probabilities(state)

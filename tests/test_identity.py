@@ -616,8 +616,14 @@ def flip_signature(cert: Certificate) -> Certificate:
     return dataclasses.replace(cert, signature=bytes([cert.signature[0] ^ 1]) + cert.signature[1:])
 
 
-def memo_certs(store: TrustStore) -> set[Certificate]:
-    return {cert for _, cert in store._verified_issuers}
+def signed_parts(cert: Certificate) -> tuple[bytes, bytes]:
+    """The signature and the signed bytes: every field of the certificate."""
+    return cert.signature, cert.tbs_bytes()
+
+
+def memo_certs(store: TrustStore) -> set[tuple[bytes, bytes]]:
+    """The signed parts of each certificate whose check the store recorded."""
+    return {(signature, tbs) for _, signature, tbs in store._verified_issuers}
 
 
 @pytest.fixture()
@@ -627,7 +633,7 @@ def warm_card():
     card = issue_identity_cert(hierarchy, hierarchy.issuers[0], "Memo Holder", "UID-M-1",
                                (GENESIS, GENESIS + 60 * YEAR))
     assert validate_chain(card.chain, store, NOW).accepted
-    assert memo_certs(store) == set(card.chain.intermediates)
+    assert memo_certs(store) == {signed_parts(cert) for cert in card.chain.intermediates}
     return store, hierarchy, card
 
 
@@ -640,11 +646,23 @@ def warm_passport(passport_setup):
     dsc = issue_dsc(csca, "printer-m", WINDOW)
     passport = issue_epassport(csca, dsc, holder, with_aa=True, seed=7)
     assert validate_epassport(passport, store, NOW).accepted
-    assert memo_certs(store) == {dsc.cert}
+    assert memo_certs(store) == {signed_parts(dsc.cert)}
     return store, csca, dsc, holder, passport
 
 
 class TestVerifiedIssuerMemo:
+    def test_store_records_exactly_the_issuer_checks(self, warm_card, warm_passport):
+        store, _, card = warm_card
+        near, top = card.chain.intermediates
+        root_key = store.trusted_roots[card.chain.root_fingerprint]
+        assert store._verified_issuers == {
+            (top.subject_public_key, near.signature, near.tbs_bytes()),
+            (root_key, top.signature, top.tbs_bytes()),
+        }
+        pass_store, csca, dsc, _, _ = warm_passport
+        assert pass_store._verified_issuers == {
+            (csca.cert.subject_public_key, dsc.cert.signature, dsc.cert.tbs_bytes())}
+
     def test_warm_store_accepts_again(self, warm_card):
         store, _, card = warm_card
         assert validate_chain(card.chain, store, NOW).accepted
@@ -652,7 +670,7 @@ class TestVerifiedIssuerMemo:
 
     def test_leaf_signature_is_never_remembered(self, warm_card):
         store, _, card = warm_card
-        assert card.certificate not in memo_certs(store)
+        assert signed_parts(card.certificate) not in memo_certs(store)
         forged = flip_signature(card.certificate)
         report = validate_chain(chain_with_leaf(card, forged), store, NOW)
         assert report.failure_code is FailureCode.BAD_SIGNATURE

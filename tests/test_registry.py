@@ -617,8 +617,15 @@ class TestHostView:
         statuses = sorted(e["status"] for e in view.entries.values())
         assert statuses == [STATUS_OFFLINE, STATUS_ONLINE, STATUS_ONLINE]
 
-    @pytest.mark.parametrize("line", ['{"op": ', "[1,2]", '"text"', "\udcff"],
-                             ids=["truncated", "array", "string", "bad-utf8"])
+    @pytest.mark.parametrize("line", [
+        '{"op": ', "[1,2]", '"text"', "\udcff",
+        '{"op": "register", "pseudonym": 5, "pk": "00", "epoch": 0}',
+        '{"op": "register", "pseudonym": "00:REG", "pk": "00", "epoch": "x"}',
+        '{"op": "register", "pseudonym": "00:REG", "pk": "00", "epoch": 1e400}',
+        '{"op": "register", "pseudonym": "00:REG", "pk": "00", "epoch": -1}',
+        '{"op": "register", "pseudonym": "00:REG", "pk": "00", "epoch": true}',
+    ], ids=["truncated", "array", "string", "bad-utf8", "int-pseudonym", "text-epoch",
+            "infinite-epoch", "negative-epoch", "bool-epoch"])
     def test_malformed_log_line_is_a_decode_error(self, tmp_path, line):
         path = tmp_path / "registry.log"
         good = json.dumps({"op": "register", "pseudonym": "00:REG", "pk": "00",
