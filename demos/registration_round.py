@@ -33,7 +33,7 @@ def main() -> None:
           f"{card.certificate.issuer_name!r}")
 
     banner("2. Wallet derives the registration bundle")
-    bundle, keys = credential.build_registration_bundle(
+    bundle, _ = credential.build_registration_bundle(
         card, "correct horse battery staple", NETWORK, store, NOW,
         kdf_iterations=KDF_ITERS)
     print(f"  pseudonym: {bundle.pseudonym.digest.hex()[:32]}… "

@@ -20,11 +20,6 @@ from .errors import DecodeError
 _LEN = struct.Struct(">I")
 
 
-def frame(payload: bytes) -> bytes:
-    """Length-prefix a single byte string."""
-    return frame_parts(payload)
-
-
 def frame_parts(*parts: bytes) -> bytes:
     """Concatenate several byte strings, each length-prefixed.
 
@@ -39,13 +34,13 @@ def frame_parts(*parts: bytes) -> bytes:
 
 
 class Encoder:
-    """Accumulates framed fields in declaration order."""
+    """Accumulates fields in declaration order and frames them all in done()."""
 
     def __init__(self, tag: str):
-        self._parts: list[bytes] = [frame(tag.encode("utf-8"))]
+        self._parts: list[bytes] = [tag.encode("utf-8")]
 
     def put_bytes(self, value: bytes) -> "Encoder":
-        self._parts.append(frame(bytes(value)))
+        self._parts.append(bytes(value))
         return self
 
     def put_text(self, value: str) -> "Encoder":
@@ -69,7 +64,7 @@ class Encoder:
         return self.put_opt_bytes(None if value is None else value.encode("utf-8"))
 
     def done(self) -> bytes:
-        return b"".join(self._parts)
+        return frame_parts(*self._parts)
 
 
 class Decoder:

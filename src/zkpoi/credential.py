@@ -24,7 +24,6 @@ instead of decoding the evidence again.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Collection
 
@@ -60,22 +59,6 @@ AA_ABSENT_ITERATION_MULTIPLIER = 8
 
 
 @dataclass(frozen=True)
-class KdfParams:
-    iteration_count: int
-    salt: bytes  # derived from the document's public hash
-
-    def __post_init__(self):
-        if self.iteration_count < 1:
-            raise ValueError("iteration_count must be >= 1")
-
-
-@dataclass
-class DerivedKeyPair:
-    pk: bytes
-    sk: SigningKey = field(repr=False)
-
-
-@dataclass(frozen=True)
 class Pseudonym:
     digest: bytes
     suffix: str
@@ -87,23 +70,18 @@ class Pseudonym:
     def label(self) -> str:
         return f"{self.digest.hex()}:{self.suffix}"
 
-    def with_suffix(self, suffix: str) -> "Pseudonym":
-        return Pseudonym(self.digest, suffix)
 
+def derive_keypair(passphrase: str, doc_hash: bytes, iterations: int) -> SigningKey:
+    """Deterministic signing key from a passphrase and document hash.
 
-def derive_keypair(passphrase: str, doc_hash: bytes, params: KdfParams) -> DerivedKeyPair:
-    """Deterministic keypair from a passphrase and document hash.
-
-    The same (passphrase, document, parameters) always reproduce the same
-    keys, which is what lets a holder recover a lost wallet key.
+    The same (passphrase, document, iterations) always reproduce the same
+    key, which is what lets a holder recover a lost wallet key.
     """
     if not passphrase:
         raise EmptyPassphrase("a passphrase is mandatory")
-    salt = hash_parts(b"kdf-salt", doc_hash, params.salt,
-                      params.iteration_count.to_bytes(8, "big"))
-    seed = pbkdf2_sha256(passphrase, salt, params.iteration_count)
-    sk = SigningKey.from_seed(seed)
-    return DerivedKeyPair(pk=sk.public_bytes, sk=sk)
+    # The v1 salt frames the document hash twice; keeping it keeps every wallet key.
+    salt = hash_parts(b"kdf-salt", doc_hash, doc_hash, iterations.to_bytes(8, "big"))
+    return SigningKey.from_seed(pbkdf2_sha256(passphrase, salt, iterations))
 
 
 def compute_signature_secret(doc) -> bytes:
@@ -219,13 +197,13 @@ def build_registration_bundle(doc, passphrase: str, blockchain_id: str,
                               trust_store: TrustStore, now: int, *,
                               aa_mode: str = AA_MODE_FULL, suffix: str = SUFFIX_REG,
                               kdf_iterations: int = DEFAULT_KDF_ITERATIONS,
-                              ) -> tuple[RegistrationBundle, DerivedKeyPair]:
+                              ) -> tuple[RegistrationBundle, SigningKey]:
     """Run the full generation pipeline on a validated document.
 
-    Returns the bundle together with the derived keypair; only the public
-    half enters the bundle. Raises InvalidDocument when validation rejects
-    the document and NoActiveAuthentication when aa_mode="full" is asked of
-    a document that cannot sign challenges.
+    Returns the bundle together with the derived signing key; only its
+    public key enters the bundle. Raises InvalidDocument when validation
+    rejects the document and NoActiveAuthentication when aa_mode="full" is
+    asked of a document that cannot sign challenges.
     """
     if aa_mode not in (AA_MODE_FULL, AA_MODE_ABSENT):
         raise ValueError(f"unknown aa_mode {aa_mode!r}")
@@ -236,18 +214,17 @@ def build_registration_bundle(doc, passphrase: str, blockchain_id: str,
     unique_id = public.unique_id()
     doc_bytes = public.public_bytes()
     doc_digest = public_bytes_hash(doc_bytes)
-    keypair = derive_keypair(passphrase, doc_digest,
-                             KdfParams(iteration_count=kdf_iterations, salt=doc_digest))
+    key = derive_keypair(passphrase, doc_digest, kdf_iterations)
     if aa_mode == AA_MODE_FULL:
         secret = compute_signature_secret(doc)
-        sign_pk = active_auth_sign(doc, keypair.pk)
+        sign_pk = active_auth_sign(doc, key.public_bytes)
     else:
         secret = _absent_mode_secret(passphrase, doc_digest, kdf_iterations)
         sign_pk = None
     pseudonym = derive_pseudonym(secret, blockchain_id, unique_id, suffix)
     evidence = TransparentEvidence(doc_kind=public.kind, doc_bytes=doc_bytes,
                                    secret=secret, aa_mode=aa_mode)
-    return RegistrationBundle(pseudonym, keypair.pk, sign_pk, evidence), keypair
+    return RegistrationBundle(pseudonym, key.public_bytes, sign_pk, evidence), key
 
 
 def verify_registration_bundle(bundle: RegistrationBundle, trust_store: TrustStore,
@@ -296,11 +273,3 @@ def verify_registration_bundle(bundle: RegistrationBundle, trust_store: TrustSto
         if not verify_unless_recorded(secret_check, verified, checks):
             return BundleVerdict.fail(7, "pseudonym secret does not verify")
     return BundleVerdict(True, unique_id=unique_id, document=doc, checks=tuple(checks))
-
-
-def kdf_wall_time(passphrase: str, doc_hash: bytes, iteration_count: int) -> float:
-    """Seconds one derivation takes; exists so tests can assert the cost of a
-    brute-force attempt grows with the iteration count."""
-    start = time.perf_counter()
-    derive_keypair(passphrase, doc_hash, KdfParams(iteration_count, salt=doc_hash))
-    return time.perf_counter() - start

@@ -286,14 +286,13 @@ def total_mining_cost(instance: CongestionInstance, allocation: Allocation) -> f
                for k in range(instance.k) for m in range(instance.m))
 
 
-def price_of_crypto_anarchy(instance: CongestionInstance, cost_fn=None,
+def price_of_crypto_anarchy(instance: CongestionInstance,
                             zkpoi_cost: float = 0.01) -> float:
     """Worst-case equilibrium resource burn relative to the identity-based
-    baseline: max over Nash allocations of cost_fn, divided by zkpoi_cost.
-    The baseline must be positive — identity checks are cheap, not free."""
+    baseline: max over Nash allocations of total_mining_cost, divided by
+    zkpoi_cost. The baseline must be positive — identity checks are cheap,
+    not free."""
     if zkpoi_cost <= 0:
         raise DegenerateBaseline("the baseline cost must be > 0")
-    if cost_fn is None:
-        cost_fn = total_mining_cost
-    worst = max(cost_fn(instance, a) for a in all_nash_allocations(instance))
+    worst = max(total_mining_cost(instance, a) for a in all_nash_allocations(instance))
     return worst / zkpoi_cost

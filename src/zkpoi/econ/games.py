@@ -14,6 +14,7 @@ from ._roots import bisect_root
 
 _TENSOR_CAP = 1_000_000  # payoff entries an exhaustive pass may touch
 ESS_GRID_POINTS = 12  # invasion shares is_ess re-checks per mutant
+ESS_EPSILON0 = 0.1  # the largest invasion share is_ess re-checks
 
 
 @dataclass(frozen=True)
@@ -168,13 +169,13 @@ def _payoff_fn(u):
     return lambda a, b: float(u[(a, b)])
 
 
-def is_ess(u, strategies, candidate, *, epsilon0: float = 0.1) -> bool:
+def is_ess(u, strategies, candidate) -> bool:
     """Evolutionary stability of `candidate` in a symmetric two-player game.
 
     For every mutant s' the resident must either beat it against residents
     outright, or tie there and strictly beat it against mutants. The implied
     mixed-population inequality is then re-verified numerically for invasion
-    shares epsilon on a grid in [1e-3, epsilon0].
+    shares epsilon on a grid in [1e-3, ESS_EPSILON0].
     """
     pay = _payoff_fn(u)
     strategies = tuple(strategies)
@@ -194,10 +195,10 @@ def is_ess(u, strategies, candidate, *, epsilon0: float = 0.1) -> bool:
         # Numeric re-verification on an invasion-share grid. Stability only
         # needs SOME positive barrier, so when the mutant does better in
         # mutant-heavy mixes the grid stays below the analytic barrier
-        # A / (A - B) instead of sweeping all the way to epsilon0.
+        # A / (A - B) instead of sweeping all the way to ESS_EPSILON0.
         gap_resident = resident - against_resident
         gap_mutant = pay(candidate, mutant) - pay(mutant, mutant)
-        hi = epsilon0
+        hi = ESS_EPSILON0
         if gap_mutant < 0:
             hi = min(hi, 0.5 * gap_resident / (gap_resident - gap_mutant))
         lo = min(1e-3, hi / 2)
@@ -240,35 +241,33 @@ def calibrate_power_law(population: int, top_count: int, top_share: float) -> fl
     return bisect_root(gap, 1e-3, 16.0, xtol=1e-12)
 
 
-def udce_vs_plfc_game(miner_count: int, pow_cost_model, reward_r: float, *,
+def udce_vs_plfc_game(miner_count: int, pow_cost: float, reward_r: float, *,
                       share_model: str = "zipf", population: int = 10_000,
                       top_count: int = 16, top_share: float = 0.9,
-                      exponent: float | None = None,
                       udce_cost: float = 0.0) -> PayoffMatrix:
     """Entrant's choice between reward regimes, as a finite game.
 
     Each of miner_count prospective miners picks the uniformly-rewarding
     chain or the power-law-concentrated one; payoffs are expected rewards
-    against the existing population minus operating cost, so they depend
-    only on the miner's own choice. Share models:
+    against the existing population minus operating cost (pow_cost on the
+    concentrated chain, udce_cost on the uniform one), so they depend only
+    on the miner's own choice. Share models:
 
     * "zipf": the concentrated chain seats an entrant at the bottom of a
-      calibrated power-law ladder; the uniform chain pays 1/population.
+      power-law ladder whose exponent is calibrated so the top_count largest
+      holders own top_share; the uniform chain pays 1/population.
     * "winner_take_all": one winner among the miner_count entrants, so both
       regimes pay reward_r/miner_count before costs.
-    * "uniform": the concentrated chain degenerates to uniform shares,
-      leaving costs as the only difference (with zero cost the payoffs tie
-      and nothing is dominated).
+    * "uniform": the concentrated chain degenerates to uniform shares (a
+      zero exponent), leaving costs as the only difference (with zero cost
+      the payoffs tie and nothing is dominated).
     """
     if miner_count < 2:
         raise ValueError("the game needs at least two miners")
     if 2 ** miner_count * miner_count > _TENSOR_CAP:
         raise TooLarge("miner count too large for an explicit payoff tensor")
-    pow_cost = float(pow_cost_model(miner_count)) if callable(pow_cost_model) \
-        else float(pow_cost_model)
     if share_model == "zipf":
-        s = exponent if exponent is not None else calibrate_power_law(
-            population, top_count, top_share)
+        s = calibrate_power_law(population, top_count, top_share)
         plfc_share = population ** -s / _power_sum(population, s)  # zipf_shares[-1]
         udce_share = 1.0 / population
     elif share_model == "winner_take_all":

@@ -46,6 +46,16 @@ class NetworkState:
             raise ValueError(f"expectation_mode must be one of {EXPECTATION_MODES}")
 
 
+def share_of(a: float, b: float) -> float:
+    """a / (a + b), with both rescaled by the larger when the sum overflows."""
+    total = a + b
+    if total == math.inf:
+        top = max(a, b)
+        a, b = a / top, b / top
+        total = a + b
+    return a / total
+
+
 def _attraction(count_a: float, count_b: float, exponent: float,
                 side: str) -> tuple[float, float]:
     if exponent == 0.0:
@@ -58,7 +68,10 @@ def _attraction(count_a: float, count_b: float, exponent: float,
         raise DomainError(f"{side} count to the power {exponent} overflows") from exc
     if wa == 0.0 and wb == 0.0:
         raise DomainError(f"both {side} counts to the power {exponent} underflow to zero")
-    return wa / (wa + wb), wb / (wa + wb)
+    total = wa + wb
+    if total == math.inf:  # rare; the growth loop keeps one sum per finite split
+        return share_of(wa, wb), share_of(wb, wa)
+    return wa / total, wb / total
 
 
 def _join_split(m_a, m_b, c_a, c_b, lam, alpha, beta, expected: bool,

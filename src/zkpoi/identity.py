@@ -261,7 +261,6 @@ class CertAuthority:
 
 @dataclass
 class CaHierarchy:
-    store: TrustStore
     authorities: dict[str, CertAuthority]  # every CA by name
     issuers: tuple[str, ...]  # the deepest (leaf-issuing) authority per country
 
@@ -331,7 +330,7 @@ def generate_ca_hierarchy(country_count: int, intermediates_per_root: int,
     store = TrustStore(trusted_roots=trusted_roots,
                        allowed_authorities=frozenset(authorities),
                        root_names=root_names)
-    hierarchy = CaHierarchy(store=store, authorities=authorities, issuers=tuple(issuers))
+    hierarchy = CaHierarchy(authorities=authorities, issuers=tuple(issuers))
     return store, hierarchy
 
 

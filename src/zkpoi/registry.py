@@ -80,9 +80,6 @@ class EncryptedIdDB:
     def host_view(self) -> frozenset[bytes]:
         return frozenset(self._tags)
 
-    def __len__(self) -> int:
-        return len(self._tags)
-
 
 def default_identity_attributes(doc) -> tuple[str, ...]:
     """Stable personal attributes that survive document renewal.
@@ -231,11 +228,12 @@ class Registry:
         """Admissibility of a sealed attribute tuple: absent means admissible,
         and admission accumulates it on the spot."""
         session = self._require_session(session)
+        blob = attestation.unseal(session, sealed_attributes)
         try:
-            attributes = decode_attributes(attestation.unseal(session, sealed_attributes))
+            decode_attributes(blob)  # canonical: an accepted blob is its own encoding
         except DecodeError as exc:
             raise InvalidBundle(f"attributes do not decode: {exc}") from exc
-        return self.accumulator.admit(encode_attributes(attributes))
+        return self.accumulator.admit(blob)
 
     # -- host-side views ---------------------------------------------------------
 

@@ -558,8 +558,7 @@ def _scenario_econ_network(p: _Params, seed: int) -> ScenarioResult:
     rows = []
     for t in range(0, steps + 1, stride):
         m_a_t, m_b_t, c_a_t, c_b_t = path[t]
-        merchants = m_a_t + m_b_t
-        share = m_a_t / merchants if merchants else math.nan  # no merchants yet
+        share = network.share_of(m_a_t, m_b_t) if m_a_t + m_b_t else math.nan  # no merchants yet
         rows.append({"t": t, "m_a": m_a_t, "m_b": m_b_t, "c_a": c_a_t, "c_b": c_b_t,
                      "merchant_share_a": share})
     return ScenarioResult(

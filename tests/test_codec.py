@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from zkpoi.codec import Decoder, Encoder, canonical_json, frame, frame_parts
+from zkpoi.codec import Decoder, Encoder, canonical_json, frame_parts
 from zkpoi.errors import DecodeError
 
 
@@ -26,7 +26,7 @@ def test_frame_parts_separates_boundary_shifts():
 
 @given(st.binary(max_size=200))
 def test_frame_round_trip(blob):
-    framed = frame(blob)
+    framed = frame_parts(blob)
     assert framed[4:] == blob
     assert int.from_bytes(framed[:4], "big") == len(blob)
 
@@ -97,7 +97,7 @@ class _FourGiB(bytes):
         return 2**32
 
 
-@pytest.mark.parametrize("encode", [frame, lambda p: frame_parts(b"ok", p)],
+@pytest.mark.parametrize("encode", [frame_parts, lambda p: frame_parts(b"ok", p)],
                          ids=["frame", "frame_parts"])
 def test_field_too_long_to_frame_is_a_value_error(encode):
     with pytest.raises(ValueError, match="too long to frame"):
@@ -105,7 +105,7 @@ def test_field_too_long_to_frame_is_a_value_error(encode):
 
 
 def test_length_prefix_bounds():
-    assert frame(b"") == b"\x00\x00\x00\x00"
+    assert frame_parts(b"") == b"\x00\x00\x00\x00"
     assert frame_parts(b"a", b"") == b"\x00\x00\x00\x01a\x00\x00\x00\x00"
 
 

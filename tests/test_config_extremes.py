@@ -76,6 +76,16 @@ UNDERFLOWING_NETWORKS = [
 ]
 
 
+def test_network_weights_whose_sum_overflows_split_evenly(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(
+        {"params": {"m_a": 1e308, "m_b": 1e308, "alpha": 1, "steps": 3}}))
+    assert cli.main(["econ", "network", "--config", str(config), "--seed", "1",
+                     "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [row["merchant_share_a"] for row in rows] == [0.5] * 4
+
+
 @pytest.mark.parametrize("params", UNDERFLOWING_NETWORKS)
 def test_underflowing_network_weights_are_a_domain_error(params, tmp_path, capsys):
     config = tmp_path / "config.json"

@@ -12,18 +12,16 @@ from zkpoi.credential import (
     AA_MODE_FULL,
     SUFFIX_OFF,
     SUFFIX_REG,
-    KdfParams,
     Pseudonym,
     RegistrationBundle,
     build_registration_bundle,
     compute_signature_secret,
     derive_keypair,
     derive_pseudonym,
-    kdf_wall_time,
     verify_registration_bundle,
     verify_signature_secret,
 )
-from zkpoi.crypto import hash_parts, pbkdf2_sha256
+from zkpoi.crypto import SigningKey, hash_parts, pbkdf2_sha256
 from zkpoi.errors import (
     DecodeError,
     EmptyPassphrase,
@@ -85,29 +83,29 @@ def build(doc, store, **kw):
 
 class TestDeriveKeypair:
     def test_deterministic(self):
-        params = KdfParams(iteration_count=ITERS, salt=b"s" * 32)
-        a = derive_keypair("pw", b"d" * 32, params)
-        b = derive_keypair("pw", b"d" * 32, params)
-        assert a.pk == b.pk
+        a = derive_keypair("pw", b"d" * 32, ITERS)
+        b = derive_keypair("pw", b"d" * 32, ITERS)
+        assert a.public_bytes == b.public_bytes
 
     def test_sensitive_to_every_input(self):
-        params = KdfParams(iteration_count=ITERS, salt=b"s" * 32)
-        base = derive_keypair("pw", b"d" * 32, params).pk
-        assert derive_keypair("pw2", b"d" * 32, params).pk != base
-        assert derive_keypair("pw", b"e" * 32, params).pk != base
-        assert derive_keypair("pw", b"d" * 32,
-                              KdfParams(iteration_count=ITERS + 1, salt=b"s" * 32)).pk != base
+        base = derive_keypair("pw", b"d" * 32, ITERS).public_bytes
+        assert derive_keypair("pw2", b"d" * 32, ITERS).public_bytes != base
+        assert derive_keypair("pw", b"e" * 32, ITERS).public_bytes != base
+        assert derive_keypair("pw", b"d" * 32, ITERS + 1).public_bytes != base
+
+    def test_v1_salt_frames_the_document_hash_twice(self):
+        d, n = b"d" * 32, ITERS
+        salt = hash_parts(b"kdf-salt", d, d, n.to_bytes(8, "big"))
+        expected = SigningKey.from_seed(pbkdf2_sha256("pw", salt, n))
+        assert derive_keypair("pw", d, n).public_bytes == expected.public_bytes
 
     def test_empty_passphrase_rejected(self):
         with pytest.raises(EmptyPassphrase):
-            derive_keypair("", b"d" * 32, KdfParams(iteration_count=ITERS, salt=b"s" * 32))
+            derive_keypair("", b"d" * 32, ITERS)
 
     def test_nonpositive_iterations_rejected(self):
         with pytest.raises(ValueError):
-            KdfParams(iteration_count=0, salt=b"s" * 32)
-
-    def test_wall_time_is_positive(self):
-        assert kdf_wall_time("pw", b"d" * 32, ITERS) > 0.0
+            derive_keypair("pw", b"d" * 32, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +148,6 @@ class TestPseudonym:
         assert reg.digest == off.digest
         assert reg != off
         assert reg.label().endswith(":REG") and off.label().endswith(":OFF")
-        assert reg.with_suffix(SUFFIX_OFF) == off
 
     def test_unknown_suffix_rejected(self):
         with pytest.raises(ValueError):
@@ -173,8 +170,8 @@ class TestPseudonym:
 class TestBundleGeneration:
     def test_card_bundle_accepted(self, world):
         store, _, card, *_ = world
-        bundle, keypair = build(card, store)
-        assert bundle.pk == keypair.pk
+        bundle, key = build(card, store)
+        assert bundle.pk == key.public_bytes
         verdict = verify_registration_bundle(bundle, store, NETWORK, NOW)
         assert verdict.accepted and verdict.code is None
 

@@ -270,11 +270,6 @@ class TestAnarchyRatio:
         with pytest.raises(DegenerateBaseline):
             price_of_crypto_anarchy(self.worked_instance(), zkpoi_cost=0.0)
 
-    def test_custom_cost_function(self):
-        inst = self.worked_instance()
-        headcount = lambda i, a: float(a.total)
-        assert price_of_crypto_anarchy(inst, cost_fn=headcount, zkpoi_cost=1.0) == 2.0
-
     def test_scales_inversely_with_baseline(self):
         inst = self.worked_instance()
         a = price_of_crypto_anarchy(inst, zkpoi_cost=0.01)

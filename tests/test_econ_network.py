@@ -17,6 +17,7 @@ from zkpoi.econ.network import (
     overtake_analysis,
     ratio_ode_step,
     sample_static_joins,
+    share_of,
     simulate_network_growth,
     state_ratios,
 )
@@ -82,6 +83,13 @@ class TestJoinProbabilities:
             join_probabilities(make_state(m_a=1e308, alpha=1.5))
         with pytest.raises(DomainError):
             simulate_network_growth(make_state(c_a=1e308, beta=1.5), 50, seed=0)
+
+    def test_weights_whose_sum_overflows_keep_their_split(self):
+        merch, cust = join_probabilities(make_state(m_a=1e308, m_b=1e308, alpha=1.0))
+        assert cust == (0.5, 0.5)
+        assert merch == (0.5, 0.5)
+        assert share_of(1.5e308, 0.5e308) == 0.75
+        assert share_of(2.0, 1.0) == 2.0 / 3.0
 
     def test_underflowing_weights_are_a_domain_error(self):
         with pytest.raises(DomainError):

@@ -1,0 +1,137 @@
+"""Golden payloads: the sha256 of every CLI scenario's payload at fixed seeds.
+
+Equal seeds must give byte-identical payloads from one change to the next.
+The document scenarios run on four documents, cards at even seed positions
+and passports at odd ones; the other scenarios run on their defaults. A
+change that means to alter a payload regenerates the table with
+``PYTHONPATH=src python tests/test_golden_payloads.py`` and says why.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+from zkpoi import runner
+
+SEEDS = (0, 7, 12345, 2**63)
+DOCUMENT_GROUPS = ("identity", "register", "registry")
+
+GOLDEN = {
+    'econ.circulation': [
+        'a7cab79a9c0403610e72125f8ad7eea802b7d6b533f0269844dfe707e0d5d5d3',
+        'a7cab79a9c0403610e72125f8ad7eea802b7d6b533f0269844dfe707e0d5d5d3',
+        'a7cab79a9c0403610e72125f8ad7eea802b7d6b533f0269844dfe707e0d5d5d3',
+        'a7cab79a9c0403610e72125f8ad7eea802b7d6b533f0269844dfe707e0d5d5d3',
+    ],
+    'econ.congestion': [
+        '9500027c005aad0c95d4390e5f1a1d0676dcc4af9bb3a2d6f13bd38b0abeb582',
+        '9500027c005aad0c95d4390e5f1a1d0676dcc4af9bb3a2d6f13bd38b0abeb582',
+        '9500027c005aad0c95d4390e5f1a1d0676dcc4af9bb3a2d6f13bd38b0abeb582',
+        '9500027c005aad0c95d4390e5f1a1d0676dcc4af9bb3a2d6f13bd38b0abeb582',
+    ],
+    'econ.dominance': [
+        'def985e1579aa266a490d8657ac1ecfb53b9b4e664be6884344d853e4f3d708f',
+        'def985e1579aa266a490d8657ac1ecfb53b9b4e664be6884344d853e4f3d708f',
+        'def985e1579aa266a490d8657ac1ecfb53b9b4e664be6884344d853e4f3d708f',
+        'def985e1579aa266a490d8657ac1ecfb53b9b4e664be6884344d853e4f3d708f',
+    ],
+    'econ.ess': [
+        'e14290cf8ab0189cb1ec6db83bdfde8f17357a38e03538df2c4a2bc0ffe2fe4c',
+        'e14290cf8ab0189cb1ec6db83bdfde8f17357a38e03538df2c4a2bc0ffe2fe4c',
+        'e14290cf8ab0189cb1ec6db83bdfde8f17357a38e03538df2c4a2bc0ffe2fe4c',
+        'e14290cf8ab0189cb1ec6db83bdfde8f17357a38e03538df2c4a2bc0ffe2fe4c',
+    ],
+    'econ.network': [
+        '8c3f08c5f8e12e9a3a0e84152cabf2fd485f637d727f019543f04d8bb1c2979c',
+        'cd8d7387622c537523b135354feced671c235ffc4e8ff51ba852906e1738b370',
+        '9a0e3fd72fb4a76fb94893b47717f71f5d5562921819878108132695210be027',
+        'ccf9ea63c9acbc94ef760c300b88e17fcfa2d167cace0ea1d6c8602e9f55fcf6',
+    ],
+    'econ.poa': [
+        'f7dfcd50a5a1fadb9e053f16bcbfaa5a94a63f8c97c303f433e735aa5e3eef85',
+        'f7dfcd50a5a1fadb9e053f16bcbfaa5a94a63f8c97c303f433e735aa5e3eef85',
+        'f7dfcd50a5a1fadb9e053f16bcbfaa5a94a63f8c97c303f433e735aa5e3eef85',
+        'f7dfcd50a5a1fadb9e053f16bcbfaa5a94a63f8c97c303f433e735aa5e3eef85',
+    ],
+    'identity.gen': [
+        '1457a1f1122e08b144f22cad61fe575fbf4aa1a8a84d7eeb03f34bc994099c04',
+        '1055d3f4d8dd563d34681d6c2cf8361f9447b0916206780ec880a1a34f76efc3',
+        'c8a257a8941325bfc1860cb05c48fd8400c607f322328d8faf0ef345df733db3',
+        '59d4c20e03f0374c47de445e32fbabefea8bcb8d301c9d3fb663b0f26f29cb0a',
+    ],
+    'identity.validate': [
+        '79d8bca34c09eef7cb84a557fdb41b31617a38c06e8ee6cf960ca8d08e6a959c',
+        '9a2471b4a8859d50f9a219c9d58d730e157ce7d4f02ab16047816d4feddba310',
+        '79d8bca34c09eef7cb84a557fdb41b31617a38c06e8ee6cf960ca8d08e6a959c',
+        '9a2471b4a8859d50f9a219c9d58d730e157ce7d4f02ab16047816d4feddba310',
+    ],
+    'register.build': [
+        '2c62f8d421098600e6aef32b9d2ac709f943fcb48cbf1248cfe4ced67cca213f',
+        '363d8410c977a185eba89f4dfea35a0fc80c7a7e1feeda8f175c03a4622db335',
+        '18315d0dc51f48fca4e17fcad58db7f0f3b5a29dd13548060f3584a953d40b22',
+        '80eb2c16c2c64a99e984ad51d83eefa1f700624997bf42bf2e0713f122559fc0',
+    ],
+    'register.verify': [
+        'f7e98257206d4096f9c18e4d0fa78777e36ca501577fd52753fa5e06b6f452db',
+        'a4cd2d19cbab751e115648440b7ab5d6b7b16202a32f41e191a06addd5b17a0a',
+        '157275526faa2340bb214f30979c4e58b563298369ed3a4f83f124b40d5335b8',
+        '3f158311fa7364adfb3311366cb04e0fe15842f5148e6c8cccf70186b8d0107b',
+    ],
+    'registry.dump': [
+        '4d04e0a2fdf5f9e8a02de77b254899871a21c6961e6fd0786fb91b7658537761',
+        '113834e1b41cdaed86a7a4866e55fa6fb9d1f3c5c7c904257fb5eab1954c1d9d',
+        '1002dd2338e08b896897bc689c1a1763192bbe2ec73881f579175d450b7b70ad',
+        '7d089f14229131a8effa7ef204ad6f8460bef173a822d4600ee2d617ca8e410c',
+    ],
+    'registry.offline': [
+        '1abf339dbe89e9e56232102e962b4be03eee670a635a9ce32d079fbb6f70faca',
+        '082af8ea391082920a5a5f985de27cf42837ccdda2469968e932d2dbc3f437ee',
+        '2b9b43853f30d0efe6b942b0df91669d07e1144903f510cef1b7d1217b61d37d',
+        '26d52030ee99b24c28a5a0ff46a108e4fe8faa2a48469ab5a6dca55dd81f72b8',
+    ],
+    'registry.register': [
+        '61c43a9d4da634edfdf1aa9bf145996cc72c30890868ccc3d80d6bcea28d083e',
+        'b68e94998fb5c8752741332bc5390df7c4a71467b3d05d1c0bc32cf1c53f4347',
+        '237bea5688e965c179a620f918a1fad1708e15beb42d8c805665bfec41288796',
+        '933bf43dcf073bd8f02efc249347365b14e4242ff2da92d88cf7343fcb5c7dbd',
+    ],
+    'sim.epoch': [
+        'cd3678341670c430eb719c63e8d48ab6a1833a03eb4a12e74f4cfafc9054a301',
+        '0fdd3f03a88feb7490c4946673e2bef6e5512ad1eda179bdb30f1fc7d31a9249',
+        '030761e0494722cf7cb7c79e7620fd980a58563365984f02cfc8fab7497d6b07',
+        '925ff2e2fd98df890dcc67ba778900c8211f78faee51a46401262ae4acc29b7a',
+    ],
+}
+
+
+def config(scenario: str, position: int) -> dict:
+    if scenario.split(".")[0] not in DOCUMENT_GROUPS:
+        return {}
+    return {"params": {"kind": ("card", "epassport")[position % 2], "count": 4}}
+
+
+def payload_sha256(scenario: str, position: int) -> str:
+    _, payload = runner.run(config(scenario, position), scenario, SEEDS[position])
+    return hashlib.sha256(payload).hexdigest()
+
+
+def test_every_scenario_is_pinned():
+    assert sorted(GOLDEN) == sorted(runner.SCENARIOS)
+
+
+@pytest.mark.parametrize("scenario", sorted(runner.SCENARIOS))
+def test_payloads_are_byte_identical(scenario):
+    got = [payload_sha256(scenario, i) for i in range(len(SEEDS))]
+    assert got == GOLDEN[scenario]
+
+
+if __name__ == "__main__":
+    print("GOLDEN = {")
+    for name in sorted(runner.SCENARIOS):
+        print(f"    {name!r}: [")
+        for i in range(len(SEEDS)):
+            print(f"        {payload_sha256(name, i)!r},")
+        print("    ],")
+    print("}")
