@@ -88,9 +88,16 @@ def compute_signature_secret(doc) -> bytes:
     """The document's deterministic signature over the fixed common string.
 
     Unpredictable without the document key, yet verifiable against its
-    public key, and identical on every invocation.
+    public key, and identical on every invocation, so it is signed once per
+    document object: kept in the instance dict outside the dataclass
+    fields, where equality, hashing, repr and `dataclasses.replace` never
+    see it (a replaced copy signs afresh).
     """
-    return active_auth_sign(doc, PREFIXED_COMMON_STRING.encode("utf-8"))
+    secret = doc.__dict__.get("_signature_secret")
+    if secret is None:
+        secret = active_auth_sign(doc, PREFIXED_COMMON_STRING.encode("utf-8"))
+        doc.__dict__["_signature_secret"] = secret
+    return secret
 
 
 def verify_signature_secret(doc_public_key: bytes, secret: bytes) -> bool:
@@ -204,13 +211,24 @@ def build_registration_bundle(doc, passphrase: str, blockchain_id: str,
     public key enters the bundle. Raises InvalidDocument when validation
     rejects the document and NoActiveAuthentication when aa_mode="full" is
     asked of a document that cannot sign challenges.
+
+    The wallet's record of `doc` holds the document-signature checks its
+    accepted validations verified, read through `verify_unless_recorded`
+    like the store's and a registry's records, and the secret is signed
+    once (`compute_signature_secret`); both live on `doc` outside its
+    fields. So a document's first build verifies its leaf or security
+    object and later builds of the same object do not. Validity windows,
+    chain linkage, root trust, data-group hashes, the KDF, the wallet key
+    and the key binding run on every call.
     """
     if aa_mode not in (AA_MODE_FULL, AA_MODE_ABSENT):
         raise ValueError(f"unknown aa_mode {aa_mode!r}")
     public = public_document(doc)
-    report = public.validate(trust_store, now)
+    record = doc.__dict__.setdefault("_verified", set())
+    report = public.validate(trust_store, now, verified=record)
     if not report.accepted:
         raise InvalidDocument(report)
+    record.update(report.checks)
     unique_id = public.unique_id()
     doc_bytes = public.public_bytes()
     doc_digest = public_bytes_hash(doc_bytes)

@@ -35,6 +35,9 @@ class NetworkState:
     expectation_mode: str = "current"
 
     def __post_init__(self):
+        for name in ("m_a", "m_b", "c_a", "c_b", "alpha", "beta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         for name in ("m_a", "m_b", "c_a", "c_b"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")

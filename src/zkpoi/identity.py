@@ -334,7 +334,7 @@ def generate_ca_hierarchy(country_count: int, intermediates_per_root: int,
     return store, hierarchy
 
 
-@dataclass
+@dataclass(frozen=True)
 class IdentityCard:
     """An issued certificate chain together with the holder's signing key.
 
@@ -481,6 +481,7 @@ class Dg1:
                    nationality, birth_date, birth_cd, sex, expiry_date, expiry_cd,
                    optional_data, opt_cd, composite)
 
+    @_encoded_once
     def to_bytes(self) -> bytes:
         return (
             Encoder("dg1:v1")
@@ -497,13 +498,14 @@ class Dg1:
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "Dg1":
+        blob = bytes(blob)  # the memo keeps immutable bytes
         d = Decoder(blob, "dg1:v1")
         out = cls(d.take_text(), d.take_text(), d.take_text(),
                   d.take_text(), d.take_u64(), d.take_text(),
                   d.take_text(), d.take_u64(), d.take_text(),
                   d.take_text(), d.take_u64(), d.take_text(), d.take_u64(), d.take_u64())
         d.finish()
-        return out
+        return _remember(out, to_bytes=blob)
 
 
 def yymmdd_timestamp(date: str) -> int:
@@ -550,12 +552,14 @@ class EPassport:
             groups.append((15, hash_parts(b"dg", b"\x0f", self.dg15_public_key)))
         return tuple(sorted(groups))
 
+    @_encoded_once
     def sod_payload(self) -> bytes:
         enc = Encoder("sod:v1").put_u64(len(self.sod_dg_hashes))
         for group, digest in self.sod_dg_hashes:
             enc.put_u64(group).put_bytes(digest)
         return enc.done()
 
+    @_encoded_once
     def public_bytes(self) -> bytes:
         """Everything a reader can lift off the document; chip key excluded."""
         return (
@@ -590,6 +594,7 @@ class EPassport:
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "EPassport":
+        blob = bytes(blob)  # the memo keeps immutable bytes
         d = Decoder(blob, "epassport:v1")
         dg1 = Dg1.from_bytes(d.take_bytes())
         dg11 = d.take_opt_text()
@@ -602,8 +607,9 @@ class EPassport:
         count = sd.take_u64()
         hashes = tuple((sd.take_u64(), sd.take_bytes()) for _ in range(count))
         sd.finish()
-        return cls(dg1=dg1, dg11_personal_number=dg11, dg15_public_key=dg15,
-                   sod_dg_hashes=hashes, sod_signature=sod_signature, dsc=dsc)
+        passport = cls(dg1=dg1, dg11_personal_number=dg11, dg15_public_key=dg15,
+                       sod_dg_hashes=hashes, sod_signature=sod_signature, dsc=dsc)
+        return _remember(passport, sod_payload=sod_payload, public_bytes=blob)
 
 
 class DscHandle:
@@ -655,7 +661,8 @@ def issue_epassport(csca: CertAuthority, dsc: DscHandle, holder: HolderFields,
         raise ValueError(str(exc)) from None
     hashes = draft.computed_dg_hashes()
     draft = replace(draft, sod_dg_hashes=hashes)
-    return replace(draft, sod_signature=dsc.sign(draft.sod_payload()))
+    payload = draft.sod_payload()
+    return _remember(replace(draft, sod_signature=dsc.sign(payload)), sod_payload=payload)
 
 
 def validate_epassport(passport: EPassport, csca_store: TrustStore, now: int, *,

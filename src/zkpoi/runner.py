@@ -552,8 +552,11 @@ def _scenario_econ_network(p: _Params, seed: int) -> ScenarioResult:
     p.reject_unknown()
     if lam >= 1.0:
         _fail("params.lam", "must be < 1")
-    state = network.NetworkState(m_a=m_a, m_b=m_b, c_a=c_a, c_b=c_b, lam=lam,
-                                 alpha=alpha, beta=beta, expectation_mode=mode)
+    try:
+        state = network.NetworkState(m_a=m_a, m_b=m_b, c_a=c_a, c_b=c_b, lam=lam,
+                                     alpha=alpha, beta=beta, expectation_mode=mode)
+    except ValueError as exc:
+        _fail("params", str(exc))
     path = network.simulate_network_growth(state, steps, seed)
     rows = []
     for t in range(0, steps + 1, stride):

@@ -1,12 +1,16 @@
-"""Field-level bundle mutants: the registry answers each with a verdict.
+"""Field-level bundle mutants: every verifier answers each with a verdict.
 
 Each field of a valid registration bundle is replaced by an empty value, by
-another bundle's value, or by drawn bytes or text; the bundle is then
+another bundle's value, or by drawn bytes or text. The bundle is then
 re-encoded, sealed and presented to ``Registry.register`` and
-``Registry.take_offline``. Each call may return or raise a ``ZkpoiError``;
-any other exception escaping is a defect. Unlike a byte flip, a field edit
-leaves the signed document intact, so the checks behind its signature (the
-unique id, the pseudonym inputs, the key binding and the secret) are reached.
+``Registry.take_offline``; it is also handed, as a bundle object, to
+``verify_registration_bundle`` with an empty record and with the record of
+the unmutated bundle's checks, and its document bytes to ``validate_chain``
+and to ``EPassport.from_bytes`` plus ``validate_epassport``. Each call may
+return or raise a ``ZkpoiError``; any other exception escaping is a defect.
+Unlike a byte flip, a field edit leaves the signed document intact, so the
+checks behind its signature (the unique id, the pseudonym inputs, the key
+binding and the secret) are reached.
 """
 
 from __future__ import annotations
@@ -16,16 +20,28 @@ from hypothesis import strategies as st
 
 from zkpoi import attestation
 from zkpoi.codec import Encoder
-from zkpoi.credential import AA_MODE_ABSENT, SUFFIX_OFF, SUFFIX_REG, build_registration_bundle
+from zkpoi.credential import (
+    AA_MODE_ABSENT,
+    SUFFIX_OFF,
+    SUFFIX_REG,
+    Pseudonym,
+    RegistrationBundle,
+    TransparentEvidence,
+    build_registration_bundle,
+    verify_registration_bundle,
+)
 from zkpoi.errors import ZkpoiError
 from zkpoi.identity import (
     GENESIS,
     YEAR,
+    EPassport,
     HolderFields,
     generate_ca_hierarchy,
     issue_dsc,
     issue_epassport,
     issue_identity_cert,
+    validate_chain,
+    validate_epassport,
 )
 from zkpoi.registry import Registry
 
@@ -87,6 +103,53 @@ def make_bases() -> tuple:
 STORE, BASES = make_bases()
 
 
+def bundle_of(fields: dict) -> RegistrationBundle | None:
+    """The bundle object holding `fields`, built without the decoder's
+    checks of the mode; None for a foreign suffix, which no pseudonym holds."""
+    try:
+        pseudonym = Pseudonym(fields["digest"], fields["suffix"])
+    except ValueError:
+        return None
+    evidence = TransparentEvidence(doc_kind=fields["doc_kind"], doc_bytes=fields["doc_bytes"],
+                                   secret=fields["secret"], aa_mode=fields["aa_mode"])
+    return RegistrationBundle(pseudonym, fields["pk"], fields["sign_pk"], evidence)
+
+
+def recorded_checks(fields: dict) -> tuple:
+    verdict = verify_registration_bundle(bundle_of(fields), STORE, NETWORK, NOW)
+    assert verdict.accepted and verdict.checks
+    return verdict.checks
+
+
+# Each base's document-signature and secret checks, as the registry that
+# admitted it records them.
+RECORDS = [recorded_checks(reg) for reg, _off in BASES]
+
+
+def returns_or_refuses(call, *args, **kwargs) -> None:
+    try:
+        call(*args, **kwargs)
+    except ZkpoiError:
+        pass
+
+
+def verify_directly(base: int, field: str, value) -> None:
+    """Verify the mutant and its OFF twin with and without the base's
+    record, then validate the mutant's document bytes as either kind."""
+    reg, off = BASES[base]
+    for fields in ({**reg, field: value}, {**off, field: value}):
+        bundle = bundle_of(fields)
+        if bundle is not None:
+            for verified in ((), RECORDS[base]):
+                returns_or_refuses(verify_registration_bundle, bundle, STORE, NETWORK, NOW,
+                                   verified=verified)
+    doc_bytes = value if field == "doc_bytes" else reg["doc_bytes"]
+    for verified in ((), RECORDS[base]):
+        returns_or_refuses(validate_chain, doc_bytes, STORE, NOW, verified=verified)
+        returns_or_refuses(lambda: validate_epassport(EPassport.from_bytes(doc_bytes), STORE,
+                                                      NOW, verified=verified))
+
+
 def present(base: int, field: str, value) -> None:
     """Register the mutant, then the unmutated bundle, then retire the
     mutant's OFF twin, on a fresh registry."""
@@ -119,6 +182,7 @@ def test_every_empty_or_swapped_field_gets_a_verdict():
     for base, field, value in SWEEP:
         try:
             present(base, field, value)
+            verify_directly(base, field, value)
         except Exception as exc:
             escaped.append(f"bundle {base}, {field} = {value!r:.40}: "
                            f"{type(exc).__name__}: {exc}")
@@ -135,3 +199,4 @@ def test_drawn_field_gets_a_verdict(data):
     else:
         value = data.draw(st.binary(max_size=96))
     present(base, field, value)
+    verify_directly(base, field, value)

@@ -371,6 +371,13 @@ class TestConfigErrors:
         assert out.splitlines()[1] == "0,0,0,2,1,nan"
         assert json.loads(err)["scenario"] == "econ.network"
 
+    def test_network_refuses_an_infinite_count(self, capsys, config_file):
+        cfg = config_file({"params": {"m_b": float("inf"), "steps": 3}})
+        code, out, err = run_cli(["econ", "network", "--config", cfg], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.strip() == "config error: params: m_b must be finite"
+
     def test_infinity_is_not_caught_as_nan(self, capsys, config_file):
         cfg = config_file({"params": {"u_aa": float("inf")}})
         code, out, _ = run_cli(["econ", "ess", "--config", cfg], capsys)

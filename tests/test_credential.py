@@ -32,6 +32,7 @@ from zkpoi.errors import (
 from zkpoi.identity import (
     GENESIS,
     YEAR,
+    FailureCode,
     HolderFields,
     active_auth_sign,
     document_hash,
@@ -217,6 +218,105 @@ class TestBundleGeneration:
         blob = bundle.to_bytes().replace(b"REG", b"XXX", 1)
         with pytest.raises(DecodeError):
             RegistrationBundle.from_bytes(blob)
+
+
+# ---------------------------------------------------------------------------
+# The wallet's record: each document's signature verified, its secret signed once
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def fresh_documents():
+    """A trust store, a card and a chipped and a chipless passport that no
+    wallet has built yet."""
+    store, hierarchy = generate_ca_hierarchy(1, 1, seed=313)
+    card = issue_identity_cert(hierarchy, hierarchy.issuers[0], "Dana Example",
+                               "UID-F-01", WINDOW)
+    csca = hierarchy.authority("Country-01 Root CA")
+    dsc = issue_dsc(csca, "printer-f", WINDOW)
+    holder = HolderFields(name="ROE RICHARD", document_number="F7654321",
+                          nationality="N01", birth_date="880202", sex="M",
+                          expiry_date="470101", issuing_state="N01", personal_number="PN-F")
+    return (store, card, issue_epassport(csca, dsc, holder, with_aa=True, seed=31),
+            issue_epassport(csca, dsc, holder, with_aa=False, seed=32))
+
+
+@pytest.fixture
+def sign_calls(monkeypatch):
+    """The messages handed to Ed25519 signing from now on, in order."""
+    calls: list[bytes] = []
+
+    def counting(self, message, _sign=SigningKey.sign):
+        calls.append(message)
+        return _sign(self, message)
+    monkeypatch.setattr(SigningKey, "sign", counting)
+    return calls
+
+
+class TestWalletRecord:
+    @pytest.mark.parametrize("doc_index", [1, 2], ids=["card", "passport"])
+    def test_second_build_verifies_nothing_and_signs_the_binding(
+            self, fresh_documents, doc_index, verify_calls, sign_calls):
+        store, doc = fresh_documents[0], fresh_documents[doc_index]
+        first, _ = build(doc, store)
+        # The document's own signature and its issuer's, which the store records.
+        assert (len(verify_calls), len(sign_calls)) == (2, 2)
+        verify_calls.clear()
+        sign_calls.clear()
+        second, key = build(doc, store, suffix=SUFFIX_OFF)
+        assert (len(verify_calls), len(sign_calls)) == (0, 1)
+        assert sign_calls == [hash_parts(b"zkpoi/active-auth/v1", key.public_bytes)]
+        assert second.evidence.secret == first.evidence.secret
+        assert second.pseudonym.digest == first.pseudonym.digest
+        assert second.to_bytes() == build(doc, store, suffix=SUFFIX_OFF)[0].to_bytes()
+        assert verify_registration_bundle(second, store, NETWORK, NOW).accepted
+
+    @pytest.mark.parametrize("doc_index", [1, 2], ids=["card", "passport"])
+    def test_a_replaced_copy_verifies_and_signs_again(self, fresh_documents, doc_index,
+                                                      verify_calls, sign_calls):
+        store, doc = fresh_documents[0], fresh_documents[doc_index]
+        first, _ = build(doc, store)
+        copy = dataclasses.replace(doc)
+        assert copy == doc
+        verify_calls.clear()
+        sign_calls.clear()
+        again, _ = build(copy, store)
+        assert (len(verify_calls), len(sign_calls)) == (1, 2)  # the issuer's is recorded
+        assert again.to_bytes() == first.to_bytes()
+
+    @pytest.mark.parametrize("doc_index", [1, 2], ids=["card", "passport"])
+    def test_window_and_trust_still_checked_after_a_build(self, fresh_documents, doc_index):
+        store, doc = fresh_documents[0], fresh_documents[doc_index]
+        build(doc, store)
+        with pytest.raises(InvalidDocument) as expired:
+            build_registration_bundle(doc, "pw", NETWORK, store, WINDOW[1] + 1,
+                                      kdf_iterations=ITERS)
+        assert expired.value.report.failure_code == FailureCode.EXPIRED
+        untrusting, _ = generate_ca_hierarchy(1, 1, seed=314)
+        with pytest.raises(InvalidDocument) as untrusted:
+            build(doc, untrusting)
+        assert untrusted.value.report.failure_code == FailureCode.NOT_TRUSTED
+        build(doc, store)
+
+    def test_a_refused_build_records_nothing(self, fresh_documents, verify_calls):
+        """An untrusting store rejects the card after its leaf verified; the
+        next build verifies the leaf again."""
+        store, card, *_ = fresh_documents
+        untrusting, _ = generate_ca_hierarchy(1, 1, seed=314)
+        with pytest.raises(InvalidDocument):
+            build(card, untrusting)
+        assert verify_calls == [card.certificate.signature]
+        build(card, store)
+        assert verify_calls.count(card.certificate.signature) == 2
+
+    def test_absent_mode_secret_is_derived_for_each_passphrase(self, fresh_documents):
+        store, *_, plain = fresh_documents
+        salt = hash_parts(b"degraded-secret-salt", document_hash(plain))
+        for passphrase in ("pw-one", "pw-two", "pw-one"):
+            bundle, _ = build_registration_bundle(plain, passphrase, NETWORK, store, NOW,
+                                                  aa_mode=AA_MODE_ABSENT,
+                                                  kdf_iterations=ITERS)
+            assert bundle.evidence.secret == pbkdf2_sha256(passphrase, salt, ITERS * 8)
 
 
 # ---------------------------------------------------------------------------

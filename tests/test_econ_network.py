@@ -50,6 +50,12 @@ class TestStateValidation:
         with pytest.raises(ValueError):
             make_state(**{field: 0.0})
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["m_a", "m_b", "c_a", "c_b", "alpha", "beta"])
+    def test_non_finite_inputs_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            make_state(**{field: value})
+
     def test_unknown_expectation_mode(self):
         with pytest.raises(ValueError):
             make_state(expectation_mode="oracle")

@@ -445,23 +445,23 @@ class TestVerifyOnce:
         registry.register(sealed(session, make_bundle(passports[1], store)), session, NOW)
         assert len(verify_calls) == 4
 
-    def test_duplicate_card_verifies_two_signatures(self, warm_cards, verify_calls):
-        """The wallet's leaf and the registry's key binding: the registry
-        verified this leaf and secret when it admitted the card."""
+    def test_duplicate_card_verifies_one_signature(self, warm_cards, verify_calls):
+        """The registry's key binding: it verified this leaf and secret when
+        it admitted the card."""
         store, _, registry, session, cards = warm_cards
-        verify_calls.clear()
         retry = make_bundle(cards[0], store, passphrase="another passphrase")
-        with pytest.raises(DuplicateIdentity):
-            registry.register(sealed(session, retry), session, NOW)
-        assert len(verify_calls) == 2
-
-    def test_duplicate_passport_verifies_two_signatures(self, warm_passports, verify_calls):
-        store, registry, session, passports = warm_passports
         verify_calls.clear()
-        retry = make_bundle(passports[0], store, passphrase="another passphrase")
         with pytest.raises(DuplicateIdentity):
             registry.register(sealed(session, retry), session, NOW)
-        assert len(verify_calls) == 2
+        assert len(verify_calls) == 1
+
+    def test_duplicate_passport_verifies_one_signature(self, warm_passports, verify_calls):
+        store, registry, session, passports = warm_passports
+        retry = make_bundle(passports[0], store, passphrase="another passphrase")
+        verify_calls.clear()
+        with pytest.raises(DuplicateIdentity):
+            registry.register(sealed(session, retry), session, NOW)
+        assert len(verify_calls) == 1
 
     def test_renewed_card_verifies_four_signatures(self, warm_cards, verify_calls):
         """A renewal is a new document: new serial, key, leaf and secret."""
@@ -475,12 +475,14 @@ class TestVerifyOnce:
 
     def test_another_registry_verifies_the_admitted_card_again(self, warm_cards,
                                                                verify_calls):
+        """Leaf, key binding and secret: each registry keeps its own record."""
         store, _, _, _, cards = warm_cards
         other = Registry(store, NETWORK, seed=21)
         session = other.open_session(CLIENT)
+        bundle = make_bundle(cards[0], store)
         verify_calls.clear()
-        other.register(sealed(session, make_bundle(cards[0], store)), session, NOW)
-        assert len(verify_calls) == 4
+        other.register(sealed(session, bundle), session, NOW)
+        assert len(verify_calls) == 3
 
     def test_duplicate_with_another_valid_secret_fails_at_step7(self, warm_cards):
         """A holder can sign any number of other messages: a signature that
