@@ -252,7 +252,10 @@ def verify_registration_bundle(bundle: RegistrationBundle, trust_store: TrustSto
 
     Step 3 validates the disclosed document, step 4 extracts the unique id,
     step 5 recomputes the pseudonym, step 6 checks the key binding and step
-    7 checks the secret itself. Steps 6-7 apply only to full-mode bundles.
+    7 checks the secret itself. The mode follows the document: step 6 refuses
+    a bundle whose mode is not "full" for a document that publishes a signing
+    key, or not "absent" for one that does not; steps 6-7 then check the key
+    binding and the secret of a full-mode bundle.
     An accepting verdict carries the decoded document, its unique id and the
     checks it verified. The document's signature and the secret are not
     verified again when equal to a check in the caller's record `verified`;
@@ -279,11 +282,14 @@ def verify_registration_bundle(bundle: RegistrationBundle, trust_store: TrustSto
         return BundleVerdict.fail(5, "pseudonym digest does not recompute")
 
     checks = list(report.checks)
-    if bundle.evidence.aa_mode == AA_MODE_FULL:
-        try:
-            doc_pk = doc.public_key()
-        except NoActiveAuthentication:
-            return BundleVerdict.fail(6, "document publishes no signing key")
+    try:
+        doc_pk = doc.public_key()
+    except NoActiveAuthentication:
+        doc_pk = None
+    mode = AA_MODE_ABSENT if doc_pk is None else AA_MODE_FULL
+    if bundle.evidence.aa_mode != mode:
+        return BundleVerdict.fail(6, f"the document requires authentication mode {mode!r}")
+    if doc_pk is not None:
         if bundle.sign_pk is None or not active_auth_verify(doc_pk, bundle.pk, bundle.sign_pk):
             return BundleVerdict.fail(6, "key binding signature does not verify")
         secret_check = active_auth_check(doc_pk, PREFIXED_COMMON_STRING.encode("utf-8"),

@@ -11,6 +11,7 @@ seed yields the same floats as ``numpy.random.default_rng(seed).random()``.
 from __future__ import annotations
 
 _MASK32 = 0xFFFFFFFF
+_MASK53 = (1 << 53) - 1
 _MASK64 = (1 << 64) - 1
 _MASK128 = (1 << 128) - 1
 _POOL_SIZE = 4
@@ -73,7 +74,7 @@ class PCG64:
     def random(self) -> float:
         """The next double in [0, 1)."""
         state = self._state = (self._state * _PCG_MULT + self._inc) & _MASK128
-        rot = state >> 122
         value = ((state >> 64) ^ state) & _MASK64
-        value = ((value >> rot) | (value << (64 - rot))) & _MASK64
-        return (value >> 11) * 2.0**-53
+        # Rotate right by the top 6 bits, then keep the top 53 bits: shifting
+        # two copies of the value side by side does both in one shift.
+        return (((value | value << 64) >> ((state >> 122) + 11)) & _MASK53) * 2.0**-53

@@ -59,22 +59,34 @@ def share_of(a: float, b: float) -> float:
     return a / total
 
 
+def _weight(count: float, exponent: float, side: str) -> float:
+    """count ** exponent, the pull of one network's count on the other side."""
+    try:
+        return count ** exponent
+    except OverflowError as exc:
+        raise DomainError(f"{side} count to the power {exponent} overflows") from exc
+
+
+def _share(wa: float, wb: float, exponent: float, side: str) -> float:
+    """A's share of the weights wa and wb."""
+    if wa == 0.0 and wb == 0.0:
+        raise DomainError(f"both {side} counts to the power {exponent} underflow to zero")
+    return share_of(wa, wb)
+
+
+def _weights(count_a: float, count_b: float, exponent: float,
+             side: str) -> tuple[float, float]:
+    if count_a == 0.0 and count_b == 0.0:
+        raise BothSidesEmpty(f"both networks have zero {side}; probabilities undefined")
+    return _weight(count_a, exponent, side), _weight(count_b, exponent, side)
+
+
 def _attraction(count_a: float, count_b: float, exponent: float,
                 side: str) -> tuple[float, float]:
     if exponent == 0.0:
         return 0.5, 0.5
-    if count_a == 0.0 and count_b == 0.0:
-        raise BothSidesEmpty(f"both networks have zero {side}; probabilities undefined")
-    try:
-        wa, wb = count_a ** exponent, count_b ** exponent
-    except OverflowError as exc:
-        raise DomainError(f"{side} count to the power {exponent} overflows") from exc
-    if wa == 0.0 and wb == 0.0:
-        raise DomainError(f"both {side} counts to the power {exponent} underflow to zero")
-    total = wa + wb
-    if total == math.inf:  # rare; the growth loop keeps one sum per finite split
-        return share_of(wa, wb), share_of(wb, wa)
-    return wa / total, wb / total
+    wa, wb = _weights(count_a, count_b, exponent, side)
+    return _share(wa, wb, exponent, side), share_of(wb, wa)
 
 
 def _join_split(m_a, m_b, c_a, c_b, lam, alpha, beta, expected: bool,
@@ -104,8 +116,9 @@ def join_probabilities(state: NetworkState,
 
 
 class GrowthPath(Sequence):
-    """Rows (m_a, m_b, c_a, c_b), one per step, held in one flat array of
-    doubles; supports len(), path[t] (negative t included) and iteration."""
+    """Rows (m_a, m_b, c_a, c_b), one per kept step, held in one flat array
+    of doubles; supports len(), path[i] (negative i included) and
+    iteration. Row i holds the counts after step i * stride."""
 
     def __init__(self, flat: array):
         self._flat = flat
@@ -118,32 +131,62 @@ class GrowthPath(Sequence):
         return tuple(self._flat[4 * t:4 * t + 4])
 
 
-def simulate_network_growth(state: NetworkState, steps: int, seed: int) -> GrowthPath:
+def simulate_network_growth(state: NetworkState, steps: int, seed: int,
+                            stride: int = 1) -> GrowthPath:
     """Agent-by-agent growth: each step one arrival is a customer with
     probability lam (else a merchant) and joins a network per
-    join_probabilities. Returns steps+1 rows (m_a, m_b, c_a, c_b), starting
-    with the initial state; the draws are numpy's default_rng(seed) stream."""
+    join_probabilities; the draws are numpy's default_rng(seed) stream.
+
+    Returns the rows (m_a, m_b, c_a, c_b) after steps 0, stride, 2 * stride
+    and so on up to `steps`, starting with the initial state: steps // stride
+    + 1 rows, so memory follows the rows kept. The default stride keeps every
+    step. In "current" mode an arrival changes one count, so the next step
+    recomputes only that count's weight, and the rows equal those of calling
+    join_probabilities on every step.
+    """
     if steps < 0:
         raise ValueError("steps must be >= 0")
+    if stride < 1:
+        raise ValueError("stride must be >= 1")
     draw = PCG64(seed).random
     m_a, m_b, c_a, c_b = state.m_a, state.m_b, state.c_a, state.c_b
     lam, alpha, beta = state.lam, state.alpha, state.beta
     expected = state.expectation_mode == "expected"
     flat = array("d", (m_a, m_b, c_a, c_b))
     extend = flat.extend
-    for _ in range(steps):
-        merch, cust = _join_split(m_a, m_b, c_a, c_b, lam, alpha, beta, expected)
+    refresh_until = 0 if expected else steps  # no step follows the last one
+    if steps and not expected:
+        wc_a, wc_b = _weights(c_a, c_b, beta, "customers")
+        merch_a = _share(wc_a, wc_b, beta, "customers")
+        wm_a, wm_b = _weights(m_a, m_b, alpha, "merchants")
+        cust_a = _share(wm_a, wm_b, alpha, "merchants")
+    for t in range(1, steps + 1):
+        if expected:
+            merch, cust = _join_split(m_a, m_b, c_a, c_b, lam, alpha, beta, True)
+            merch_a, cust_a = merch[0], cust[0]
         if draw() < lam:
-            if draw() < cust[0]:
+            if draw() < cust_a:
                 c_a += 1
+                if t < refresh_until:
+                    wc_a = _weight(c_a, beta, "customers")
+                    merch_a = _share(wc_a, wc_b, beta, "customers")
             else:
                 c_b += 1
+                if t < refresh_until:
+                    wc_b = _weight(c_b, beta, "customers")
+                    merch_a = _share(wc_a, wc_b, beta, "customers")
+        elif draw() < merch_a:
+            m_a += 1
+            if t < refresh_until:
+                wm_a = _weight(m_a, alpha, "merchants")
+                cust_a = _share(wm_a, wm_b, alpha, "merchants")
         else:
-            if draw() < merch[0]:
-                m_a += 1
-            else:
-                m_b += 1
-        extend((m_a, m_b, c_a, c_b))
+            m_b += 1
+            if t < refresh_until:
+                wm_b = _weight(m_b, alpha, "merchants")
+                cust_a = _share(wm_a, wm_b, alpha, "merchants")
+        if t % stride == 0:
+            extend((m_a, m_b, c_a, c_b))
     return GrowthPath(flat)
 
 

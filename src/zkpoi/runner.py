@@ -557,10 +557,9 @@ def _scenario_econ_network(p: _Params, seed: int) -> ScenarioResult:
                                      alpha=alpha, beta=beta, expectation_mode=mode)
     except ValueError as exc:
         _fail("params", str(exc))
-    path = network.simulate_network_growth(state, steps, seed)
+    path = network.simulate_network_growth(state, steps, seed, stride)
     rows = []
-    for t in range(0, steps + 1, stride):
-        m_a_t, m_b_t, c_a_t, c_b_t = path[t]
+    for t, (m_a_t, m_b_t, c_a_t, c_b_t) in zip(range(0, steps + 1, stride), path):
         share = network.share_of(m_a_t, m_b_t) if m_a_t + m_b_t else math.nan  # no merchants yet
         rows.append({"t": t, "m_a": m_a_t, "m_b": m_b_t, "c_a": c_a_t, "c_b": c_b_t,
                      "merchant_share_a": share})

@@ -67,6 +67,32 @@ def encode_calls(monkeypatch):
 
 
 @pytest.fixture
+def forge_degraded():
+    """Forge a bundle that claims a document's identity on the degraded path
+    from the document's public bytes alone: an attacker's own wallet key, no
+    key binding, a chosen secret and the pseudonym derived to match. The
+    mode it states can be set to anything."""
+    from zkpoi.credential import (
+        AA_MODE_ABSENT,
+        RegistrationBundle,
+        TransparentEvidence,
+        derive_pseudonym,
+    )
+    from zkpoi.crypto import SigningKey
+    from zkpoi.identity import public_document
+
+    def make(doc, network, aa_mode=AA_MODE_ABSENT):
+        public = public_document(doc)
+        secret = b"attacker-chosen"
+        return RegistrationBundle(
+            derive_pseudonym(secret, network, public.unique_id()),
+            SigningKey.from_labels(b"attacker").public_bytes, None,
+            TransparentEvidence(doc_kind=public.kind, doc_bytes=public.public_bytes(),
+                                secret=secret, aa_mode=aa_mode))
+    return make
+
+
+@pytest.fixture
 def resigned():
     """Re-sign a document under its issuer with other fields: the document
     an issuer that skipped its own checks (a YYMMDD date, a non-empty

@@ -10,11 +10,13 @@ and to ``EPassport.from_bytes`` plus ``validate_epassport``. Each call may
 return or raise a ``ZkpoiError``; any other exception escaping is a defect.
 Unlike a byte flip, a field edit leaves the signed document intact, so the
 checks behind its signature (the unique id, the pseudonym inputs, the key
-binding and the secret) are reached.
+binding and the secret) are reached. One mutant is also held to its verdict:
+a document that can sign, stated in the degraded path's mode, is refused.
 """
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,7 +32,7 @@ from zkpoi.credential import (
     build_registration_bundle,
     verify_registration_bundle,
 )
-from zkpoi.errors import ZkpoiError
+from zkpoi.errors import InvalidBundle, ZkpoiError
 from zkpoi.identity import (
     GENESIS,
     YEAR,
@@ -175,6 +177,22 @@ SWEEP = [(base, field, value)
          for base in range(len(BASES)) for field in FIELDS
          for value in empty_values(field) + [BASES[other][0][field]
                                              for other in range(len(BASES)) if other != base]]
+
+
+def test_mode_downgrade_mutant_is_refused_at_step6():
+    """The single-field aa_mode="absent" mutant of the card and of the chipped
+    passport keeps the honest secret and pseudonym but skips the key checks;
+    the document can sign, so step 6 refuses it, directly and at the registry."""
+    for base in (0, 1):
+        mutant = {**BASES[base][0], "aa_mode": AA_MODE_ABSENT}
+        for verified in ((), RECORDS[base]):
+            verdict = verify_registration_bundle(bundle_of(mutant), STORE, NETWORK, NOW,
+                                                 verified=verified)
+            assert verdict.code == "step6"
+        registry = Registry(STORE, NETWORK, seed=5)
+        session = registry.open_session(CLIENT)
+        with pytest.raises(InvalidBundle, match="step6"):
+            registry.register(attestation.seal(session, encode(mutant)), session, NOW)
 
 
 def test_every_empty_or_swapped_field_gets_a_verdict():

@@ -479,3 +479,31 @@ class TestAbsentMode:
         full, _ = build(passport, store, aa_mode=AA_MODE_FULL)
         degraded, _ = build(passport, store, aa_mode=AA_MODE_ABSENT)
         assert full.pseudonym.digest != degraded.pseudonym.digest
+
+
+class TestModeFollowsTheDocument:
+    """A document that publishes a signing key must sign: its bundle is
+    full-mode, and only a chipless passport's bundle takes the degraded path."""
+
+    @pytest.mark.parametrize("doc_index", [2, 3], ids=["card", "passport"])
+    def test_downgrade_forged_from_public_bytes_refused_at_step6(self, world, doc_index,
+                                                                 forge_degraded):
+        store, doc = world[0], world[doc_index]
+        verdict = verify_registration_bundle(forge_degraded(doc, NETWORK), store, NETWORK, NOW)
+        assert verdict.code == "step6"
+        assert verdict.reason == "the document requires authentication mode 'full'"
+
+    def test_in_process_mode_outside_the_wire_set_refused_at_step6(self, world):
+        store, _, card, *_ = world
+        bundle, _ = build(card, store)
+        rebound = dataclasses.replace(
+            bundle, pk=bytes(32), sign_pk=None,
+            evidence=dataclasses.replace(bundle.evidence, aa_mode="FULL"))
+        assert verify_registration_bundle(rebound, store, NETWORK, NOW).code == "step6"
+
+    def test_chipless_full_mode_claim_refused_at_step6(self, world, forge_degraded):
+        store, *_, plain_passport = world
+        claim = forge_degraded(plain_passport, NETWORK, aa_mode=AA_MODE_FULL)
+        verdict = verify_registration_bundle(claim, store, NETWORK, NOW)
+        assert verdict.code == "step6"
+        assert verdict.reason == "the document requires authentication mode 'absent'"

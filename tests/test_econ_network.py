@@ -160,6 +160,45 @@ class TestGrowthSimulation:
         with pytest.raises(ValueError):
             simulate_network_growth(make_state(), steps=-1, seed=1)
 
+    @pytest.mark.parametrize("mode", ["current", "expected"])
+    @pytest.mark.parametrize("steps,stride", [(100, 1), (100, 25), (100, 7), (10, 11),
+                                              (0, 3)])
+    def test_stride_keeps_the_rows_of_every_stride_th_step(self, mode, steps, stride):
+        state = make_state(m_a=3.0, m_b=2.0, c_a=1.0, c_b=4.0, alpha=1.3, beta=0.8,
+                           expectation_mode=mode)
+        every = simulate_network_growth(state, steps, seed=11)
+        kept = simulate_network_growth(state, steps, seed=11, stride=stride)
+        assert len(kept) == steps // stride + 1
+        assert list(kept) == [every[t] for t in range(0, steps + 1, stride)]
+
+    @pytest.mark.parametrize("stride", [0, -1])
+    def test_stride_below_one_rejected(self, stride):
+        with pytest.raises(ValueError, match="stride must be >= 1"):
+            simulate_network_growth(make_state(), steps=10, seed=1, stride=stride)
+
+    @pytest.mark.parametrize("mode", ["current", "expected"])
+    def test_fractional_start_counts_match_the_numpy_reference_loop(self, mode):
+        state = make_state(m_a=0.1, m_b=0.7, c_a=3.3, c_b=0.7, alpha=1.3, beta=0.8,
+                           lam=0.6, expectation_mode=mode)
+        reference = oracles.growth_path(0.1, 0.7, 3.3, 0.7, 0.6, 1.3, 0.8,
+                                        mode == "expected", 2000, 3)
+        path = simulate_network_growth(state, steps=2000, seed=3)
+        assert np.array_equal(np.array(list(path)), reference)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_a_weight_overflowing_after_the_last_step_is_never_computed(self, seed):
+        """2 ** 1000 is a double and 3 ** 1000 is not: whichever A count the
+        first arrival raises to 3 overflows its weight on the next step, not
+        after the last one."""
+        state = make_state(m_a=2.0, m_b=1.0, c_a=2.0, c_b=1.0, alpha=1000.0, beta=1000.0)
+        path = simulate_network_growth(state, steps=1, seed=seed)
+        assert len(path) == 2
+        m_a, _, c_a, _ = path[1]
+        assert (m_a, c_a) in ((3.0, 2.0), (2.0, 3.0))
+        side = "merchants" if m_a == 3.0 else "customers"
+        with pytest.raises(DomainError, match=f"^{side} count to the power 1000.0 overflows$"):
+            simulate_network_growth(state, steps=2, seed=seed)
+
     def test_strong_feedback_locks_in_the_leader(self):
         state = make_state(m_a=6.0, m_b=2.0, c_a=6.0, c_b=2.0, alpha=2.0, beta=2.0)
         path = simulate_network_growth(state, steps=4000, seed=5)

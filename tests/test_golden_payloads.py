@@ -3,7 +3,7 @@
 Equal seeds must give byte-identical payloads from one change to the next.
 The document scenarios run on four documents, cards at even seed positions
 and passports at odd ones; the other scenarios run on their defaults. A
-change that means to alter a payload regenerates the table with
+change that means to alter a payload regenerates the tables with
 ``PYTHONPATH=src python tests/test_golden_payloads.py`` and says why.
 """
 
@@ -106,6 +106,21 @@ GOLDEN = {
 }
 
 
+# Long `econ network` paths at one seed each: the cli_scenarios benchmark's
+# config (default stride), and an expected-mode path from fractional counts
+# whose stride does not divide its steps. Each is (config, seed, sha256).
+LONG_NETWORK_PATHS = {
+    'cli_scenarios': (
+        {"params": {"steps": 150_000, "m_a": 2.0, "m_b": 1.0, "c_a": 2.0, "c_b": 1.0}},
+        12345, 'c710e49db090ea5dd57fbc4504d06a3bd346317451a47e41b1c2605ce46a44cd'),
+    'expected_fractional': (
+        {"params": {"steps": 40_000, "m_a": 0.7, "m_b": 3.3, "c_a": 0.1, "c_b": 1.0,
+                    "alpha": 0.8, "beta": 1.1, "stride": 997,
+                    "expectation_mode": "expected"}},
+        7, '1760e9a60f688e19d7fc6ac718187f2619b9b211c6177ea837da63d94cfaaabe'),
+}
+
+
 def config(scenario: str, position: int) -> dict:
     if scenario.split(".")[0] not in DOCUMENT_GROUPS:
         return {}
@@ -127,6 +142,17 @@ def test_payloads_are_byte_identical(scenario):
     assert got == GOLDEN[scenario]
 
 
+def long_path_sha256(name: str) -> str:
+    config, seed, _ = LONG_NETWORK_PATHS[name]
+    _, payload = runner.run(config, "econ.network", seed)
+    return hashlib.sha256(payload).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(LONG_NETWORK_PATHS))
+def test_long_network_paths_are_byte_identical(name):
+    assert long_path_sha256(name) == LONG_NETWORK_PATHS[name][2]
+
+
 if __name__ == "__main__":
     print("GOLDEN = {")
     for name in sorted(runner.SCENARIOS):
@@ -134,4 +160,8 @@ if __name__ == "__main__":
         for i in range(len(SEEDS)):
             print(f"        {payload_sha256(name, i)!r},")
         print("    ],")
+    print("}")
+    print("LONG_NETWORK_PATHS sha256 = {")
+    for name in sorted(LONG_NETWORK_PATHS):
+        print(f"    {name!r}: {long_path_sha256(name)!r},")
     print("}")

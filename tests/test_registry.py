@@ -19,7 +19,13 @@ from zkpoi.accumulator import (
     accumulator_verify,
     accumulator_verify_non_membership,
 )
-from zkpoi.credential import SUFFIX_OFF, SUFFIX_REG, build_registration_bundle, derive_pseudonym
+from zkpoi.credential import (
+    AA_MODE_ABSENT,
+    SUFFIX_OFF,
+    SUFFIX_REG,
+    build_registration_bundle,
+    derive_pseudonym,
+)
 from zkpoi.errors import (
     AlreadyMember,
     DecodeError,
@@ -268,6 +274,38 @@ class TestRegister:
         with pytest.raises(InvalidBundle, match="step3: document rejected: GrammarError"):
             registry.register(sealed(session, forged), session, NOW)
         assert registry.online_count() == 0
+
+    @pytest.mark.parametrize("kind", ["card", "passport"])
+    def test_downgrade_forged_from_public_bytes_refused_at_step6(self, world, kind,
+                                                                 forge_degraded):
+        """A degraded-path bundle for a document that can sign, made by
+        anyone who has seen its public bytes, is refused; the holder's own
+        bundle is admitted after it."""
+        store, hierarchy = world
+        if kind == "card":
+            doc = make_card(hierarchy, 14)
+        else:
+            store, csca, dsc = passport_issuer(407)
+            doc = issue_epassport(csca, dsc, make_holder(2), with_aa=True, seed=3)
+        registry = Registry(store, NETWORK, seed=21)
+        session = registry.open_session(CLIENT)
+        with pytest.raises(InvalidBundle, match="step6: the document requires "
+                                                "authentication mode 'full'"):
+            registry.register(sealed(session, forge_degraded(doc, NETWORK)), session, NOW)
+        assert registry.online_count() == 0
+        entry = registry.register(sealed(session, make_bundle(doc, store)), session, NOW)
+        assert entry.status == STATUS_ONLINE
+        assert registry.online_count() == 1
+
+    def test_chipless_passport_admitted_on_the_degraded_path(self):
+        store, csca, dsc = passport_issuer(408)
+        doc = issue_epassport(csca, dsc, make_holder(3), with_aa=False, seed=4)
+        bundle, _ = build_registration_bundle(doc, "holder passphrase", NETWORK, store, NOW,
+                                              aa_mode=AA_MODE_ABSENT, kdf_iterations=ITERS)
+        registry = Registry(store, NETWORK, seed=22)
+        session = registry.open_session(CLIENT)
+        entry = registry.register(sealed(session, bundle), session, NOW)
+        assert entry.status == STATUS_ONLINE
 
 
 # ---------------------------------------------------------------------------
