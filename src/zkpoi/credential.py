@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Collection
 
 from .codec import Decoder, Encoder, frame_parts
-from .crypto import SigningKey, hash_parts, pbkdf2_sha256, sha256
+from .crypto import PUBLIC_KEY_LEN, SigningKey, hash_parts, pbkdf2_sha256, sha256
 from .errors import DecodeError, EmptyPassphrase, InvalidDocument, NoActiveAuthentication
 from .identity import (
     DOCUMENT_KINDS,
@@ -195,6 +195,15 @@ class BundleVerdict:
         return BundleVerdict(False, step, reason)
 
 
+def _required_mode(doc) -> tuple[str, bytes | None]:
+    """The mode a document requires and its signing key: "full" when
+    `public_key()` succeeds, "absent" when it raises NoActiveAuthentication."""
+    try:
+        return AA_MODE_FULL, doc.public_key()
+    except NoActiveAuthentication:
+        return AA_MODE_ABSENT, None
+
+
 def _absent_mode_secret(passphrase: str, doc_hash: bytes, iteration_count: int) -> bytes:
     salt = hash_parts(b"degraded-secret-salt", doc_hash)
     return pbkdf2_sha256(passphrase, salt, iteration_count * AA_ABSENT_ITERATION_MULTIPLIER)
@@ -209,8 +218,8 @@ def build_registration_bundle(doc, passphrase: str, blockchain_id: str,
 
     Returns the bundle together with the derived signing key; only its
     public key enters the bundle. Raises InvalidDocument when validation
-    rejects the document and NoActiveAuthentication when aa_mode="full" is
-    asked of a document that cannot sign challenges.
+    rejects the document; before the KDF, NoActiveAuthentication for "full"
+    on a document that cannot sign and ValueError for "absent" on one that can.
 
     The wallet's record of `doc` holds the document-signature checks its
     accepted validations verified, read through `verify_unless_recorded`
@@ -229,6 +238,10 @@ def build_registration_bundle(doc, passphrase: str, blockchain_id: str,
     if not report.accepted:
         raise InvalidDocument(report)
     record.update(report.checks)
+    mode, _ = _required_mode(public)
+    if aa_mode != mode:
+        error = NoActiveAuthentication if mode == AA_MODE_ABSENT else ValueError
+        raise error(f"the document requires authentication mode {mode!r}")
     unique_id = public.unique_id()
     doc_bytes = public.public_bytes()
     doc_digest = public_bytes_hash(doc_bytes)
@@ -251,11 +264,10 @@ def verify_registration_bundle(bundle: RegistrationBundle, trust_store: TrustSto
     """Re-execute the generation checks; report the first failing step.
 
     Step 3 validates the disclosed document, step 4 extracts the unique id,
-    step 5 recomputes the pseudonym, step 6 checks the key binding and step
-    7 checks the secret itself. The mode follows the document: step 6 refuses
-    a bundle whose mode is not "full" for a document that publishes a signing
-    key, or not "absent" for one that does not; steps 6-7 then check the key
-    binding and the secret of a full-mode bundle.
+    step 5 recomputes the pseudonym, step 6 checks the mode the document
+    requires (`_required_mode`), a PUBLIC_KEY_LEN-byte wallet key, and the
+    key binding, which only a full-mode bundle carries, and step 7 checks
+    the secret of a full-mode bundle.
     An accepting verdict carries the decoded document, its unique id and the
     checks it verified. The document's signature and the secret are not
     verified again when equal to a check in the caller's record `verified`;
@@ -282,13 +294,13 @@ def verify_registration_bundle(bundle: RegistrationBundle, trust_store: TrustSto
         return BundleVerdict.fail(5, "pseudonym digest does not recompute")
 
     checks = list(report.checks)
-    try:
-        doc_pk = doc.public_key()
-    except NoActiveAuthentication:
-        doc_pk = None
-    mode = AA_MODE_ABSENT if doc_pk is None else AA_MODE_FULL
+    mode, doc_pk = _required_mode(doc)
     if bundle.evidence.aa_mode != mode:
         return BundleVerdict.fail(6, f"the document requires authentication mode {mode!r}")
+    if len(bundle.pk) != PUBLIC_KEY_LEN:
+        return BundleVerdict.fail(6, f"wallet key is not {PUBLIC_KEY_LEN} bytes")
+    if doc_pk is None and bundle.sign_pk is not None:
+        return BundleVerdict.fail(6, "absent mode carries no key binding")
     if doc_pk is not None:
         if bundle.sign_pk is None or not active_auth_verify(doc_pk, bundle.pk, bundle.sign_pk):
             return BundleVerdict.fail(6, "key binding signature does not verify")

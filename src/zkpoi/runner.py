@@ -317,8 +317,10 @@ def _scenario_register_build(p: _Params, seed: int) -> ScenarioResult:
                      {credential.AA_MODE_FULL, credential.AA_MODE_ABSENT})
     iterations = p.integer("kdf_iterations", 512, lo=1, hi=10_000_000)
     p.reject_unknown()
-    with_aa = aa_mode == credential.AA_MODE_FULL or kind == "card"
-    store, docs = synthesize_documents(kind, count, hierarchies, seed, with_aa=with_aa)
+    if kind == "card" and aa_mode == credential.AA_MODE_ABSENT:
+        _fail("params.aa_mode", "a card can sign, so it requires authentication mode 'full'")
+    store, docs = synthesize_documents(kind, count, hierarchies, seed,
+                                       with_aa=aa_mode == credential.AA_MODE_FULL)
     rows = []
     for i, doc in enumerate(docs):
         bundle = _build_bundle(doc, i, seed, blockchain_id, store,

@@ -87,7 +87,6 @@ class MinerState:
     behavior: str = BEHAVIOR_HONEST
     shard: int | None = None
     tx_list: tuple[str, ...] = ()
-    receipts: list["Receipt"] = field(default_factory=list)
     key: SigningKey | None = field(default=None, repr=False)
 
 
@@ -208,19 +207,12 @@ def cooperation_thresholds(params: GameParams, l_j: int, y_len: int) -> Threshol
 # ---------------------------------------------------------------------------
 
 
-def _as_bytes(epoch_randomness) -> bytes:
-    if isinstance(epoch_randomness, int):
-        return epoch_randomness.to_bytes(32, "big")
-    return bytes(epoch_randomness)
-
-
-def assign_shards(epoch_randomness, miners: list[MinerState], params: GameParams,
+def assign_shards(epoch_randomness: bytes, miners: list[MinerState], params: GameParams,
                   ) -> dict[str, int]:
     """Shuffle miners by a randomness-keyed hash and deal them round-robin,
     so shard sizes balance within one and the placement is unpredictable
     without the epoch randomness."""
-    rand = _as_bytes(epoch_randomness)
-    order = sorted(miners, key=lambda m: hash_parts(b"shard-assign", rand,
+    order = sorted(miners, key=lambda m: hash_parts(b"shard-assign", epoch_randomness,
                                                     m.miner_id.encode(), m.pk))
     assignment: dict[str, int] = {}
     for i, miner in enumerate(order):
@@ -229,12 +221,11 @@ def assign_shards(epoch_randomness, miners: list[MinerState], params: GameParams
     return assignment
 
 
-def deal_transactions(epoch_randomness, miners: list[MinerState], params: GameParams,
+def deal_transactions(epoch_randomness: bytes, miners: list[MinerState], params: GameParams,
                       txs_per_shard: int, drop_rate: float = 0.0) -> dict[int, tuple[str, ...]]:
     """Fill each miner's received list from its shard's pool; a nonzero
     drop_rate loses each transaction independently per miner."""
-    rand = _as_bytes(epoch_randomness)
-    epoch_label = rand[:8].hex()
+    epoch_label = epoch_randomness[:8].hex()
     pools = {j: tuple(f"tx-{epoch_label}-s{j}-{i:04d}" for i in range(txs_per_shard))
              for j in range(params.k)}
     for miner in miners:
@@ -243,11 +234,10 @@ def deal_transactions(epoch_randomness, miners: list[MinerState], params: GamePa
         pool = pools[miner.shard]
         if drop_rate:
             rng = random.Random(int.from_bytes(
-                hash_parts(b"tx-drop", rand, miner.miner_id.encode()), "big"))
+                hash_parts(b"tx-drop", epoch_randomness, miner.miner_id.encode()), "big"))
             miner.tx_list = tuple(t for t in pool if rng.random() >= drop_rate)
         else:
             miner.tx_list = pool
-        miner.receipts = []
     return pools
 
 
@@ -290,29 +280,29 @@ def _miner_decision(params: GameParams, miner: MinerState, l_j: int, y_len: int)
 
 
 def _defector_payoff(miner: MinerState, params: GameParams, *, published: bool,
-                     evidence: set[tuple[bytes, str]] | None) -> float:
+                     evidence: dict[str, list[Receipt]] | None) -> float:
     """Penalty when the defection is provable, zero otherwise.
 
     A published hash is proof by itself: a divergent vector is visible
     disagreement, and an agreed vector followed by absence shows the miner
-    held the transactions. A silent miner is only caught when a verified
-    sampled receipt names it. evidence=None means the coordinated run,
-    where the coordinator observes everyone directly.
+    held the transactions. A silent miner is caught by the first of its
+    sampled receipts that verifies, if any. evidence=None means the
+    coordinated run, where the coordinator observes everyone directly.
     """
     if evidence is None or published:
         return payoff_defect(params)
-    named = any(recipient == miner.miner_id for _, recipient in evidence)
+    named = any(r.verify(miner.pk) for r in evidence.get(miner.miner_id, ()))
     return payoff_defect(params) if named else 0.0
 
 
 def _settle_shard(shard: int, members: list[MinerState], params: GameParams,
                   payoffs, classification, *,
-                  evidence: set[tuple[bytes, str]] | None) -> ShardOutcome:
+                  evidence: dict[str, list[Receipt]] | None) -> ShardOutcome:
     """Shared consensus + reward logic for both protocol flavors.
 
-    evidence is None for the coordinated run (everything observable) and a
-    set of verified (tx_hash, recipient) receipt pairs for the receipt run,
-    where it is the only way to catch miners that never published a hash.
+    evidence is None for the coordinated run (everything observable) and
+    the sampled receipts by the miner each names for the receipt run, where
+    they are the only way to catch miners that never published a hash.
     """
     # In the receipt run a lazy miner acknowledges deliveries but never
     # publishes its list hash; to the honest coordinator it does report one.
@@ -362,8 +352,57 @@ def _settle_shard(shard: int, members: list[MinerState], params: GameParams,
                         l_j=l_final, quorum_met=True)
 
 
+def _gossip_and_collect(members: list[MinerState], pool: tuple[str, ...],
+                        sample_size: int, rng: random.Random,
+                        ) -> dict[str, list[Receipt]]:
+    """Flood-gossip the pool, acknowledge deliveries with signed receipts,
+    then transmit a per-counterparty random sample as defection evidence.
+
+    Receipt holders are the gossip-active (non-lazy) members; a lazy miner
+    acknowledges what it is offered but never forwards, so it holds nothing.
+    Returns the distinct sampled receipts, unverified, by the miner each names.
+    """
+    # Each member's signed acknowledgments of what it holds, in tx-digest order.
+    digests = sorted((hash_parts(b"tx", tx.encode()), tx) for tx in pool)
+    groups = {m.miner_id: [sign_receipt(m.key, d, m.miner_id) for d, tx in digests
+                           if tx in m.tx_list] for m in members}
+    if sample_size <= 0:
+        return {}
+    # Holders sample overlapping receipts; each distinct one is kept once.
+    holders = [m for m in members if m.behavior != BEHAVIOR_LAZY]
+    sampled: dict[str, dict[Receipt, None]] = {}
+    for h in holders:
+        for recipient, receipts in sorted(groups.items()):
+            if recipient != h.miner_id and receipts:
+                picks = rng.sample(receipts, min(sample_size, len(receipts)))
+                sampled.setdefault(recipient, {}).update(dict.fromkeys(picks))
+    return {recipient: list(receipts) for recipient, receipts in sampled.items()}
+
+
+def _run_epoch(params: GameParams, miners: list[MinerState], epoch_randomness: bytes,
+               txs_per_shard: int, drop_rate: float, sample_size: int | None,
+               ) -> EpochOutcome:
+    """One epoch: the coordinated run for sample_size=None, else the receipt run."""
+    assign_shards(epoch_randomness, miners, params)
+    pools = deal_transactions(epoch_randomness, miners, params, txs_per_shard, drop_rate)
+    payoffs: dict[str, float] = {}
+    classification: dict[str, str] = {}
+    shards = []
+    for j in range(params.k):
+        members = [m for m in miners if m.shard == j]
+        evidence = None
+        if sample_size is not None:
+            rng = random.Random(int.from_bytes(hash_parts(
+                b"receipt-sample", epoch_randomness, j.to_bytes(4, "big")), "big"))
+            evidence = _gossip_and_collect(members, pools[j], sample_size, rng)
+        shards.append(_settle_shard(j, members, params, payoffs, classification,
+                                    evidence=evidence))
+    protocol = "coordinated" if sample_size is None else "receipts"
+    return EpochOutcome(payoffs, classification, shards, protocol=protocol)
+
+
 def run_coordinated_protocol(params: GameParams, miners: list[MinerState],
-                             epoch_randomness, *, txs_per_shard: int = 8,
+                             epoch_randomness: bytes, *, txs_per_shard: int = 8,
                              drop_rate: float = 0.0) -> EpochOutcome:
     """One epoch under an honest coordinator.
 
@@ -371,57 +410,10 @@ def run_coordinated_protocol(params: GameParams, miners: list[MinerState],
     thresholds, miners follow the defect rules, rewards go to cooperators
     that actually showed up, and everyone else pays the penalty.
     """
-    assign_shards(epoch_randomness, miners, params)
-    deal_transactions(epoch_randomness, miners, params, txs_per_shard, drop_rate)
-    payoffs: dict[str, float] = {}
-    classification: dict[str, str] = {}
-    shards = []
-    for j in range(params.k):
-        members = [m for m in miners if m.shard == j]
-        shards.append(_settle_shard(j, members, params, payoffs, classification,
-                                    evidence=None))
-    return EpochOutcome(payoffs, classification, shards, protocol="coordinated")
+    return _run_epoch(params, miners, epoch_randomness, txs_per_shard, drop_rate, None)
 
 
-def _gossip_and_collect(members: list[MinerState], pool: tuple[str, ...],
-                        sample_size: int, rng: random.Random,
-                        ) -> set[tuple[bytes, str]]:
-    """Flood-gossip the pool, acknowledge deliveries with signed receipts,
-    then transmit a per-counterparty random sample as defection evidence.
-
-    Receipt holders are the gossip-active (non-lazy) members; a lazy miner
-    acknowledges what it is offered but never forwards, so it holds nothing.
-    Returns the set of (tx_hash, recipient) pairs surviving verification.
-    """
-    by_id = {m.miner_id: m for m in members}
-    # One receipt per (tx, recipient): the recipient's signed acknowledgment.
-    signed: dict[tuple[bytes, str], Receipt] = {}
-    for tx in pool:
-        tx_digest = hash_parts(b"tx", tx.encode())
-        for m in members:
-            if tx in m.tx_list:
-                signed[(tx_digest, m.miner_id)] = sign_receipt(m.key, tx_digest, m.miner_id)
-    holders = [m for m in members if m.behavior != BEHAVIOR_LAZY]
-    ordered = sorted(signed.items())
-    for h in holders:
-        h.receipts = [r for (tx_digest, rid), r in ordered if rid != h.miner_id]
-
-    if sample_size <= 0:
-        return set()
-    # Holders sample overlapping receipts; each distinct one is verified once.
-    sampled: dict[tuple[bytes, str], None] = {}
-    for h in holders:
-        per_counterparty: dict[str, list[Receipt]] = {}
-        for r in h.receipts:
-            per_counterparty.setdefault(r.recipient, []).append(r)
-        for recipient in sorted(per_counterparty):
-            receipts = per_counterparty[recipient]
-            for r in rng.sample(receipts, min(sample_size, len(receipts))):
-                sampled[(r.tx_hash, r.recipient)] = None
-    return {key for key in sampled if signed[key].verify(by_id[key[1]].pk)}
-
-
-def run_receipt_protocol(params: GameParams, miners: list[MinerState], epoch_randomness,
+def run_receipt_protocol(params: GameParams, miners: list[MinerState], epoch_randomness: bytes,
                          *, txs_per_shard: int = 8, drop_rate: float = 0.0,
                          receipt_sample_size: int = 3) -> EpochOutcome:
     """One epoch with no coordinator: gossip, signed acknowledgments, and a
@@ -431,20 +423,8 @@ def run_receipt_protocol(params: GameParams, miners: list[MinerState], epoch_ran
     pays the penalty; with receipt_sample_size=0 no evidence circulates and
     silent free-riders go unpunished, which is the sampling trade-off.
     """
-    rand = _as_bytes(epoch_randomness)
-    assign_shards(rand, miners, params)
-    pools = deal_transactions(rand, miners, params, txs_per_shard, drop_rate)
-    payoffs: dict[str, float] = {}
-    classification: dict[str, str] = {}
-    shards = []
-    for j in range(params.k):
-        members = [m for m in miners if m.shard == j]
-        rng = random.Random(int.from_bytes(hash_parts(b"receipt-sample", rand,
-                                                      j.to_bytes(4, "big")), "big"))
-        evidence = _gossip_and_collect(members, pools[j], receipt_sample_size, rng)
-        shards.append(_settle_shard(j, members, params, payoffs, classification,
-                                    evidence=evidence))
-    return EpochOutcome(payoffs, classification, shards, protocol="receipts")
+    return _run_epoch(params, miners, epoch_randomness, txs_per_shard, drop_rate,
+                      receipt_sample_size)
 
 
 # ---------------------------------------------------------------------------

@@ -371,6 +371,20 @@ class TestConfigErrors:
         assert out.splitlines()[1] == "0,0,0,2,1,nan"
         assert json.loads(err)["scenario"] == "econ.network"
 
+    def test_register_build_refuses_an_absent_mode_card(self, capsys, config_file):
+        params = {"kind": "card", "aa_mode": "absent", "count": 2, "kdf_iterations": 4}
+        code, out, err = run_cli(["register", "build", "--seed", "3", "--config",
+                                  config_file({"params": params})], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.strip() == ("config error: params.aa_mode: a card can sign, so it "
+                               "requires authentication mode 'full'")
+        params["kind"] = "epassport"
+        code, out, _ = run_cli(["register", "build", "--seed", "3", "--config",
+                                config_file({"params": params})], capsys)
+        assert code == 0
+        assert out.count(",absent,") == 2
+
     def test_network_refuses_an_infinite_count(self, capsys, config_file):
         cfg = config_file({"params": {"m_b": float("inf"), "steps": 3}})
         code, out, err = run_cli(["econ", "network", "--config", cfg], capsys)

@@ -194,10 +194,23 @@ class TestBundleGeneration:
             build_registration_bundle(card, "pw", NETWORK, store, WINDOW[1] + 1,
                                       kdf_iterations=ITERS)
 
-    def test_full_mode_requires_a_chip_key(self, world):
+    def test_full_mode_requires_a_chip_key(self, world, monkeypatch):
         store, *_, plain_passport = world
-        with pytest.raises(NoActiveAuthentication):
+        kdf_runs = []
+        monkeypatch.setattr(credential, "pbkdf2_sha256", lambda *a: kdf_runs.append(a))
+        with pytest.raises(NoActiveAuthentication, match="mode 'absent'"):
             build(plain_passport, store, aa_mode=AA_MODE_FULL)
+        assert kdf_runs == []  # refused before the KDF runs
+
+    @pytest.mark.parametrize("doc_index", [2, 3], ids=["card", "passport"])
+    def test_absent_mode_refused_for_a_document_that_can_sign(self, world, doc_index,
+                                                              monkeypatch):
+        store, doc = world[0], world[doc_index]
+        kdf_runs = []
+        monkeypatch.setattr(credential, "pbkdf2_sha256", lambda *a: kdf_runs.append(a))
+        with pytest.raises(ValueError, match="requires authentication mode 'full'"):
+            build(doc, store, aa_mode=AA_MODE_ABSENT)
+        assert kdf_runs == []
 
     def test_unknown_mode_rejected(self, world):
         store, _, card, *_ = world
@@ -475,10 +488,25 @@ class TestAbsentMode:
         assert bundle.evidence.secret == expected
 
     def test_full_and_absent_pseudonyms_differ(self, world):
-        store, _, _, passport, _ = world
+        store, _, _, passport, plain_passport = world
         full, _ = build(passport, store, aa_mode=AA_MODE_FULL)
-        degraded, _ = build(passport, store, aa_mode=AA_MODE_ABSENT)
+        degraded, _ = build(plain_passport, store, aa_mode=AA_MODE_ABSENT)
+        assert extract_unique_id(passport) == extract_unique_id(plain_passport)
         assert full.pseudonym.digest != degraded.pseudonym.digest
+
+    @pytest.mark.parametrize("field, value, reason", [
+        ("pk", b"", "wallet key is not 32 bytes"),
+        ("pk", bytes(31), "wallet key is not 32 bytes"),
+        ("sign_pk", bytes(64), "absent mode carries no key binding"),
+        ("sign_pk", b"", "absent mode carries no key binding"),
+    ], ids=["empty-pk", "short-pk", "key-binding", "empty-binding"])
+    def test_framing_refused_at_step6(self, world, field, value, reason):
+        store, *_, plain_passport = world
+        bundle, _ = build(plain_passport, store, aa_mode=AA_MODE_ABSENT)
+        verdict = verify_registration_bundle(dataclasses.replace(bundle, **{field: value}),
+                                             store, NETWORK, NOW)
+        assert (verdict.code, verdict.reason) == ("step6", reason)
+        assert verify_registration_bundle(bundle, store, NETWORK, NOW).accepted
 
 
 class TestModeFollowsTheDocument:

@@ -121,6 +121,28 @@ LONG_NETWORK_PATHS = {
 }
 
 
+# `sim.epoch` with defectors of every kind at the four seeds, so the penalty
+# path is pinned: both protocols, and the receipt run without sampling, where
+# silent miners walk. Each is (config, [sha256 per seed]).
+DEFECTOR_EPOCH = {"miners": 12, "shards": 2, "lazy_defectors": 2,
+                  "false_hash_reporters": 1, "instruction_ignorers": 1}
+DEFECTOR_EPOCHS = {
+    'both': ({"params": DEFECTOR_EPOCH}, [
+        '5e6b8548cad238bec223a771f0e0a6f26331d2d5214011728bab0dd9e34bc650',
+        'df9dce0b54f9610d07972f4e1c06e754f30978c1d15baca44354558bdedf32b5',
+        'b3e9c761585f0a0cf2d4ffca4665be62d689773c926b65421ca7eb5f9ac2fd38',
+        'b00605fbb6ede883af338e786a3dc2c84d1257776309344e8c3e9c3ab1a36a5c',
+    ]),
+    'receipts_unsampled': (
+        {"params": {**DEFECTOR_EPOCH, "protocol": "receipts", "receipt_sample_size": 0}}, [
+            'd8b456fbbef4c525034d48f3db1f494fc1bd55bd3bceb235d6844164b4b5ca54',
+            '9746e29d866766d6a00ea3ff6aa4006e8b204a646cefc81f303a55fdee75887e',
+            'b782bf9306e80b0552fcda4675e9a9469f0849a05a53c9c7de0b7b441ff759e9',
+            '1597549316a26061640a169edccda28839c658222001fdb6b3057e3d4b835714',
+        ]),
+}
+
+
 def config(scenario: str, position: int) -> dict:
     if scenario.split(".")[0] not in DOCUMENT_GROUPS:
         return {}
@@ -153,6 +175,17 @@ def test_long_network_paths_are_byte_identical(name):
     assert long_path_sha256(name) == LONG_NETWORK_PATHS[name][2]
 
 
+def defector_epoch_sha256(name: str, position: int) -> str:
+    _, payload = runner.run(DEFECTOR_EPOCHS[name][0], "sim.epoch", SEEDS[position])
+    return hashlib.sha256(payload).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(DEFECTOR_EPOCHS))
+def test_defector_epochs_are_byte_identical(name):
+    got = [defector_epoch_sha256(name, i) for i in range(len(SEEDS))]
+    assert got == DEFECTOR_EPOCHS[name][1]
+
+
 if __name__ == "__main__":
     print("GOLDEN = {")
     for name in sorted(runner.SCENARIOS):
@@ -164,4 +197,11 @@ if __name__ == "__main__":
     print("LONG_NETWORK_PATHS sha256 = {")
     for name in sorted(LONG_NETWORK_PATHS):
         print(f"    {name!r}: {long_path_sha256(name)!r},")
+    print("}")
+    print("DEFECTOR_EPOCHS sha256 = {")
+    for name in sorted(DEFECTOR_EPOCHS):
+        print(f"    {name!r}: [")
+        for i in range(len(SEEDS)):
+            print(f"        {defector_epoch_sha256(name, i)!r},")
+        print("    ],")
     print("}")

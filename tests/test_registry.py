@@ -307,6 +307,28 @@ class TestRegister:
         entry = registry.register(sealed(session, bundle), session, NOW)
         assert entry.status == STATUS_ONLINE
 
+    @pytest.mark.parametrize("field, value, reason", [
+        ("pk", b"", "wallet key is not 32 bytes"),
+        ("pk", bytes(33), "wallet key is not 32 bytes"),
+        ("sign_pk", bytes(64), "absent mode carries no key binding"),
+    ], ids=["empty-pk", "long-pk", "key-binding"])
+    def test_degraded_path_framing_refused_at_step6(self, field, value, reason):
+        """A chipless passport's own bundle with a wallet key that is no
+        Ed25519 key, or with a key binding, is refused; the honest one is
+        admitted after it."""
+        store, csca, dsc = passport_issuer(409)
+        doc = issue_epassport(csca, dsc, make_holder(4), with_aa=False, seed=5)
+        bundle, _ = build_registration_bundle(doc, "holder passphrase", NETWORK, store, NOW,
+                                              aa_mode=AA_MODE_ABSENT, kdf_iterations=ITERS)
+        registry = Registry(store, NETWORK, seed=23)
+        session = registry.open_session(CLIENT)
+        mutant = dataclasses.replace(bundle, **{field: value})
+        with pytest.raises(InvalidBundle, match=f"step6: {reason}"):
+            registry.register(sealed(session, mutant), session, NOW)
+        assert registry.online_count() == 0
+        entry = registry.register(sealed(session, bundle), session, NOW)
+        assert entry.status == STATUS_ONLINE
+
 
 # ---------------------------------------------------------------------------
 # Sessions

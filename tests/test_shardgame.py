@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from zkpoi import shardgame
 from zkpoi.errors import (
     DegenerateDenominator,
     EmptyPopulation,
@@ -328,26 +329,63 @@ class TestProtocolRuns:
                 assert len(values) <= len(set(
                     len(m.tx_list) for m in miners if m.miner_id in shard.cooperators))
 
-    def test_each_sampled_receipt_is_verified_once(self, monkeypatch):
+    # At the second randomness one silent miner holds no transaction, so no
+    # receipt names it and it walks; the other is caught.
+    @pytest.mark.parametrize("randomness, drop_rate", [(RAND, 0.0), (bytes([3]) * 32, 0.8)],
+                             ids=["no-drops", "one-walks"])
+    def test_only_receipts_that_can_convict_are_verified(self, monkeypatch, randomness,
+                                                         drop_rate):
         sampled, verified = [], []
         real_sample, real_verify = random.Random.sample, Receipt.verify
 
         def sample(rng, population, k, **kwargs):
             chosen = real_sample(rng, population, k, **kwargs)
-            sampled.extend((r.tx_hash, r.recipient) for r in chosen
-                           if isinstance(r, Receipt))
+            sampled.extend(r for r in chosen if isinstance(r, Receipt))
             return chosen
 
         def verify(receipt, recipient_pk):
-            verified.append((receipt.tx_hash, receipt.recipient))
+            verified.append(receipt)
             return real_verify(receipt, recipient_pk)
 
         monkeypatch.setattr(random.Random, "sample", sample)
         monkeypatch.setattr(Receipt, "verify", verify)
-        miners = make_miners(8, 14, {BEHAVIOR_LAZY: 1})
-        run_receipt_protocol(params_with(), miners, RAND, receipt_sample_size=3)
-        assert len(sampled) > len(set(sampled))  # holders sample the same receipts
-        assert sorted(verified) == sorted(set(sampled))
+        params = params_with()
+        miners = make_miners(8, 14, {BEHAVIOR_LAZY: 2, BEHAVIOR_FALSE_HASH: 1})
+        outcome = run_receipt_protocol(params, miners, randomness, drop_rate=drop_rate,
+                                       receipt_sample_size=3)
+        silent = {m.miner_id: m.pk for m in miners if m.behavior == BEHAVIOR_LAZY}
+        assert set(verified) <= set(sampled)
+        assert len(verified) == len(set(verified))
+        assert {r.recipient for r in verified} <= set(silent)
+        assert len(set(sampled)) > len(verified)
+        # Eager reference: every distinct sampled receipt checked.
+        for miner_id, pk in silent.items():
+            named = any(real_verify(r, pk) for r in set(sampled) if r.recipient == miner_id)
+            assert outcome.payoffs[miner_id] == (-params.penalty if named else 0.0)
+
+    @pytest.mark.parametrize("forge_every, caught", [(1, False), (2, True)],
+                             ids=["all-forged", "half-forged"])
+    def test_forged_receipts_do_not_convict(self, monkeypatch, forge_every, caught):
+        params = params_with()
+        miners = make_miners(8, seed=7, behaviors={BEHAVIOR_LAZY: 1})
+        lazy_id = next(m.miner_id for m in miners if m.behavior == BEHAVIOR_LAZY)
+        signed = []
+
+        def sign(key, tx_hash, recipient):
+            receipt = sign_receipt(key, tx_hash, recipient)
+            if recipient != lazy_id:
+                return receipt
+            signed.append(receipt)
+            if len(signed) % forge_every:
+                return receipt
+            forged = bytes([receipt.signature[0] ^ 1]) + receipt.signature[1:]
+            return Receipt(receipt.tx_hash, recipient, forged)
+
+        monkeypatch.setattr(shardgame, "sign_receipt", sign)
+        outcome = run_receipt_protocol(params, miners, RAND, receipt_sample_size=3)
+        assert len(signed) == 8
+        assert outcome.payoffs[lazy_id] == (-params.penalty if caught else 0.0)
+        assert outcome.classification[lazy_id] == DEFECTOR
 
     def test_runs_are_deterministic(self):
         params = params_with()
