@@ -15,6 +15,9 @@ from __future__ import annotations
 
 import secrets
 from dataclasses import dataclass
+from functools import cached_property
+
+from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from .crypto import ByteStream, hash_parts, seal_bytes, unseal_bytes
 from .errors import MeasurementMismatch
@@ -30,10 +33,10 @@ class EnclaveIdentity:
     name: str
     version: int
 
-    @property
+    @cached_property
     def measurement(self) -> bytes:
         # Same name and version always measure the same; any change to either
-        # produces an unrelated digest.
+        # produces an unrelated digest. Hashed once per instance.
         return hash_parts(b"enclave-measurement", self.name.encode("utf-8"),
                           self.version.to_bytes(8, "big"))
 
@@ -57,13 +60,15 @@ class AttestationPolicy:
 class AttestationSession:
     """An established mutually-attested channel.
 
-    The session key never serializes; the client token is fresh per session
-    so two sessions of the same client cannot be linked to each other.
+    The session key never serializes: it lives only in the session's one
+    AES-GCM cipher, keyed when the session is made. The client token is
+    fresh per session so two sessions of the same client cannot be linked
+    to each other.
     """
 
     def __init__(self, session_key: bytes, client_token: bytes,
                  peers: tuple[EnclaveIdentity, EnclaveIdentity]):
-        self._session_key = session_key
+        self._cipher = AESGCM(session_key)
         self.client_token = client_token
         self.peers = peers
         self.policy_ok = True
@@ -105,7 +110,7 @@ def mutual_attest(client: EnclaveIdentity, server: EnclaveIdentity,
 
 def seal(session: AttestationSession, payload: bytes) -> bytes:
     """Encrypt a payload so only this session can read it back."""
-    blob = seal_bytes(session._session_key, session._seal_counter, payload,
+    blob = seal_bytes(session._cipher, session._seal_counter, payload,
                       aad=session.client_token)
     session._seal_counter += 1
     return blob
@@ -113,4 +118,4 @@ def seal(session: AttestationSession, payload: bytes) -> bytes:
 
 def unseal(session: AttestationSession, blob: bytes) -> bytes:
     """Decrypt a sealed payload; fails for material from any other session."""
-    return unseal_bytes(session._session_key, blob, aad=session.client_token)
+    return unseal_bytes(session._cipher, blob, aad=session.client_token)

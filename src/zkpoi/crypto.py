@@ -37,7 +37,7 @@ def hash_parts(*parts: bytes) -> bytes:
 
 
 def hmac_sha256(key: bytes, data: bytes) -> bytes:
-    return _hmac.new(key, data, hashlib.sha256).digest()
+    return _hmac.digest(key, data, "sha256")
 
 
 def pbkdf2_sha256(passphrase: str, salt: bytes, iterations: int) -> bytes:
@@ -96,17 +96,17 @@ class ByteStream:
         return bytes(out[:n])
 
 
-def seal_bytes(key: bytes, nonce_counter: int, payload: bytes, aad: bytes) -> bytes:
+def seal_bytes(cipher: AESGCM, nonce_counter: int, payload: bytes, aad: bytes) -> bytes:
     """AES-GCM encrypt with an explicit counter nonce (caller must not reuse)."""
     nonce = nonce_counter.to_bytes(_GCM_NONCE_LEN, "big")
-    return nonce + AESGCM(key).encrypt(nonce, payload, aad)
+    return nonce + cipher.encrypt(nonce, payload, aad)
 
 
-def unseal_bytes(key: bytes, blob: bytes, aad: bytes) -> bytes:
+def unseal_bytes(cipher: AESGCM, blob: bytes, aad: bytes) -> bytes:
     if len(blob) < _GCM_NONCE_LEN:
         raise WrongSession("ciphertext too short")
     nonce, ct = blob[:_GCM_NONCE_LEN], blob[_GCM_NONCE_LEN:]
     try:
-        return AESGCM(key).decrypt(nonce, ct, aad)
+        return cipher.decrypt(nonce, ct, aad)
     except InvalidTag as exc:
         raise WrongSession("authentication tag mismatch") from exc

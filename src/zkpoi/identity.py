@@ -210,11 +210,27 @@ class CertChain:
         count = d.take_u64()
         if count < 1:
             raise DecodeError("chain must hold at least a leaf")
-        certs = [Certificate.from_bytes(d.take_bytes()) for _ in range(count)]
+        leaf = Certificate.from_bytes(d.take_bytes())
+        intermediates = tuple(_decode_issuer(d.take_bytes()) for _ in range(count - 1))
         root_fp = d.take_bytes()
         d.finish()
-        chain = cls(leaf=certs[0], intermediates=tuple(certs[1:]), root_fingerprint=root_fp)
+        chain = cls(leaf=leaf, intermediates=intermediates, root_fingerprint=root_fp)
         return _remember(chain, to_bytes=blob)
+
+
+@functools.lru_cache(maxsize=128)
+def _decode_issuer(blob: bytes) -> Certificate:
+    """`Certificate.from_bytes` for an issuer's certificate (an intermediate
+    CA or a document signer): equal bytes decode to one shared certificate
+    while they stay among the process's 128 most recently decoded.
+
+    A handful of issuers sign every holder's document, so their bytes
+    recur in every chain and passport. The memo holds decoded, immutable
+    certificates only, never a signature check or a verdict: validation
+    still checks every certificate for every document. Leaves are not
+    memoized, and the fixed bound keeps distinct (say, forged) issuer
+    bytes from growing it."""
+    return Certificate.from_bytes(blob)
 
 
 @dataclass(frozen=True)
@@ -601,7 +617,7 @@ class EPassport:
         dg15 = d.take_opt_bytes()
         sod_payload = d.take_bytes()
         sod_signature = d.take_bytes()
-        dsc = Certificate.from_bytes(d.take_bytes())
+        dsc = _decode_issuer(d.take_bytes())
         d.finish()
         sd = Decoder(sod_payload, "sod:v1")
         count = sd.take_u64()

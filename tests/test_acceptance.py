@@ -113,7 +113,7 @@ def test_criterion_01_registration_suite(report):
               f"rejected in {elapsed:.1f}s (<= 60s)", problems)
 
 
-def test_criterion_02_rejection_matrix(report):
+def test_criterion_02_rejection_matrix(report, forge_degraded):
     problems: list[str] = []
     store, hierarchy = identity.generate_ca_hierarchy(3, 2, seed=2001)
     cards = [identity.issue_identity_cert(
@@ -129,17 +129,25 @@ def test_criterion_02_rejection_matrix(report):
                               nationality="N00", birth_date="900101", sex="F",
                               expiry_date="450101", issuing_state="N00"),
         with_aa=False, seed=2100 + i) for i in range(100)]
+    chipped = [identity.issue_epassport(
+        cscas[i % 2], dscs[i % 2],
+        identity.HolderFields(name=f"CHIPPED{i:03d}", document_number=f"C{i:07d}",
+                              nationality="N00", birth_date="900101", sex="M",
+                              expiry_date="450101", issuing_state="N00"),
+        with_aa=True, seed=2200 + i) for i in range(100)]
 
     foreign_store, foreign = identity.generate_ca_hierarchy(1, 2, seed=2003)
 
     def tally(klass, outcomes, expected):
         wrong = [f"{klass}[{i}]: got {code}" for i, code in enumerate(outcomes)
-                 if code is not identity.FailureCode[expected]]
+                 if code != expected]
         if wrong:
             problems.append(f"{klass}: {len(wrong)}/100 wrong codes ({wrong[0]})")
 
-    def mutant_codes():
-        """(class, failure codes, expected code) for each mutant class."""
+    def mutant_codes(verified):
+        """(class, failure codes, expected code) for each mutant class;
+        `verified` is the record of document signature checks a verifier
+        that admitted the clean documents would hold."""
         rng = random.Random(2001)
         results = []
         # expired: validated at a random time outside the validity window
@@ -150,7 +158,7 @@ def test_criterion_02_rejection_matrix(report):
             else:
                 at = WINDOW[0] - rng.randint(1, 10 * YEAR)
             outcomes.append(identity.validate_chain(card.chain, store, at).failure_code)
-        results.append(("expired", outcomes, "EXPIRED"))
+        results.append(("expired", outcomes, identity.FailureCode.EXPIRED))
 
         # tampered signature on a random chain link
         outcomes = []
@@ -166,7 +174,7 @@ def test_criterion_02_rejection_matrix(report):
                 inters[target - 1] = mangle(inters[target - 1])
                 chain = dataclasses.replace(chain, intermediates=tuple(inters))
             outcomes.append(identity.validate_chain(chain, store, NOW).failure_code)
-        results.append(("tampered-signature", outcomes, "BAD_SIGNATURE"))
+        results.append(("tampered-signature", outcomes, identity.FailureCode.BAD_SIGNATURE))
 
         # broken chain: the leaf's direct parent dropped, or a dangling issuer name
         outcomes = []
@@ -178,7 +186,7 @@ def test_criterion_02_rejection_matrix(report):
                 chain = dataclasses.replace(chain, leaf=dataclasses.replace(
                     chain.leaf, issuer_name=f"ghost-authority-{rng.randrange(1000)}"))
             outcomes.append(identity.validate_chain(chain, store, NOW).failure_code)
-        results.append(("broken-chain", outcomes, "CHAIN_BROKEN"))
+        results.append(("broken-chain", outcomes, identity.FailureCode.CHAIN_BROKEN))
 
         # untrusted root: internally consistent chains from a foreign hierarchy
         outcomes = []
@@ -187,7 +195,7 @@ def test_criterion_02_rejection_matrix(report):
                 foreign, foreign.issuers[0], f"Stranger {i:03d}",
                 f"STR-{rng.randrange(10**6):06d}", WINDOW)
             outcomes.append(identity.validate_chain(stranger.chain, store, NOW).failure_code)
-        results.append(("untrusted-root", outcomes, "NOT_TRUSTED"))
+        results.append(("untrusted-root", outcomes, identity.FailureCode.NOT_TRUSTED))
 
         # security-object hash mismatch: mutate a data group under an intact SOD
         outcomes = []
@@ -196,23 +204,35 @@ def test_criterion_02_rejection_matrix(report):
                 passport.dg1, name=f"ALTERED{rng.randrange(10**6):06d}"))
             outcomes.append(
                 identity.validate_epassport(mutant, pass_store, NOW).failure_code)
-        results.append(("sod-hash-mismatch", outcomes, "HASH_MISMATCH"))
+        results.append(("sod-hash-mismatch", outcomes, identity.FailureCode.HASH_MISMATCH))
+
+        # mode downgrade: a card's or chipped passport's identity claimed on
+        # the degraded path from its public bytes alone
+        outcomes = []
+        for i in range(100):
+            doc, doc_store = (cards[i], store) if rng.random() < 0.5 else (chipped[i], pass_store)
+            verdict = credential.verify_registration_bundle(
+                forge_degraded(doc, NETWORK), doc_store, NETWORK, NOW, verified=verified)
+            outcomes.append(verdict.code)
+        results.append(("mode-downgrade", outcomes, "step6"))
         return results
 
-    cold = mutant_codes()
-    # Warm the stores' memo of verified issuer signatures with the clean
-    # documents; the same mutants must then get the same codes.
-    if not (all(identity.validate_chain(card.chain, store, NOW).accepted for card in cards)
-            and all(identity.validate_epassport(p, pass_store, NOW).accepted for p in passports)
+    cold = mutant_codes(verified=set())
+    # Warm the stores' memo of verified issuer signatures, and a record of
+    # the documents' own signatures, with the clean documents; the same
+    # mutants must then get the same codes.
+    reports = ([identity.validate_chain(card.chain, store, NOW) for card in cards]
+               + [identity.validate_epassport(p, pass_store, NOW) for p in passports + chipped])
+    if not (all(r.accepted for r in reports)
             and store._verified_issuers and pass_store._verified_issuers):
         problems.append("clean documents did not warm the trust stores")
-    warm = mutant_codes()
+    warm = mutant_codes(verified={check for r in reports for check in r.checks})
     for (klass, cold_codes, expected), (_, warm_codes, _) in zip(cold, warm):
         tally(klass, cold_codes, expected)
         tally(f"{klass} (warm store)", warm_codes, expected)
 
-    report(2, "5 mutant classes x 100 randomized instances all rejected with "
-              "the correct failure code", problems)
+    report(2, "6 mutant classes x 100 randomized instances all rejected with "
+              "the correct failure code or step", problems)
 
 
 def test_criterion_03_threshold_oracle_equivalence(report):

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
+from zkpoi import attestation
 from zkpoi.attestation import (
     AttestationPolicy,
     EnclaveIdentity,
@@ -27,6 +30,22 @@ class TestMeasurements:
         base = EnclaveIdentity("a", 1).measurement
         assert EnclaveIdentity("b", 1).measurement != base
         assert EnclaveIdentity("a", 2).measurement != base
+
+    def test_measured_once_per_identity(self, monkeypatch):
+        hashed = []
+
+        def counting(*parts, _hash=attestation.hash_parts):
+            hashed.append(parts)
+            return _hash(*parts)
+        monkeypatch.setattr(attestation, "hash_parts", counting)
+        identity = EnclaveIdentity("a", 1)
+        first = identity.measurement
+        assert identity.measurement is first and len(hashed) == 1
+        assert dataclasses.replace(identity, version=2).measurement != first
+        assert len(hashed) == 2
+        twin = EnclaveIdentity("a", 1)
+        assert identity == twin and hash(identity) == hash(twin)
+        assert repr(identity) == "EnclaveIdentity(name='a', version=1)"
 
     def test_policy_admits_by_measurement_and_floor(self):
         policy = AttestationPolicy.expecting(CLIENT, SERVER, min_version=4)
@@ -73,7 +92,9 @@ class TestHandshake:
 
     def test_repr_never_prints_the_session_key(self):
         session = mutual_attest(CLIENT, SERVER, POLICY, rng=ByteStream(b"seed-3"))
-        assert session._session_key.hex() not in repr(session)
+        session_key = ByteStream(b"seed-3").take(32)  # the stream's first draw
+        assert session_key.hex() not in repr(session)
+        assert session_key not in vars(session).values()
 
 
 class TestSealing:
@@ -104,6 +125,18 @@ class TestSealing:
         session = mutual_attest(CLIENT, SERVER, POLICY)
         with pytest.raises(WrongSession):
             unseal(session, b"\x01")
+
+    def test_session_keys_one_cipher(self, monkeypatch):
+        keyed = []
+
+        def counting(key, _cipher=attestation.AESGCM):
+            keyed.append(key)
+            return _cipher(key)
+        monkeypatch.setattr(attestation, "AESGCM", counting)
+        session = mutual_attest(CLIENT, SERVER, POLICY)
+        for payload in (b"first", b"second", b""):
+            assert unseal(session, seal(session, payload)) == payload
+        assert len(keyed) == 1
 
     def test_empty_payload_round_trips(self):
         session = mutual_attest(CLIENT, SERVER, POLICY)

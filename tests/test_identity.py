@@ -38,6 +38,7 @@ from zkpoi.identity import (
     issue_dsc,
     issue_epassport,
     issue_identity_cert,
+    _decode_issuer,
     validate_chain,
     validate_epassport,
 )
@@ -770,6 +771,62 @@ class TestVerifiedIssuerMemo:
         assert validate_epassport(passport, foreign_store, NOW).failure_code \
             is FailureCode.NOT_TRUSTED
         assert store._verified_issuers == set() == foreign_store._verified_issuers
+
+
+def flip_byte_of(blob: bytes, part: bytes) -> bytes:
+    """`blob` with the first byte of `part` inside it flipped."""
+    at = blob.index(part)
+    return blob[:at] + bytes([blob[at] ^ 1]) + blob[at + 1:]
+
+
+class TestIssuerDecodeMemo:
+    """Issuer certificates decode once per process for equal bytes; leaves,
+    and every check, run for every document."""
+
+    def test_equal_issuer_bytes_decode_to_one_certificate(self, card_setup, passport_setup):
+        _, _, card = card_setup
+        a, b = (CertChain.from_bytes(card.chain.to_bytes()) for _ in range(2))
+        assert a.leaf == b.leaf and a.leaf is not b.leaf
+        assert a.intermediates == card.chain.intermediates
+        assert all(x is y for x, y in zip(a.intermediates, b.intermediates, strict=True))
+        passport = passport_setup[-1]
+        p, q = (EPassport.from_bytes(passport.public_bytes()) for _ in range(2))
+        assert p.dsc is q.dsc and p.dsc == passport.dsc
+        assert p == q and p is not q and p.dg1 is not q.dg1
+
+    @pytest.mark.parametrize("position", [0, 1])
+    def test_flipped_intermediate_decodes_afresh_and_is_bad_signature(self, warm_card,
+                                                                      position):
+        store, _, card = warm_card
+        blob = card.chain.to_bytes()
+        clean = CertChain.from_bytes(blob)
+        flipped = flip_byte_of(blob, card.chain.intermediates[position].signature)
+        forged = CertChain.from_bytes(flipped)
+        for i, (cert, warm) in enumerate(zip(forged.intermediates, clean.intermediates)):
+            assert (cert is warm) == (i != position)
+        assert validate_chain(forged, store, NOW).failure_code is FailureCode.BAD_SIGNATURE
+        assert validate_chain(flipped, store, NOW).failure_code is FailureCode.BAD_SIGNATURE
+        assert validate_chain(clean, store, NOW).accepted
+
+    def test_flipped_signer_decodes_afresh_and_is_not_trusted(self, warm_passport):
+        store, _, _, _, passport = warm_passport
+        blob = passport.public_bytes()
+        clean = EPassport.from_bytes(blob)
+        forged = EPassport.from_bytes(flip_byte_of(blob, passport.dsc.signature))
+        assert forged.dsc is not clean.dsc and forged.dsc != clean.dsc
+        assert validate_epassport(forged, store, NOW).failure_code is FailureCode.NOT_TRUSTED
+        assert validate_epassport(clean, store, NOW).accepted
+
+    def test_distinct_issuer_bytes_beyond_the_bound_keep_the_memo_at_it(self, card_setup):
+        _, _, card = card_setup
+        chain = card.chain
+        bound = _decode_issuer.cache_info().maxsize
+        assert 0 < bound <= 256
+        for serial in range(bound + 16):
+            forged = dataclasses.replace(chain.intermediates[0], serial=10_000 + serial)
+            CertChain.from_bytes(dataclasses.replace(
+                chain, intermediates=(forged, *chain.intermediates[1:])).to_bytes())
+        assert _decode_issuer.cache_info().currsize == bound
 
 
 # ---------------------------------------------------------------------------

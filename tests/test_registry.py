@@ -26,6 +26,7 @@ from zkpoi.credential import (
     build_registration_bundle,
     derive_pseudonym,
 )
+from zkpoi.crypto import hmac_sha256
 from zkpoi.errors import (
     AlreadyMember,
     DecodeError,
@@ -43,6 +44,7 @@ from zkpoi.identity import (
     GENESIS,
     YEAR,
     CertChain,
+    Certificate,
     EPassport,
     HolderFields,
     active_auth_sign,
@@ -54,6 +56,7 @@ from zkpoi.identity import (
 from zkpoi.registry import (
     STATUS_OFFLINE,
     STATUS_ONLINE,
+    EncryptedIdDB,
     Registry,
     RegistryView,
     default_identity_attributes,
@@ -488,6 +491,26 @@ class TestVerifyOnce:
         assert len(decodes) == 2
         assert not hasattr(registry, "_uid_by_digest")
 
+    def test_warm_admission_decodes_only_the_leaf_certificate(self, warm_cards,
+                                                               warm_passports, monkeypatch):
+        """One certificate for a card, none for a passport: the issuers'
+        certificates decoded when the first document was admitted."""
+        store, _, registry, session, cards = warm_cards
+        pass_store, pass_registry, pass_session, passports = warm_passports
+        card_blob = sealed(session, make_bundle(cards[1], store))
+        passport_blob = sealed(pass_session, make_bundle(passports[1], pass_store))
+        decoded = []
+
+        def counting(blob, _decode=Certificate.from_bytes):
+            decoded.append(blob)
+            return _decode(blob)
+        monkeypatch.setattr(Certificate, "from_bytes", staticmethod(counting))
+        registry.register(card_blob, session, NOW)
+        assert decoded == [cards[1].certificate.to_bytes()]
+        decoded.clear()
+        pass_registry.register(passport_blob, pass_session, NOW)
+        assert decoded == []
+
     def test_warm_card_admission_verifies_four_signatures(self, warm_cards, verify_calls):
         """Leaf, leaf again in the registry, key binding and secret: the two
         intermediates' signatures are remembered by the store."""
@@ -651,6 +674,12 @@ class TestHostView:
             reg.register(sealed(session, make_bundle(card, store)), session, NOW)
             tags.append(reg.host_view()["id_tags"][0])
         assert tags[0] != tags[1]
+
+    def test_id_tag_is_hmac_sha256_per_rfc_4231_case_2(self):
+        expected = bytes.fromhex(
+            "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843")
+        assert hmac_sha256(b"Jefe", b"what do ya want for nothing?") == expected
+        assert EncryptedIdDB(b"Jefe").tag("what do ya want for nothing?") == expected
 
     def test_accumulator_admissibility_check(self, world, registry):
         session = registry.open_session(CLIENT)
