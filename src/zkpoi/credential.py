@@ -28,17 +28,18 @@ from dataclasses import dataclass, field
 from typing import Collection
 
 from .codec import Decoder, Encoder, frame_parts
-from .crypto import PUBLIC_KEY_LEN, SigningKey, hash_parts, pbkdf2_sha256, sha256
+from .crypto import PUBLIC_KEY_LEN, SigningKey, hash_parts, pbkdf2_sha256, sha256, verify_signature
 from .errors import DecodeError, EmptyPassphrase, InvalidDocument, NoActiveAuthentication
 from .identity import (
     DOCUMENT_KINDS,
     SignatureCheck,
     TrustStore,
-    active_auth_check,
+    active_auth_challenge,
     active_auth_sign,
     active_auth_verify,
     public_bytes_hash,
     public_document,
+    sign_challenge,
     verify_unless_recorded,
 )
 
@@ -51,6 +52,8 @@ AA_MODE_ABSENT = "absent"
 # Versioned so a future change of the common string cannot silently collide
 # with pseudonyms minted under this one.
 PREFIXED_COMMON_STRING = "zkpoi/pseudonym-secret/v1"
+# Every signature secret answers this one challenge, so it is framed once.
+_SECRET_CHALLENGE = active_auth_challenge(PREFIXED_COMMON_STRING.encode("utf-8"))
 
 DEFAULT_KDF_ITERATIONS = 2048
 # The degraded path cannot anchor unpredictability in a chip signature, so it
@@ -95,13 +98,18 @@ def compute_signature_secret(doc) -> bytes:
     """
     secret = doc.__dict__.get("_signature_secret")
     if secret is None:
-        secret = active_auth_sign(doc, PREFIXED_COMMON_STRING.encode("utf-8"))
+        secret = sign_challenge(doc, _SECRET_CHALLENGE)
         doc.__dict__["_signature_secret"] = secret
     return secret
 
 
+def _secret_check(doc_public_key: bytes, secret: bytes) -> SignatureCheck:
+    """The check behind a signature secret, as `verify_unless_recorded` takes it."""
+    return (doc_public_key, secret, _SECRET_CHALLENGE)
+
+
 def verify_signature_secret(doc_public_key: bytes, secret: bytes) -> bool:
-    return active_auth_verify(doc_public_key, PREFIXED_COMMON_STRING.encode("utf-8"), secret)
+    return verify_signature(*_secret_check(doc_public_key, secret))
 
 
 def derive_pseudonym(signature_secret: bytes, blockchain_id: str, unique_id: str,
@@ -304,8 +312,7 @@ def verify_registration_bundle(bundle: RegistrationBundle, trust_store: TrustSto
     if doc_pk is not None:
         if bundle.sign_pk is None or not active_auth_verify(doc_pk, bundle.pk, bundle.sign_pk):
             return BundleVerdict.fail(6, "key binding signature does not verify")
-        secret_check = active_auth_check(doc_pk, PREFIXED_COMMON_STRING.encode("utf-8"),
-                                         bundle.evidence.secret)
-        if not verify_unless_recorded(secret_check, verified, checks):
+        if not verify_unless_recorded(_secret_check(doc_pk, bundle.evidence.secret),
+                                      verified, checks):
             return BundleVerdict.fail(7, "pseudonym secret does not verify")
     return BundleVerdict(True, unique_id=unique_id, document=doc, checks=tuple(checks))

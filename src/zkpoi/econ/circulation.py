@@ -23,15 +23,12 @@ _CROSS_CHECK_TOL = 1e-9
 @dataclass(frozen=True)
 class CirculationParams:
     """beta_disc: discount factor; eta: utility curvature; alpha_eff: effort
-    convexity; delta: circulating fraction of new tokens; sigma: match
-    probability; theta: buyer bargaining share."""
+    convexity; delta: circulating fraction of new tokens."""
 
     beta_disc: float
     eta: float
     alpha_eff: float
     delta: float
-    sigma: float = 0.5
-    theta: float = 0.5
 
     def __post_init__(self):
         if not 0.0 < self.beta_disc < 1.0:
@@ -42,10 +39,6 @@ class CirculationParams:
             raise ValueError("alpha_eff must be >= 0")
         if not 0.0 < self.delta <= 1.0:
             raise ValueError("delta must lie in (0, 1]")
-        if not 0.0 < self.sigma < 1.0:
-            raise ValueError("sigma must lie in (0, 1)")
-        if not 0.0 <= self.theta <= 1.0:
-            raise ValueError("theta must lie in [0, 1]")
 
 
 def _delta_condition_root(beta: float, eta: float, alpha: float, delta: float) -> float:

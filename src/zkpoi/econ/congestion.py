@@ -6,7 +6,7 @@ Miners allocate themselves across K puzzles (and optionally M external
 service providers per puzzle). The chance of being first to solve a puzzle
 splits among its miners, so every extra miner dilutes the rest — a
 congestion externality, which for the single-provider case admits an exact
-potential whose optimizer is deviation-stable.
+potential whose maximizer is deviation-stable.
 """
 
 from __future__ import annotations
@@ -247,32 +247,28 @@ def _enumerate_allocations(instance: CongestionInstance):
 def solve_congestion_nash(instance: CongestionInstance) -> NashSolution:
     """Deviation-certified equilibrium allocation.
 
-    For single-provider instances candidates are ranked by the potential —
-    best value first, then the opposite direction, then a full scan — and
-    the first allocation passing the exhaustive deviation check is returned
-    with its certificate and the direction that found it.
+    A single-provider instance is an exact potential game, so the first
+    maximizer of the potential in enumeration order is an equilibrium; it is
+    returned with its certificate and the direction "argmax". Multi-provider
+    instances have no potential here, and the first allocation in
+    enumeration order that passes the exhaustive deviation check is returned
+    with the direction "scan".
     """
     if instance.n_miners < 0:
         raise Infeasible("miner count must be >= 0")
-    if instance.n_miners == 0:
-        empty = Allocation(tuple((0,) * instance.m for _ in range(instance.k)))
-        cert = deviation_certificate(instance, empty)
-        phi = potential(instance, empty) if instance.m == 1 else None
-        return NashSolution(empty, cert or (), "argmax", phi)
-
-    candidates = list(_enumerate_allocations(instance))
     if instance.m == 1:
-        ranked = sorted(candidates, key=lambda a: potential(instance, a), reverse=True)
-        passes = [("argmax", ranked[:1]), ("argmin", ranked[-1:]), ("scan", ranked)]
-    else:
-        passes = [("scan", candidates)]
-    for direction, pool in passes:
-        for allocation in pool:
-            cert = deviation_certificate(instance, allocation)
-            if cert is not None:
-                phi = potential(instance, allocation) if instance.m == 1 else None
-                return NashSolution(allocation, cert, direction, phi)
-    raise Infeasible("no deviation-stable allocation found")  # unreachable for M=1
+        best = max(_enumerate_allocations(instance), key=lambda a: potential(instance, a))
+        cert = deviation_certificate(instance, best)
+        if cert is None:
+            raise Infeasible("the potential's maximizer admits a profitable deviation")
+        return NashSolution(best, cert, "argmax", potential(instance, best))
+    if instance.n_miners == 0:  # an empty market keeps the label of the M=1 case
+        return NashSolution(Allocation(((0,) * instance.m,) * instance.k), (), "argmax", None)
+    for allocation in _enumerate_allocations(instance):
+        cert = deviation_certificate(instance, allocation)
+        if cert is not None:
+            return NashSolution(allocation, cert, "scan", None)
+    raise Infeasible("no deviation-stable allocation found")
 
 
 def all_nash_allocations(instance: CongestionInstance) -> list[Allocation]:

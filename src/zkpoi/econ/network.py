@@ -83,8 +83,6 @@ def _weights(count_a: float, count_b: float, exponent: float,
 
 def _attraction(count_a: float, count_b: float, exponent: float,
                 side: str) -> tuple[float, float]:
-    if exponent == 0.0:
-        return 0.5, 0.5
     wa, wb = _weights(count_a, count_b, exponent, side)
     return _share(wa, wb, exponent, side), share_of(wb, wa)
 

@@ -754,25 +754,30 @@ def extract_unique_id(doc: Document) -> str:
     return public_document(doc).unique_id()
 
 
-def active_auth_sign(doc: Union[IdentityCard, EPassport], message: bytes) -> bytes:
-    """Deterministic challenge signature by the document's resident key."""
-    framed = hash_parts(_AA_CONTEXT, message)
+def active_auth_challenge(message: bytes) -> bytes:
+    """The framed digest a document's resident key signs to answer `message`."""
+    return hash_parts(_AA_CONTEXT, message)
+
+
+def sign_challenge(doc: Union[IdentityCard, EPassport], challenge: bytes) -> bytes:
+    """Deterministic signature by the document's resident key over a framed
+    challenge (`active_auth_challenge`)."""
     if isinstance(doc, IdentityCard):
-        return doc.holder_key.sign(framed)
+        return doc.holder_key.sign(challenge)
     if isinstance(doc, EPassport):
         if doc.aa_secret is None:
             raise NoActiveAuthentication("passport has no chip signing key")
-        return doc.aa_secret.sign(framed)
+        return doc.aa_secret.sign(challenge)
     raise NoActiveAuthentication(f"{type(doc).__name__} cannot sign challenges")
 
 
-def active_auth_check(public_key: bytes, message: bytes, signature: bytes) -> SignatureCheck:
-    """The check behind a challenge signature, as `verify_unless_recorded` takes it."""
-    return (public_key, signature, hash_parts(_AA_CONTEXT, message))
+def active_auth_sign(doc: Union[IdentityCard, EPassport], message: bytes) -> bytes:
+    """Deterministic challenge signature by the document's resident key."""
+    return sign_challenge(doc, active_auth_challenge(message))
 
 
 def active_auth_verify(public_key: bytes, message: bytes, signature: bytes) -> bool:
-    return verify_signature(*active_auth_check(public_key, message, signature))
+    return verify_signature(public_key, signature, active_auth_challenge(message))
 
 
 def verify_unless_recorded(check: SignatureCheck, verified: Collection[SignatureCheck],

@@ -145,11 +145,12 @@ class _Params:
         return value
 
     def number(self, key, default, lo=None, hi=None, *, exclusive=False):
+        """A real in [lo, hi], or in (lo, hi) when exclusive; None is unbounded."""
         value = self._real(f"params.{key}", self._get(key, default))
         if lo is not None and (value <= lo if exclusive else value < lo):
             _fail(f"params.{key}", f"must be {'>' if exclusive else '>='} {lo}")
-        if hi is not None and value > hi:
-            _fail(f"params.{key}", f"must be <= {hi}")
+        if hi is not None and (value >= hi if exclusive else value > hi):
+            _fail(f"params.{key}", f"must be {'<' if exclusive else '<='} {hi}")
         return value
 
     def text(self, key, default, choices=None):
@@ -552,8 +553,6 @@ def _scenario_econ_network(p: _Params, seed: int) -> ScenarioResult:
     stride = p.integer("stride", max(1, steps // 100), lo=1)
     mode = p.text("expectation_mode", "current", set(network.EXPECTATION_MODES))
     p.reject_unknown()
-    if lam >= 1.0:
-        _fail("params.lam", "must be < 1")
     try:
         state = network.NetworkState(m_a=m_a, m_b=m_b, c_a=c_a, c_b=c_b, lam=lam,
                                      alpha=alpha, beta=beta, expectation_mode=mode)
@@ -578,10 +577,6 @@ def _scenario_econ_circulation(p: _Params, seed: int) -> ScenarioResult:
     deltas = p.number_list("deltas", [round(0.1 * i, 1) for i in range(1, 10)],
                            lo=0.0, hi=1.0)
     p.reject_unknown()
-    if beta >= 1.0:
-        _fail("params.beta_disc", "must be < 1")
-    if eta >= 1.0:
-        _fail("params.eta", "must be < 1")
     rows = []
     for delta in deltas:
         if not 0.0 < delta <= 1.0:

@@ -314,6 +314,17 @@ class TestConfigErrors:
         assert code == 2
         assert "params.miner_count: must be >= 2" in err
 
+    @pytest.mark.parametrize("verb,key", [
+        ("network", "lam"), ("circulation", "beta_disc"), ("circulation", "eta"),
+        ("dominance", "top_share"),
+    ])
+    def test_open_upper_bound_excludes_one(self, capsys, config_file, verb, key):
+        cfg = config_file({"params": {key: 1}})
+        code, out, err = run_cli(["econ", verb, "--config", cfg], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.strip() == f"config error: params.{key}: must be < 1.0"
+
     def test_bad_list_entry_is_indexed(self, capsys, config_file):
         cfg = config_file({"params": {"deltas": [0.5, "x"]}})
         code, _, err = run_cli(["econ", "circulation", "--config", cfg], capsys)

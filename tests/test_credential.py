@@ -6,7 +6,7 @@ import dataclasses
 
 import pytest
 
-from zkpoi import attestation, credential
+from zkpoi import attestation, credential, identity
 from zkpoi.credential import (
     AA_MODE_ABSENT,
     AA_MODE_FULL,
@@ -452,6 +452,25 @@ class TestVerifierSteps:
         secret = compute_signature_secret(card)
         assert verify_signature_secret(document_public_key(card), secret)
         assert not verify_signature_secret(document_public_key(card), secret[::-1])
+
+    def test_secret_challenge_is_framed_once_per_process(self, world, monkeypatch):
+        """Signing the secret, step 7 and verify_signature_secret frame no
+        challenge, and the secret and its check equal a per-call framing's."""
+        store, _, card, *_ = world
+        from zkpoi.identity import document_public_key
+        common = credential.PREFIXED_COMMON_STRING.encode("utf-8")
+        real, framed = identity.hash_parts, []
+        monkeypatch.setattr(identity, "hash_parts",
+                            lambda *parts: framed.append(parts) or real(*parts))
+        bundle, _ = build(dataclasses.replace(card), store)  # a copy signs afresh
+        verdict = verify_registration_bundle(bundle, store, NETWORK, NOW)
+        assert verify_signature_secret(document_public_key(card), bundle.evidence.secret)
+        assert verdict.accepted
+        assert not [parts for parts in framed if common in parts]
+        monkeypatch.undo()
+        assert bundle.evidence.secret == active_auth_sign(card, common)
+        challenge = hash_parts(b"zkpoi/active-auth/v1", common)
+        assert (document_public_key(card), bundle.evidence.secret, challenge) in verdict.checks
 
 
 # ---------------------------------------------------------------------------

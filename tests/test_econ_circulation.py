@@ -19,9 +19,8 @@ from zkpoi.econ.circulation import (
 from zkpoi.errors import DomainError, ExponentSingularity, ZeroVolume
 
 
-def params(beta=0.9, eta=0.5, alpha=0.5, delta=1.0, **extra) -> CirculationParams:
-    return CirculationParams(beta_disc=beta, eta=eta, alpha_eff=alpha,
-                             delta=delta, **extra)
+def params(beta=0.9, eta=0.5, alpha=0.5, delta=1.0) -> CirculationParams:
+    return CirculationParams(beta_disc=beta, eta=eta, alpha_eff=alpha, delta=delta)
 
 
 class TestParamsValidation:
@@ -34,13 +33,6 @@ class TestParamsValidation:
     def test_out_of_range(self, field, value):
         with pytest.raises(ValueError):
             params(**{field: value})
-
-    def test_bargaining_fields(self):
-        with pytest.raises(ValueError):
-            params(sigma=1.0)
-        with pytest.raises(ValueError):
-            params(theta=-0.1)
-        assert params(sigma=0.25, theta=1.0).theta == 1.0
 
     def test_delta_one_is_allowed(self):
         assert params(delta=1.0).delta == 1.0

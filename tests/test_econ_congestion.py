@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -212,15 +212,32 @@ class TestSolver:
         assert solution.allocation.total == 0
 
     @settings(max_examples=40, deadline=None)
-    @given(st.integers(1, 3), st.integers(0, 5), st.data())
-    def test_nash_sets_match_oracle(self, k, n, data):
-        rates = [data.draw(st.floats(0.2, 2.0)) for _ in range(k)]
-        costs = [data.draw(st.floats(0.0, 0.4)) for _ in range(k)]
+    @given(st.lists(st.tuples(st.floats(0.2, 2.0), st.floats(0.0, 0.4)),
+                    min_size=1, max_size=3),
+           st.integers(0, 5))
+    @example([(0.0, 0.0), (0.0, 0.1), (1.0, 0.0)], 4)  # zero rates
+    @example([(1.0, 1.0), (2.0, 1.5)], 5)  # costs above every win probability
+    @example([(1.0, 0.1), (1.0, 0.1)], 3)  # equal puzzles: exact potential ties
+    def test_nash_sets_match_oracle(self, puzzles, n):
+        """The Nash set matches the oracle's, and the solver returns a
+        member of it: the first allocation, in enumeration order, whose
+        potential is at least that of every allocation."""
+        k = len(puzzles)
+        rates, costs = [rate for rate, _ in puzzles], [cost for _, cost in puzzles]
         inst = CongestionInstance(k=k, n_miners=n, mu=rates, gamma=costs)
         ours = {a.puzzle_loads() for a in all_nash_allocations(inst)}
         theirs = {tuple(loads) for loads in oracles.enumerate_allocations(n, k)
                   if oracles.allocation_is_nash(loads, rates, costs, 1.0, n)}
         assert ours == theirs
+        solution = solve_congestion_nash(inst)
+        assert solution.direction == "argmax"
+        assert solution.allocation.puzzle_loads() in theirs
+        assert solution.potential_value == potential(inst, solution.allocation)
+        phis = [(potential(inst, Allocation.single(loads)), loads)
+                for loads in oracles.enumerate_allocations(n, k)]
+        assert solution.potential_value == max(phi for phi, _ in phis)
+        assert solution.allocation.puzzle_loads() == next(
+            loads for phi, loads in phis if phi == solution.potential_value)
 
     def test_solver_result_is_in_the_nash_set(self):
         inst = CongestionInstance(k=3, n_miners=5, mu=[1.0, 0.5, 2.0],

@@ -143,6 +143,18 @@ DEFECTOR_EPOCHS = {
 }
 
 
+# `econ congestion` and `econ poa` on an instance with four equilibria, the
+# permutations of one load vector, whose potentials differ only by rounding:
+# the pin holds the solver to the first maximizer in enumeration order,
+# loads (2, 3, 2, 2). Neither payload depends on the seed.
+TIED_CONGESTION = {"params": {"puzzles": 4, "miners": 9, "mu": 1.3, "gamma": 0.05,
+                              "deadline": 0.8}}
+TIED_CONGESTION_PAYLOADS = {
+    'econ.congestion': '2a48d00b4f7592732acc9fd76970a3bde38b619d427140ab79dd8f3c50897cef',
+    'econ.poa': 'ae9ee84001d46519470527eb6b43ff31cf67eec7f55aa65e392eac2b866a0298',
+}
+
+
 def config(scenario: str, position: int) -> dict:
     if scenario.split(".")[0] not in DOCUMENT_GROUPS:
         return {}
@@ -186,6 +198,17 @@ def test_defector_epochs_are_byte_identical(name):
     assert got == DEFECTOR_EPOCHS[name][1]
 
 
+def tied_congestion_sha256(scenario: str, position: int) -> str:
+    _, payload = runner.run(TIED_CONGESTION, scenario, SEEDS[position])
+    return hashlib.sha256(payload).hexdigest()
+
+
+@pytest.mark.parametrize("scenario", sorted(TIED_CONGESTION_PAYLOADS))
+def test_tied_congestion_payloads_are_byte_identical(scenario):
+    got = [tied_congestion_sha256(scenario, i) for i in range(len(SEEDS))]
+    assert got == [TIED_CONGESTION_PAYLOADS[scenario]] * len(SEEDS)
+
+
 if __name__ == "__main__":
     print("GOLDEN = {")
     for name in sorted(runner.SCENARIOS):
@@ -197,6 +220,10 @@ if __name__ == "__main__":
     print("LONG_NETWORK_PATHS sha256 = {")
     for name in sorted(LONG_NETWORK_PATHS):
         print(f"    {name!r}: {long_path_sha256(name)!r},")
+    print("}")
+    print("TIED_CONGESTION_PAYLOADS = {")
+    for name in sorted(TIED_CONGESTION_PAYLOADS):
+        print(f"    {name!r}: {tied_congestion_sha256(name, 0)!r},")
     print("}")
     print("DEFECTOR_EPOCHS sha256 = {")
     for name in sorted(DEFECTOR_EPOCHS):
