@@ -67,20 +67,12 @@ class AttestationSession:
     """
 
     def __init__(self, session_key: bytes, client_token: bytes,
-                 peers: tuple[EnclaveIdentity, EnclaveIdentity]):
+                 client: EnclaveIdentity, server: EnclaveIdentity):
         self._cipher = AESGCM(session_key)
         self.client_token = client_token
-        self.peers = peers
-        self.policy_ok = True
+        self.client = client
+        self.server = server
         self._seal_counter = 0
-
-    @property
-    def client(self) -> EnclaveIdentity:
-        return self.peers[0]
-
-    @property
-    def server(self) -> EnclaveIdentity:
-        return self.peers[1]
 
     def __repr__(self) -> str:
         return (f"AttestationSession(token={self.client_token.hex()[:16]}..., "
@@ -105,7 +97,7 @@ def mutual_attest(client: EnclaveIdentity, server: EnclaveIdentity,
     else:
         session_key = rng.take(_KEY_LEN)
         client_token = rng.take(_TOKEN_LEN)
-    return AttestationSession(session_key, client_token, (client, server))
+    return AttestationSession(session_key, client_token, client, server)
 
 
 def seal(session: AttestationSession, payload: bytes) -> bytes:

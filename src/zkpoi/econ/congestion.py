@@ -262,8 +262,6 @@ def solve_congestion_nash(instance: CongestionInstance) -> NashSolution:
         if cert is None:
             raise Infeasible("the potential's maximizer admits a profitable deviation")
         return NashSolution(best, cert, "argmax", potential(instance, best))
-    if instance.n_miners == 0:  # an empty market keeps the label of the M=1 case
-        return NashSolution(Allocation(((0,) * instance.m,) * instance.k), (), "argmax", None)
     for allocation in _enumerate_allocations(instance):
         cert = deviation_certificate(instance, allocation)
         if cert is not None:

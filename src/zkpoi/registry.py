@@ -12,6 +12,11 @@ sees a plaintext identifier. A second uniqueness layer, the
 set accumulator over stable personal attributes, catches re-issued
 documents whose identifier changed.
 
+Only `register` writes the identifier tags and the attribute accumulator,
+and only after `verify_registration_bundle` accepts the bundle; only
+`take_offline`, under re-registration, removes them. A session by itself
+writes nothing.
+
 State mutates through a single-writer ordered log; the epoch of an entry is
 its log position. Export is line-delimited JSON with exactly the fields
 {op, pseudonym, pk, epoch}.
@@ -25,7 +30,7 @@ from typing import Iterable
 
 from . import attestation
 from .accumulator import Accumulator, accumulator_generate, accumulator_remove
-from .codec import Decoder, Encoder
+from .codec import Encoder
 from .crypto import ByteStream, hash_parts, hmac_sha256
 from .errors import (
     DecodeError,
@@ -36,7 +41,13 @@ from .errors import (
     ReplayedRegProof,
     UnknownPseudonym,
 )
-from .credential import SUFFIX_REG, Pseudonym, RegistrationBundle, verify_registration_bundle
+from .credential import (
+    SUFFIX_REG,
+    BundleVerdict,
+    Pseudonym,
+    RegistrationBundle,
+    verify_registration_bundle,
+)
 from .identity import CertChain, EPassport, SignatureCheck, TrustStore
 
 REGISTRY_ENCLAVE = attestation.EnclaveIdentity(name="zkpoi-registry", version=1)
@@ -49,7 +60,6 @@ STATUS_OFFLINE = "offline"
 class RegistryEntry:
     pseudonym: Pseudonym  # REG form
     pk: bytes
-    sign_pk: bytes | None
     status: str
     registered_at: int
 
@@ -101,13 +111,6 @@ def encode_attributes(attributes: tuple[str, ...]) -> bytes:
     return enc.done()
 
 
-def decode_attributes(blob: bytes) -> tuple[str, ...]:
-    d = Decoder(blob, "attrs:v1")
-    out = tuple(d.take_text() for _ in range(d.take_u64()))
-    d.finish()
-    return out
-
-
 class Registry:
     """Single-writer pseudonym ledger bound to one network identifier."""
 
@@ -138,18 +141,22 @@ class Registry:
         policy = policy or attestation.AttestationPolicy.expecting(client, self.enclave)
         return attestation.mutual_attest(client, self.enclave, policy, rng=self._session_rng)
 
-    def _require_session(self, session) -> attestation.AttestationSession:
-        if session is None or not getattr(session, "policy_ok", False):
+    def _unseal_bundle(self, session, sealed_bundle: bytes) -> RegistrationBundle:
+        if not isinstance(session, attestation.AttestationSession):
             raise NoSession("a valid attestation session is required")
         if session.server.measurement != self.enclave.measurement:
             raise NoSession("session was not attested against this registry")
-        return session
-
-    def _unseal_bundle(self, session, sealed_bundle: bytes) -> RegistrationBundle:
         try:
             return RegistrationBundle.from_bytes(attestation.unseal(session, sealed_bundle))
         except DecodeError as exc:
             raise InvalidBundle(f"bundle does not decode: {exc}") from exc
+
+    def _verify(self, bundle: RegistrationBundle, now: int) -> BundleVerdict:
+        verdict = verify_registration_bundle(bundle, self.trust_store, self.blockchain_id, now,
+                                             verified=self._verified)
+        if not verdict.accepted:
+            raise InvalidBundle(f"bundle rejected at {verdict.code}: {verdict.reason}")
+        return verdict
 
     # -- core operations --------------------------------------------------------
 
@@ -166,14 +173,10 @@ class Registry:
     def register(self, sealed_bundle: bytes, session, now: int) -> RegistryEntry:
         """Admit a new pseudonym: verify the sealed bundle, enforce identifier
         and attribute uniqueness, then append the entry."""
-        session = self._require_session(session)
         bundle = self._unseal_bundle(session, sealed_bundle)
         if bundle.pseudonym.suffix != SUFFIX_REG:
             raise InvalidBundle("registration requires a REG-suffix pseudonym")
-        verdict = verify_registration_bundle(bundle, self.trust_store, self.blockchain_id, now,
-                                             verified=self._verified)
-        if not verdict.accepted:
-            raise InvalidBundle(f"bundle rejected at {verdict.code}: {verdict.reason}")
+        verdict = self._verify(bundle, now)
         if self._id_db.contains(verdict.unique_id):
             raise DuplicateIdentity("identifier already registered",
                                     DuplicateReason.IDENTIFIER)
@@ -189,8 +192,7 @@ class Registry:
         self._id_db.add(verdict.unique_id)
         self._verified.update(verdict.checks)
         entry = RegistryEntry(pseudonym=bundle.pseudonym, pk=bundle.pk,
-                              sign_pk=bundle.sign_pk, status=STATUS_ONLINE,
-                              registered_at=self.epoch)
+                              status=STATUS_ONLINE, registered_at=self.epoch)
         self.entries[bundle.pseudonym.digest] = entry
         self._append("register", bundle.pseudonym, bundle.pk)
         return entry
@@ -201,14 +203,10 @@ class Registry:
         A replayed REG-suffix bundle is rejected outright; whether the
         identity may later re-register is the re-registration policy flag.
         """
-        session = self._require_session(session)
         bundle = self._unseal_bundle(session, sealed_off_bundle)
         if bundle.pseudonym.suffix == SUFFIX_REG:
             raise ReplayedRegProof("a registration proof cannot retire a pseudonym")
-        verdict = verify_registration_bundle(bundle, self.trust_store, self.blockchain_id, now,
-                                             verified=self._verified)
-        if not verdict.accepted:
-            raise InvalidBundle(f"bundle rejected at {verdict.code}: {verdict.reason}")
+        verdict = self._verify(bundle, now)
         entry = self.entries.get(bundle.pseudonym.digest)
         if entry is None or entry.status != STATUS_ONLINE:
             raise UnknownPseudonym("no online entry for this pseudonym")
@@ -223,17 +221,6 @@ class Registry:
             if self.accumulator.contains(leaf):
                 accumulator_remove(self.accumulator, leaf)
         return entry
-
-    def check_new_identity_against_accumulator(self, session, sealed_attributes: bytes) -> bool:
-        """Admissibility of a sealed attribute tuple: absent means admissible,
-        and admission accumulates it on the spot."""
-        session = self._require_session(session)
-        blob = attestation.unseal(session, sealed_attributes)
-        try:
-            decode_attributes(blob)  # canonical: an accepted blob is its own encoding
-        except DecodeError as exc:
-            raise InvalidBundle(f"attributes do not decode: {exc}") from exc
-        return self.accumulator.admit(blob)
 
     # -- host-side views ---------------------------------------------------------
 

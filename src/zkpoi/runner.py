@@ -167,17 +167,11 @@ class _Params:
             _fail(f"params.{key}", "must be a boolean")
         return value
 
-    def number_list(self, key, default, lo=None, hi=None):
+    def number_list(self, key, default):
         value = self._get(key, list(default))
         if not isinstance(value, list) or not value:
             _fail(f"params.{key}", "must be a non-empty array of numbers")
-        out = []
-        for i, v in enumerate(value):
-            v = self._real(f"params.{key}[{i}]", v)
-            if (lo is not None and v < lo) or (hi is not None and v > hi):
-                _fail(f"params.{key}[{i}]", f"must lie in [{lo}, {hi}]")
-            out.append(v)
-        return out
+        return [self._real(f"params.{key}[{i}]", v) for i, v in enumerate(value)]
 
     def reject_unknown(self):
         unknown = sorted(set(self.raw) - self.seen)
@@ -574,13 +568,12 @@ def _scenario_econ_circulation(p: _Params, seed: int) -> ScenarioResult:
     beta = p.number("beta_disc", 0.9, lo=0.0, hi=1.0, exclusive=True)
     eta = p.number("eta", 0.5, lo=0.0, hi=1.0, exclusive=True)
     alpha = p.number("alpha_eff", 0.5, lo=0.0)
-    deltas = p.number_list("deltas", [round(0.1 * i, 1) for i in range(1, 10)],
-                           lo=0.0, hi=1.0)
+    deltas = p.number_list("deltas", [round(0.1 * i, 1) for i in range(1, 10)])
     p.reject_unknown()
     rows = []
-    for delta in deltas:
+    for i, delta in enumerate(deltas):
         if not 0.0 < delta <= 1.0:
-            _fail("params.deltas", "entries must lie in (0, 1]")
+            _fail(f"params.deltas[{i}]", "must lie in (0, 1]")
         out = circ.stationary_dm_output(circ.CirculationParams(
             beta_disc=beta, eta=eta, alpha_eff=alpha, delta=delta))
         rows.append({"delta": delta, "q_star": out["q_star"],

@@ -325,11 +325,18 @@ class TestConfigErrors:
         assert out == ""
         assert err.strip() == f"config error: params.{key}: must be < 1.0"
 
-    def test_bad_list_entry_is_indexed(self, capsys, config_file):
-        cfg = config_file({"params": {"deltas": [0.5, "x"]}})
-        code, _, err = run_cli(["econ", "circulation", "--config", cfg], capsys)
+    @pytest.mark.parametrize("entry,message", [
+        ("x", "must be a number"),
+        (0.0, "must lie in (0, 1]"),
+        (-0.1, "must lie in (0, 1]"),
+        (1.5, "must lie in (0, 1]"),
+    ], ids=["text", "zero", "negative", "above-one"])
+    def test_bad_list_entry_is_indexed(self, capsys, config_file, entry, message):
+        cfg = config_file({"params": {"deltas": [0.5, entry]}})
+        code, out, err = run_cli(["econ", "circulation", "--config", cfg], capsys)
         assert code == 2
-        assert "params.deltas[1]: must be a number" in err
+        assert out == ""
+        assert err.strip() == f"config error: params.deltas[1]: {message}"
 
     @pytest.mark.parametrize("group,verb,params,key", [
         ("econ", "circulation", {"beta_disc": float("nan")}, "beta_disc"),

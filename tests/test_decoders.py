@@ -37,9 +37,6 @@ from zkpoi.identity import (
 )
 from zkpoi.registry import (
     Registry,
-    decode_attributes,
-    default_identity_attributes,
-    encode_attributes,
     load_log,
 )
 
@@ -76,8 +73,6 @@ def valid_encodings() -> dict[str, list[bytes]]:
         "dg1": [chipped.dg1.to_bytes()],
         "epassport": [chipped.public_bytes(), plain.public_bytes()],
         "bundle": [b.to_bytes() for b in bundles],
-        "attributes": [encode_attributes(default_identity_attributes(doc))
-                       for doc in (card.chain, chipped)],
         "log": [log.encode("utf-8")],
     }
 
@@ -100,7 +95,6 @@ def decoders(log_path) -> dict:
         "dg1": Dg1.from_bytes,
         "epassport": EPassport.from_bytes,
         "bundle": RegistrationBundle.from_bytes,
-        "attributes": decode_attributes,
         "log": decode_log,
     }
 
@@ -112,7 +106,6 @@ CANONICAL = {
     "dg1": (Dg1.from_bytes, Dg1.to_bytes),
     "epassport": (EPassport.from_bytes, EPassport.public_bytes),
     "bundle": (RegistrationBundle.from_bytes, RegistrationBundle.to_bytes),
-    "attributes": (decode_attributes, encode_attributes),
 }
 
 

@@ -189,9 +189,11 @@ class TestSolver:
         inst = instance(k=2, n=2, mu=1.0, gamma=0.01)
         assert deviation_certificate(inst, Allocation.single((2, 0))) is None
 
-    def test_empty_market(self):
-        solution = solve_congestion_nash(instance(n=0))
+    @pytest.mark.parametrize("m,direction", [(1, "argmax"), (2, "scan")])
+    def test_empty_market(self, m, direction):
+        solution = solve_congestion_nash(instance(n=0, m=m))
         assert solution.allocation.total == 0
+        assert solution.direction == direction
 
     def test_negative_population_infeasible(self):
         with pytest.raises(Infeasible):

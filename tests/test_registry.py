@@ -3,8 +3,11 @@ and the set accumulator underneath."""
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import inspect
 import json
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -39,6 +42,7 @@ from zkpoi.errors import (
     ReplayedRegProof,
     UnknownPseudonym,
     WrongSession,
+    ZkpoiError,
 )
 from zkpoi.identity import (
     GENESIS,
@@ -343,11 +347,12 @@ class TestSessions:
         with pytest.raises(NoSession):
             registry.register(b"whatever", None, NOW)
 
-    def test_flagged_session_rejected(self, world, registry):
-        session = registry.open_session(CLIENT)
-        session.policy_ok = False
+    @pytest.mark.parametrize("operation", ["register", "take_offline"])
+    def test_non_session_object_rejected(self, world, registry, operation):
+        # Names this registry as its server, but no handshake made it.
+        stand_in = SimpleNamespace(server=registry.enclave)
         with pytest.raises(NoSession):
-            registry.register(b"whatever", session, NOW)
+            getattr(registry, operation)(b"whatever", stand_in, NOW)
 
     def test_session_with_foreign_server_rejected(self, world, registry):
         other = attestation.EnclaveIdentity("some-other-service", 1)
@@ -375,6 +380,31 @@ class TestSessions:
         a = registry.open_session(CLIENT)
         b = registry.open_session(CLIENT)
         assert a.client_token != b.client_token
+
+    def test_session_alone_cannot_lock_out_a_holder(self):
+        """A session holder who knows only a passport holder's public
+        attributes seals them and offers them to every registry method that
+        takes a session; the holder's own bundle still registers."""
+        store, csca, dsc = passport_issuer(410)
+        holder = make_holder(7)
+        passport = issue_epassport(csca, dsc, holder, with_aa=True, seed=7)
+        public = ("epassport", holder.name, holder.birth_date, holder.nationality)
+        assert public == default_identity_attributes(passport)
+        registry = Registry(store, NETWORK, seed=21)
+        attacker = registry.open_session(CLIENT)
+        entry_points = [method for name, method in inspect.getmembers(registry, inspect.ismethod)
+                        if not name.startswith("_")
+                        and "session" in inspect.signature(method).parameters]
+        assert {m.__name__ for m in entry_points} >= {"register", "take_offline"}
+        for method in entry_points:
+            args = {name: attacker if name == "session" else NOW if name == "now"
+                    else attestation.seal(attacker, encode_attributes(public))
+                    for name in inspect.signature(method).parameters}
+            with contextlib.suppress(ZkpoiError):
+                method(**args)
+        session = registry.open_session(CLIENT)
+        entry = registry.register(sealed(session, make_bundle(passport, store)), session, NOW)
+        assert entry.status == STATUS_ONLINE
 
 
 # ---------------------------------------------------------------------------
@@ -680,14 +710,6 @@ class TestHostView:
             "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843")
         assert hmac_sha256(b"Jefe", b"what do ya want for nothing?") == expected
         assert EncryptedIdDB(b"Jefe").tag("what do ya want for nothing?") == expected
-
-    def test_accumulator_admissibility_check(self, world, registry):
-        session = registry.open_session(CLIENT)
-        attrs = encode_attributes(("card", "Issuer X", "Subject Y"))
-        blob = attestation.seal(session, attrs)
-        assert registry.check_new_identity_against_accumulator(session, blob) is True
-        blob2 = attestation.seal(session, attrs)
-        assert registry.check_new_identity_against_accumulator(session, blob2) is False
 
     def test_log_round_trip_reconstructs_state(self, world, registry, tmp_path):
         store, hierarchy = world
