@@ -122,16 +122,6 @@ def accumulator_generate(seed: int) -> Accumulator:
     return Accumulator(hash_parts(b"acc-domain", seed.to_bytes(8, "big", signed=False)))
 
 
-def accumulator_add(acc: Accumulator, element: bytes) -> MembershipWitness:
-    """Insert an element and return its membership witness for the new root."""
-    digest, i, present = acc._search(element)
-    if present:
-        raise AlreadyMember(f"element already accumulated: {element!r}")
-    acc._leaves.insert(i, digest)
-    acc._levels = None
-    return acc._witness_at(i)
-
-
 def accumulator_remove(acc: Accumulator, element: bytes) -> None:
     _, i, present = acc._search(element)
     if not present:

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Collection
 
 from .codec import Decoder, Encoder, frame_parts
-from .crypto import PUBLIC_KEY_LEN, SigningKey, hash_parts, pbkdf2_sha256, sha256, verify_signature
+from .crypto import PUBLIC_KEY_LEN, SigningKey, hash_parts, pbkdf2_sha256, sha256
 from .errors import DecodeError, EmptyPassphrase, InvalidDocument, NoActiveAuthentication
 from .identity import (
     DOCUMENT_KINDS,
@@ -106,10 +106,6 @@ def compute_signature_secret(doc) -> bytes:
 def _secret_check(doc_public_key: bytes, secret: bytes) -> SignatureCheck:
     """The check behind a signature secret, as `verify_unless_recorded` takes it."""
     return (doc_public_key, secret, _SECRET_CHALLENGE)
-
-
-def verify_signature_secret(doc_public_key: bytes, secret: bytes) -> bool:
-    return verify_signature(*_secret_check(doc_public_key, secret))
 
 
 def derive_pseudonym(signature_secret: bytes, blockchain_id: str, unique_id: str,

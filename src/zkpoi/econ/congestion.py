@@ -32,10 +32,10 @@ def _as_grid(value, k: int, m: int, name: str) -> tuple[tuple[float, ...], ...]:
     else:
         raise ValueError(f"{name} must be scalar, length-{k}, or {k}x{m}")
     grid = tuple(tuple(float(v) for v in row) for row in rows)
-    for row in grid:
-        for v in row:
-            if v < 0:
-                raise ValueError(f"{name} entries must be >= 0")
+    if not all(math.isfinite(v) for row in grid for v in row):
+        raise ValueError(f"{name} entries must be finite")
+    if any(v < 0 for row in grid for v in row):
+        raise ValueError(f"{name} entries must be >= 0")
     return grid
 
 
@@ -91,11 +91,6 @@ class Allocation:
                 raise ValueError("loads must be >= 0")
             rows.append(cells)
         object.__setattr__(self, "loads", tuple(rows))
-
-    @classmethod
-    def single(cls, per_puzzle) -> "Allocation":
-        """M=1 convenience: one integer per puzzle."""
-        return cls(tuple((int(v),) for v in per_puzzle))
 
     @property
     def total(self) -> int:

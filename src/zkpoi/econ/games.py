@@ -223,12 +223,6 @@ def _power_sum(count: int, exponent: float) -> float:
     return math.fsum(map(pow, range(1, count + 1), itertools.repeat(-exponent)))
 
 
-def zipf_shares(population: int, exponent: float) -> list[float]:
-    """Rank-ordered power-law reward shares summing to one, as a list."""
-    total = _power_sum(population, exponent)
-    return [k ** -exponent / total for k in range(1, population + 1)]
-
-
 def calibrate_power_law(population: int, top_count: int, top_share: float) -> float:
     """Exponent at which the top_count largest holders own top_share of the
     rewards (e.g. 16 miners holding 90%)."""
@@ -268,7 +262,7 @@ def udce_vs_plfc_game(miner_count: int, pow_cost: float, reward_r: float, *,
         raise TooLarge("miner count too large for an explicit payoff tensor")
     if share_model == "zipf":
         s = calibrate_power_law(population, top_count, top_share)
-        plfc_share = population ** -s / _power_sum(population, s)  # zipf_shares[-1]
+        plfc_share = population ** -s / _power_sum(population, s)  # last rank's share
         udce_share = 1.0 / population
     elif share_model == "winner_take_all":
         plfc_share = udce_share = 1.0 / miner_count

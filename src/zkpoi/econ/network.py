@@ -207,22 +207,6 @@ def state_ratios(state: NetworkState) -> tuple[float, float]:
     return state.m_a / state.m_b, state.c_a / state.c_b
 
 
-def ratio_ode_step(state, dt: float) -> tuple[float, float]:
-    """One classical 4th-order fixed-step advance of the ratio dynamics.
-
-    Takes a NetworkState (ratios derived from counts; anything else raises
-    TypeError) and returns the updated (merchant_ratio, customer_ratio).
-    """
-    if isinstance(state, NetworkState):
-        x, z = state_ratios(state)
-        lam, alpha, beta = state.lam, state.alpha, state.beta
-    else:
-        raise TypeError("ratio_ode_step expects a NetworkState")
-    if dt < 0:
-        raise ValueError("dt must be >= 0")
-    return _rk4(x, z, lam, alpha, beta, dt)
-
-
 def _rk4(x, z, lam, alpha, beta, dt):
     if x < 0 or z < 0:
         raise DegenerateRatio("ratios must be >= 0")

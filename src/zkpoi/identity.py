@@ -793,11 +793,6 @@ def verify_unless_recorded(check: SignatureCheck, verified: Collection[Signature
     return True
 
 
-def document_public_key(doc: Union[IdentityCard, CertChain, EPassport]) -> bytes:
-    """The verification key challenge signatures are checked against."""
-    return public_document(doc).public_key()
-
-
 def document_public_bytes(doc: Union[IdentityCard, CertChain, EPassport]) -> bytes:
     return public_document(doc).public_bytes()
 

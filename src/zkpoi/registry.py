@@ -18,15 +18,12 @@ and only after `verify_registration_bundle` accepts the bundle; only
 writes nothing.
 
 State mutates through a single-writer ordered log; the epoch of an entry is
-its log position. Export is line-delimited JSON with exactly the fields
-{op, pseudonym, pk, epoch}.
+its log position.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from typing import Iterable
 
 from . import attestation
 from .accumulator import Accumulator, accumulator_generate, accumulator_remove
@@ -238,60 +235,3 @@ class Registry:
                 for d, e in self.entries.items()
             },
         }
-
-    def export_log(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for rec in self.log:
-                fh.write(json.dumps(rec, sort_keys=True) + "\n")
-
-
-def load_log(path) -> list[dict]:
-    """Records of an exported log; DecodeError on any malformed line."""
-    with open(path, "rb") as fh:
-        lines = fh.read().splitlines()
-    records = []
-    for line_no, line in enumerate(lines):
-        if not line.strip():
-            continue
-        try:
-            rec = json.loads(line.decode("utf-8"))
-        except ValueError as exc:  # invalid UTF-8 or invalid JSON
-            raise DecodeError(f"log line {line_no} is not valid JSON: {exc}") from exc
-        if not isinstance(rec, dict):
-            raise DecodeError(f"log line {line_no} is not a JSON object")
-        missing = {"op", "pseudonym", "pk", "epoch"} - rec.keys()
-        if missing:
-            raise DecodeError(f"log line {line_no} lacks fields {sorted(missing)}")
-        # The types export_log writes: text fields and a non-negative integer epoch.
-        epoch = rec["epoch"]
-        if not (all(isinstance(rec[key], str) for key in ("op", "pseudonym", "pk"))
-                and type(epoch) is int and epoch >= 0):
-            raise DecodeError(f"log line {line_no} has a field of the wrong type")
-        records.append(rec)
-    return records
-
-
-@dataclass
-class RegistryView:
-    """Public reconstruction of registry state from an exported log.
-
-    Holds no secrets, so it can only answer status questions.
-    """
-
-    entries: dict[str, dict]
-    epoch: int
-
-    @classmethod
-    def from_log(cls, records: Iterable[dict]) -> "RegistryView":
-        entries: dict[str, dict] = {}
-        epoch = 0
-        for rec in records:
-            label = rec["pseudonym"]
-            digest_hex = label.split(":")[0]
-            if rec["op"] == "register":
-                entries[digest_hex] = {"pk": rec["pk"], "status": STATUS_ONLINE,
-                                       "registered_at": rec["epoch"]}
-            elif rec["op"] == "offline" and digest_hex in entries:
-                entries[digest_hex]["status"] = STATUS_OFFLINE
-            epoch = max(epoch, rec["epoch"] + 1)
-        return cls(entries=entries, epoch=epoch)

@@ -457,7 +457,10 @@ def _congestion_instance(p: _Params) -> cong.CongestionInstance:
     mu = p.number("mu", 1.0, lo=0.0)
     gamma = p.number("gamma", 0.0, lo=0.0)
     deadline = p.number("deadline", 1.0, lo=0.0, exclusive=True)
-    return cong.CongestionInstance(k=k, n_miners=n, mu=mu, gamma=gamma, deadline=deadline)
+    try:
+        return cong.CongestionInstance(k=k, n_miners=n, mu=mu, gamma=gamma, deadline=deadline)
+    except ValueError as exc:
+        _fail("params", str(exc))
 
 
 def _scenario_econ_congestion(p: _Params, seed: int) -> ScenarioResult:

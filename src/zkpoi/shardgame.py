@@ -106,6 +106,10 @@ def sign_receipt(key: SigningKey, tx_hash: bytes, recipient: str) -> Receipt:
     return Receipt(tx_hash=tx_hash, recipient=recipient, signature=key.sign(payload))
 
 
+# Sampled receipts, unsigned, as (signing key, tx digest) pairs by the miner each names.
+_Evidence = dict[str, list[tuple[SigningKey, bytes]]]
+
+
 @dataclass
 class ShardOutcome:
     shard: int
@@ -280,24 +284,27 @@ def _miner_decision(params: GameParams, miner: MinerState, l_j: int, y_len: int)
 
 
 def _defector_payoff(miner: MinerState, params: GameParams, *, published: bool,
-                     evidence: dict[str, list[Receipt]] | None) -> float:
+                     evidence: _Evidence | None) -> float:
     """Penalty when the defection is provable, zero otherwise.
 
     A published hash is proof by itself: a divergent vector is visible
     disagreement, and an agreed vector followed by absence shows the miner
     held the transactions. A silent miner is caught by the first of its
-    sampled receipts that verifies, if any. evidence=None means the
-    coordinated run, where the coordinator observes everyone directly.
+    sampled receipts that verifies, if any; each is signed just before its
+    check, since Ed25519 signing is deterministic and no other step reads
+    one. evidence=None means the coordinated run, where the coordinator
+    observes everyone directly.
     """
     if evidence is None or published:
         return payoff_defect(params)
-    named = any(r.verify(miner.pk) for r in evidence.get(miner.miner_id, ()))
+    named = any(sign_receipt(key, digest, miner.miner_id).verify(miner.pk)
+                for key, digest in evidence.get(miner.miner_id, ()))
     return payoff_defect(params) if named else 0.0
 
 
 def _settle_shard(shard: int, members: list[MinerState], params: GameParams,
                   payoffs, classification, *,
-                  evidence: dict[str, list[Receipt]] | None) -> ShardOutcome:
+                  evidence: _Evidence | None) -> ShardOutcome:
     """Shared consensus + reward logic for both protocol flavors.
 
     evidence is None for the coordinated run (everything observable) and
@@ -354,23 +361,23 @@ def _settle_shard(shard: int, members: list[MinerState], params: GameParams,
 
 def _gossip_and_collect(members: list[MinerState], pool: tuple[str, ...],
                         sample_size: int, rng: random.Random,
-                        ) -> dict[str, list[Receipt]]:
-    """Flood-gossip the pool, acknowledge deliveries with signed receipts,
-    then transmit a per-counterparty random sample as defection evidence.
+                        ) -> _Evidence:
+    """Flood-gossip the pool, acknowledge deliveries with receipts, then
+    transmit a per-counterparty random sample as defection evidence.
 
     Receipt holders are the gossip-active (non-lazy) members; a lazy miner
     acknowledges what it is offered but never forwards, so it holds nothing.
-    Returns the distinct sampled receipts, unverified, by the miner each names.
+    Returns the distinct sampled receipts, unsigned, by the miner each names.
     """
-    # Each member's signed acknowledgments of what it holds, in tx-digest order.
-    digests = sorted((hash_parts(b"tx", tx.encode()), tx) for tx in pool)
-    groups = {m.miner_id: [sign_receipt(m.key, d, m.miner_id) for d, tx in digests
-                           if tx in m.tx_list] for m in members}
     if sample_size <= 0:
         return {}
+    # Each member's acknowledgments of what it holds, in tx-digest order.
+    digests = sorted((hash_parts(b"tx", tx.encode()), tx) for tx in pool)
+    groups = {m.miner_id: [(m.key, d) for d, tx in digests if tx in m.tx_list]
+              for m in members}
     # Holders sample overlapping receipts; each distinct one is kept once.
     holders = [m for m in members if m.behavior != BEHAVIOR_LAZY]
-    sampled: dict[str, dict[Receipt, None]] = {}
+    sampled: dict[str, dict[tuple[SigningKey, bytes], None]] = {}
     for h in holders:
         for recipient, receipts in sorted(groups.items()):
             if recipient != h.miner_id and receipts:

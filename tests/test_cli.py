@@ -410,6 +410,16 @@ class TestConfigErrors:
         assert out == ""
         assert err.strip() == "config error: params: m_b must be finite"
 
+    @pytest.mark.parametrize("verb, key", [("congestion", "mu"), ("poa", "gamma"),
+                                           ("congestion", "gamma"), ("poa", "mu")])
+    def test_congestion_refuses_an_infinite_rate_or_cost(self, capsys, config_file,
+                                                         verb, key):
+        cfg = config_file({"params": {key: float("inf")}})
+        code, out, err = run_cli(["econ", verb, "--config", cfg], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.strip() == f"config error: params: {key} entries must be finite"
+
     def test_infinity_is_not_caught_as_nan(self, capsys, config_file):
         cfg = config_file({"params": {"u_aa": float("inf")}})
         code, out, _ = run_cli(["econ", "ess", "--config", cfg], capsys)

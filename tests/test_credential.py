@@ -19,7 +19,6 @@ from zkpoi.credential import (
     derive_keypair,
     derive_pseudonym,
     verify_registration_bundle,
-    verify_signature_secret,
 )
 from zkpoi.crypto import SigningKey, hash_parts, pbkdf2_sha256
 from zkpoi.errors import (
@@ -35,6 +34,7 @@ from zkpoi.identity import (
     FailureCode,
     HolderFields,
     active_auth_sign,
+    active_auth_verify,
     document_hash,
     document_public_bytes,
     extract_unique_id,
@@ -448,29 +448,27 @@ class TestVerifierSteps:
 
     def test_secret_verifies_against_document_key(self, world):
         _, _, card, *_ = world
-        from zkpoi.identity import document_public_key
+        common = credential.PREFIXED_COMMON_STRING.encode("utf-8")
         secret = compute_signature_secret(card)
-        assert verify_signature_secret(document_public_key(card), secret)
-        assert not verify_signature_secret(document_public_key(card), secret[::-1])
+        assert active_auth_verify(card.chain.public_key(), common, secret)
+        assert not active_auth_verify(card.chain.public_key(), common, secret[::-1])
 
     def test_secret_challenge_is_framed_once_per_process(self, world, monkeypatch):
-        """Signing the secret, step 7 and verify_signature_secret frame no
-        challenge, and the secret and its check equal a per-call framing's."""
+        """Signing the secret and step 7 frame no challenge, and the secret
+        and its check equal a per-call framing's."""
         store, _, card, *_ = world
-        from zkpoi.identity import document_public_key
         common = credential.PREFIXED_COMMON_STRING.encode("utf-8")
         real, framed = identity.hash_parts, []
         monkeypatch.setattr(identity, "hash_parts",
                             lambda *parts: framed.append(parts) or real(*parts))
         bundle, _ = build(dataclasses.replace(card), store)  # a copy signs afresh
         verdict = verify_registration_bundle(bundle, store, NETWORK, NOW)
-        assert verify_signature_secret(document_public_key(card), bundle.evidence.secret)
         assert verdict.accepted
         assert not [parts for parts in framed if common in parts]
         monkeypatch.undo()
         assert bundle.evidence.secret == active_auth_sign(card, common)
         challenge = hash_parts(b"zkpoi/active-auth/v1", common)
-        assert (document_public_key(card), bundle.evidence.secret, challenge) in verdict.checks
+        assert (card.chain.public_key(), bundle.evidence.secret, challenge) in verdict.checks
 
 
 # ---------------------------------------------------------------------------

@@ -13,13 +13,11 @@ of them and for drawn mutants.
 from __future__ import annotations
 
 import dataclasses
-import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zkpoi import attestation
 from zkpoi.credential import AA_MODE_ABSENT, RegistrationBundle, build_registration_bundle
 from zkpoi.errors import DecodeError
 from zkpoi.identity import (
@@ -34,10 +32,6 @@ from zkpoi.identity import (
     issue_dsc,
     issue_epassport,
     issue_identity_cert,
-)
-from zkpoi.registry import (
-    Registry,
-    load_log,
 )
 
 NOW = GENESIS + YEAR
@@ -62,10 +56,6 @@ def valid_encodings() -> dict[str, list[bytes]]:
         build_registration_bundle(plain, "pp", NETWORK, store, NOW, aa_mode=AA_MODE_ABSENT,
                                   kdf_iterations=2)[0],
     ]
-    registry = Registry(store, NETWORK, seed=3)
-    session = registry.open_session(attestation.EnclaveIdentity("zkpoi-wallet", 1))
-    registry.register(attestation.seal(session, bundles[0].to_bytes()), session, NOW)
-    log = "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in registry.log)
     return {
         "certificate": [c.to_bytes() for c in (card.certificate, *card.chain.intermediates,
                                                 dsc.cert)],
@@ -73,33 +63,13 @@ def valid_encodings() -> dict[str, list[bytes]]:
         "dg1": [chipped.dg1.to_bytes()],
         "epassport": [chipped.public_bytes(), plain.public_bytes()],
         "bundle": [b.to_bytes() for b in bundles],
-        "log": [log.encode("utf-8")],
     }
 
 
 VALID = valid_encodings()
 
 
-@pytest.fixture(scope="module")
-def log_file(tmp_path_factory):
-    return tmp_path_factory.mktemp("decoders") / "registry.log"
-
-
-def decoders(log_path) -> dict:
-    def decode_log(blob: bytes):
-        log_path.write_bytes(blob)
-        return load_log(log_path)
-    return {
-        "certificate": Certificate.from_bytes,
-        "chain": CertChain.from_bytes,
-        "dg1": Dg1.from_bytes,
-        "epassport": EPassport.from_bytes,
-        "bundle": RegistrationBundle.from_bytes,
-        "log": decode_log,
-    }
-
-
-# Each structure whose decoder output re-encodes: (decode, encode).
+# Each structure's (decode, encode); whatever decodes re-encodes.
 CANONICAL = {
     "certificate": (Certificate.from_bytes, Certificate.to_bytes),
     "chain": (CertChain.from_bytes, CertChain.to_bytes),
@@ -228,25 +198,19 @@ def returns_or_refuses(decode, blob: bytes) -> None:
         pass
 
 
-def test_valid_encodings_decode(log_file):
-    for name, decode in decoders(log_file).items():
-        for blob in VALID[name]:
-            decode(blob)
-
-
 @pytest.mark.parametrize("name", sorted(VALID))
 @settings(max_examples=EXAMPLES, deadline=None)
 @given(blob=st.binary(max_size=256))
-def test_arbitrary_bytes(log_file, name, blob):
-    returns_or_refuses(decoders(log_file)[name], blob)
+def test_arbitrary_bytes(name, blob):
+    returns_or_refuses(CANONICAL[name][0], blob)
 
 
 @pytest.mark.parametrize("name", sorted(VALID))
 @settings(max_examples=EXAMPLES, deadline=None)
 @given(data=st.data())
-def test_small_mutations_of_valid_encodings(log_file, name, data):
+def test_small_mutations_of_valid_encodings(name, data):
     blob = data.draw(mutations(VALID[name]), label="mutant")
-    returns_or_refuses(decoders(log_file)[name], blob)
+    returns_or_refuses(CANONICAL[name][0], blob)
 
 
 @pytest.mark.parametrize("name", sorted(CANONICAL))

@@ -107,3 +107,68 @@ def test_dead_private_name_scan_sees_a_dead_name(tmp_path):
     (tmp_path / "b.py").write_text("from a import _used\n\n"
                                    "def check(store):\n    _used()\n    return store._signed()\n")
     assert dead_private_names(tmp_path) == {"_dead", "_orphan", "_Hidden"}
+
+
+# Public names that only tests call, kept because each checks a claim of the
+# paper, as "module.qualified name": reason.
+PAPER_CLAIM_CHECKS: dict[str, str] = {
+    "accumulator.accumulator_verify":
+        "the public witness check: anyone holding a root can check membership",
+    "shardgame.is_nash_profile": "the unique-Nash claim of the sharding game",
+    "shardgame.decentralization_check": "the decentralization claim of the sharding game",
+    "congestion.Allocation.puzzle_loads": "the equilibrium loads the congestion tests read",
+    "circulation.fee_balance": "the fee balance of the circulation model",
+    "network.integrate_ratio_ode": "the network-effect ratio dynamics",
+    "network.sample_static_joins": "acceptance bar 10 recovers the elasticities through it",
+    "network.estimate_elasticities": "acceptance bar 10 recovers the elasticities through it",
+}
+
+
+def public_names_only_tests_reach(library_root: Path, reader_roots: list[Path]) -> set[str]:
+    """Public functions, classes and methods defined under `library_root`
+    whose name no module under `reader_roots` reads as a plain name or an
+    attribute, as "module.qualified name". A name inside a string is no read."""
+    defined: dict[str, str] = {}
+
+    def collect(body: list[ast.stmt], prefix: str) -> None:
+        for node in body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")):
+                defined[f"{prefix}.{node.name}"] = node.name
+                if isinstance(node, ast.ClassDef):
+                    collect(node.body, f"{prefix}.{node.name}")
+
+    for path in library_root.rglob("*.py"):
+        collect(ast.parse(path.read_text(), filename=str(path)).body, path.stem)
+    read = set()
+    for root in reader_roots:
+        for path in root.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    read.add(node.id)
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    read.add(node.attr)
+    return {label for label, name in defined.items() if name not in read}
+
+
+def test_no_public_name_only_tests_reach():
+    readers = [ROOT / "src", ROOT / "bench", ROOT / "demos"]
+    assert public_names_only_tests_reach(ROOT / "src" / "zkpoi", readers) == set(
+        PAPER_CLAIM_CHECKS)
+
+
+def test_public_name_scan_sees_a_dead_name(tmp_path):
+    library = tmp_path / "lib"
+    library.mkdir()
+    (library / "a.py").write_text("def used():\n    pass\n\n"
+                                  "def dead():\n    pass\n\n"
+                                  "def quoted():\n    pass\n\n"
+                                  "class Store:\n    def get(self):\n        pass\n\n"
+                                  "    def orphan(self):\n        pass\n\n"
+                                  "    def _private(self):\n        pass\n")
+    (tmp_path / "app.py").write_text("from a import Store, dead, used\n\n"
+                                     "def run():\n    used()\n"
+                                     "    Store().get()\n"
+                                     "    raise TypeError('quoted expects a Store')\n")
+    assert public_names_only_tests_reach(library, [tmp_path]) == {
+        "a.dead", "a.quoted", "a.Store.orphan"}

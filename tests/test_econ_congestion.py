@@ -70,12 +70,12 @@ class TestWinProbability:
 class TestUtilityAndInstance:
     def test_utility_is_clipped_at_zero(self):
         inst = instance(k=1, n=1, gamma=5.0)
-        assert miner_utility(inst, Allocation.single((1,)), 0) == 0.0
+        assert miner_utility(inst, Allocation((1,)), 0) == 0.0
 
     def test_utility_on_empty_slot_raises(self):
         inst = instance()
         with pytest.raises(ZeroMiners):
-            miner_utility(inst, Allocation.single((0, 2)), 0)
+            miner_utility(inst, Allocation((0, 2)), 0)
 
     def test_parameter_grids_coerce(self):
         inst = CongestionInstance(k=2, n_miners=3, mu=[1.0, 2.0], gamma=0.1)
@@ -95,6 +95,14 @@ class TestUtilityAndInstance:
         with pytest.raises(ValueError):
             CongestionInstance(k=1, n_miners=3, mu=1.0, gamma=0.0, deadline=0.0)
 
+    @pytest.mark.parametrize("field", ["mu", "gamma"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, [1.0, math.inf]],
+                             ids=["inf", "-inf", "nan", "one-inf"])
+    def test_non_finite_grids_rejected(self, field, value):
+        grids = {"mu": 1.0, "gamma": 0.0, field: value}
+        with pytest.raises(ValueError, match=f"^{field} entries must be finite$"):
+            CongestionInstance(k=2, n_miners=3, **grids)
+
     @pytest.mark.parametrize("mu", [[[1.0, 2.0], [3.0]], [[1.0], 2.0], None, "ab"])
     def test_ragged_or_non_numeric_grids_rejected(self, mu):
         with pytest.raises(ValueError):
@@ -107,12 +115,12 @@ class TestUtilityAndInstance:
         assert inst.gamma == ((0.5,), (0.5,))
 
     def test_allocation_shapes(self):
-        alloc = Allocation.single((2, 0, 1))
+        alloc = Allocation((2, 0, 1))
         assert alloc.total == 3
         assert alloc.puzzle_loads() == (2, 0, 1)
         assert alloc.flat() == (2, 0, 1)
         with pytest.raises(ValueError):
-            Allocation.single((-1, 2))
+            Allocation((-1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -123,12 +131,12 @@ class TestUtilityAndInstance:
 class TestPotential:
     def test_balanced_spot(self):
         inst = instance()
-        assert potential(inst, Allocation.single((1, 1))) == pytest.approx(
+        assert potential(inst, Allocation((1, 1))) == pytest.approx(
             oracles.PHI_1_1, abs=1e-15)
 
     def test_lopsided_spot(self):
         inst = instance()
-        assert potential(inst, Allocation.single((2, 0))) == pytest.approx(
+        assert potential(inst, Allocation((2, 0))) == pytest.approx(
             oracles.PHI_2_0, abs=1e-15)
 
     @settings(max_examples=80, deadline=None)
@@ -138,7 +146,7 @@ class TestPotential:
         rates = [data.draw(st.floats(0.1, 3.0)) for _ in range(k)]
         costs = [data.draw(st.floats(0.0, 0.5)) for _ in range(k)]
         inst = CongestionInstance(k=k, n_miners=sum(loads), mu=rates, gamma=costs)
-        ours = potential(inst, Allocation.single(loads))
+        ours = potential(inst, Allocation(loads))
         theirs = oracles.potential_direct(loads, rates, costs, 1.0)
         assert ours == pytest.approx(theirs, abs=1e-12)
 
@@ -158,8 +166,8 @@ class TestPotential:
         after = list(loads)
         after[src] -= 1
         after[dst] += 1
-        phi_delta = (potential(inst, Allocation.single(after))
-                     - potential(inst, Allocation.single(before)))
+        phi_delta = (potential(inst, Allocation(after))
+                     - potential(inst, Allocation(before)))
         util_delta = (puzzle_win_prob(after[dst], rates[dst], 1.0)
                       - puzzle_win_prob(before[src], rates[src], 1.0))
         assert phi_delta == pytest.approx(util_delta, abs=1e-12)
@@ -187,7 +195,7 @@ class TestSolver:
 
     def test_lopsided_allocation_rejected(self):
         inst = instance(k=2, n=2, mu=1.0, gamma=0.01)
-        assert deviation_certificate(inst, Allocation.single((2, 0))) is None
+        assert deviation_certificate(inst, Allocation((2, 0))) is None
 
     @pytest.mark.parametrize("m,direction", [(1, "argmax"), (2, "scan")])
     def test_empty_market(self, m, direction):
@@ -235,7 +243,7 @@ class TestSolver:
         assert solution.direction == "argmax"
         assert solution.allocation.puzzle_loads() in theirs
         assert solution.potential_value == potential(inst, solution.allocation)
-        phis = [(potential(inst, Allocation.single(loads)), loads)
+        phis = [(potential(inst, Allocation(loads)), loads)
                 for loads in oracles.enumerate_allocations(n, k)]
         assert solution.potential_value == max(phi for phi, _ in phis)
         assert solution.allocation.puzzle_loads() == next(

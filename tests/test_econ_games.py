@@ -21,7 +21,6 @@ from zkpoi.econ.games import (
     is_ess,
     is_pure_nash,
     udce_vs_plfc_game,
-    zipf_shares,
 )
 from zkpoi.errors import TooLarge
 
@@ -191,21 +190,23 @@ def test_ess_grid_matches_numpy_linspace(lo, hi, n):
 
 
 class TestShares:
-    def test_shares_sum_to_one_and_decrease(self):
-        shares = zipf_shares(1000, 1.2)
-        assert len(shares) == 1000
-        assert sum(shares) == pytest.approx(1.0, abs=1e-12)
-        assert all(b <= a for a, b in zip(shares, shares[1:]))
-
-    def test_zero_exponent_is_uniform(self):
-        shares = zipf_shares(10, 0.0)
-        assert np.allclose(shares, 0.1)
-
     def test_calibration_hits_the_target(self):
         s = calibrate_power_law(10_000, 16, 0.9)
-        assert sum(zipf_shares(10_000, s)[:16]) == pytest.approx(0.9, abs=1e-9)
+        assert oracles.zipf_shares(10_000, s)[:16].sum() == pytest.approx(0.9, abs=1e-9)
         assert s == pytest.approx(oracles.calibrate_zipf_exponent(10_000, 16, 0.9),
                                   abs=1e-6)
+
+    def test_calibrated_exponent_grows_with_the_top_share(self):
+        exponents = [calibrate_power_law(10_000, 16, share) for share in (0.3, 0.6, 0.9)]
+        assert exponents == sorted(exponents)
+        assert len(set(exponents)) == 3
+
+    def test_zipf_entrant_earns_the_last_rank_share(self):
+        s = calibrate_power_law(10_000, 16, 0.9)
+        game = udce_vs_plfc_game(2, 0.0, 1.0)
+        assert game.payoff(0, (1, 0)) == pytest.approx(oracles.zipf_shares(10_000, s)[-1],
+                                                       rel=1e-9)
+        assert game.payoff(0, (0, 0)) == pytest.approx(1.0 / 10_000, rel=1e-12)
 
     def test_calibration_bounds(self):
         with pytest.raises(ValueError):

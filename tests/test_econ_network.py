@@ -15,7 +15,6 @@ from zkpoi.econ.network import (
     integrate_ratio_ode,
     join_probabilities,
     overtake_analysis,
-    ratio_ode_step,
     sample_static_joins,
     share_of,
     simulate_network_growth,
@@ -221,18 +220,6 @@ class TestRatioDynamics:
         with pytest.raises(DegenerateRatio):
             state_ratios(make_state(**overrides))
 
-    def test_step_requires_a_state(self):
-        with pytest.raises(TypeError):
-            ratio_ode_step((2.0, 1.0), 0.1)
-
-    def test_zero_dt_is_identity(self):
-        state = make_state()
-        assert ratio_ode_step(state, 0.0) == state_ratios(state)
-
-    def test_negative_dt_rejected(self):
-        with pytest.raises(ValueError):
-            ratio_ode_step(make_state(), -0.1)
-
     def test_matches_exact_linear_solution(self):
         # with unit elasticities and lam = 1/2 the gap x - z decays as e^-t
         # while x + z stays constant, so from (2, 1): x(t) = 1.5 + 0.5 e^-t
@@ -256,6 +243,14 @@ class TestRatioDynamics:
     def test_zero_horizon_returns_initial_ratios(self):
         state = make_state()
         assert integrate_ratio_ode(state, t_end=0.0) == state_ratios(state)
+
+    def test_integration_composes_over_aligned_steps(self):
+        state = make_state(m_a=2.0, m_b=1.0, c_a=1.0, c_b=3.0, alpha=1.3, beta=0.8)
+        x, z = integrate_ratio_ode(state, t_end=0.5, dt=0.1)
+        halfway = make_state(m_a=x, m_b=1.0, c_a=z, c_b=1.0, alpha=1.3, beta=0.8)
+        once = integrate_ratio_ode(state, t_end=1.0, dt=0.1)
+        twice = integrate_ratio_ode(halfway, t_end=0.5, dt=0.1)
+        assert twice == pytest.approx(once, rel=1e-12)
 
     def test_bad_integration_arguments(self):
         with pytest.raises(ValueError):

@@ -30,7 +30,6 @@ from zkpoi.identity import (
     active_auth_sign,
     active_auth_verify,
     document_hash,
-    document_public_key,
     yymmdd_timestamp,
     extract_unique_id,
     generate_ca_hierarchy,
@@ -905,23 +904,23 @@ class TestChallengeSigning:
     def test_card_signature_verifies(self, card_setup):
         _, _, card = card_setup
         sig = active_auth_sign(card, b"challenge-1")
-        assert active_auth_verify(document_public_key(card), b"challenge-1", sig)
+        assert active_auth_verify(card.chain.public_key(), b"challenge-1", sig)
 
     def test_passport_signature_verifies(self, passport_setup):
         *_, passport = passport_setup
         sig = active_auth_sign(passport, b"challenge-2")
-        assert active_auth_verify(document_public_key(passport), b"challenge-2", sig)
+        assert active_auth_verify(passport.public_key(), b"challenge-2", sig)
 
     def test_wrong_message_rejected(self, card_setup):
         _, _, card = card_setup
         sig = active_auth_sign(card, b"challenge-1")
-        assert not active_auth_verify(document_public_key(card), b"challenge-x", sig)
+        assert not active_auth_verify(card.chain.public_key(), b"challenge-x", sig)
 
     def test_cross_document_rejected(self, card_setup, passport_setup):
         _, _, card = card_setup
         *_, passport = passport_setup
         sig = active_auth_sign(passport, b"challenge-3")
-        assert not active_auth_verify(document_public_key(card), b"challenge-3", sig)
+        assert not active_auth_verify(card.chain.public_key(), b"challenge-3", sig)
 
     def test_passport_without_chip_key_cannot_sign(self, passport_setup):
         _, _, csca, dsc, holder, _ = passport_setup
@@ -930,7 +929,7 @@ class TestChallengeSigning:
         with pytest.raises(NoActiveAuthentication):
             active_auth_sign(plain, b"challenge")
         with pytest.raises(NoActiveAuthentication):
-            document_public_key(plain)
+            plain.public_key()
 
     def test_unsupported_document_cannot_sign(self):
         with pytest.raises(NoActiveAuthentication):

@@ -270,6 +270,22 @@ class TestProtocolRuns:
         assert outcome.payoffs[lazy_id] == 0.0
         assert outcome.classification[lazy_id] == DEFECTOR
 
+    @pytest.mark.parametrize("sample", [0, -1])
+    def test_without_sampling_no_receipt_is_signed(self, monkeypatch, sample):
+        signed = []
+
+        def sign(key, tx_hash, recipient):
+            signed.append(tx_hash)
+            return sign_receipt(key, tx_hash, recipient)
+
+        monkeypatch.setattr(shardgame, "sign_receipt", sign)
+        params = params_with()
+        miners = make_miners(8, seed=7, behaviors={BEHAVIOR_LAZY: 1})
+        outcome = run_receipt_protocol(params, miners, RAND, receipt_sample_size=sample)
+        lazy_id = next(m.miner_id for m in miners if m.behavior == BEHAVIOR_LAZY)
+        assert signed == []
+        assert outcome.payoffs[lazy_id] == 0.0
+
     @pytest.mark.parametrize("protocol", ["coordinated", "receipts"])
     def test_false_reporter_is_outvoted_and_penalized(self, protocol):
         params = params_with()
@@ -335,32 +351,35 @@ class TestProtocolRuns:
                              ids=["no-drops", "one-walks"])
     def test_only_receipts_that_can_convict_are_verified(self, monkeypatch, randomness,
                                                          drop_rate):
-        sampled, verified = [], []
+        params = params_with()
+        miners = make_miners(8, 14, {BEHAVIOR_LAZY: 2, BEHAVIOR_FALSE_HASH: 1})
+        owner = {m.key: m for m in miners}
+        sampled, verified = set(), []  # (tx digest, recipient) pairs
         real_sample, real_verify = random.Random.sample, Receipt.verify
 
         def sample(rng, population, k, **kwargs):
             chosen = real_sample(rng, population, k, **kwargs)
-            sampled.extend(r for r in chosen if isinstance(r, Receipt))
+            sampled.update((digest, owner[key].miner_id) for key, digest in chosen)
             return chosen
 
         def verify(receipt, recipient_pk):
-            verified.append(receipt)
+            verified.append((receipt.tx_hash, receipt.recipient))
             return real_verify(receipt, recipient_pk)
 
         monkeypatch.setattr(random.Random, "sample", sample)
         monkeypatch.setattr(Receipt, "verify", verify)
-        params = params_with()
-        miners = make_miners(8, 14, {BEHAVIOR_LAZY: 2, BEHAVIOR_FALSE_HASH: 1})
         outcome = run_receipt_protocol(params, miners, randomness, drop_rate=drop_rate,
                                        receipt_sample_size=3)
-        silent = {m.miner_id: m.pk for m in miners if m.behavior == BEHAVIOR_LAZY}
-        assert set(verified) <= set(sampled)
+        monkeypatch.undo()
+        silent = {m.miner_id: m for m in miners if m.behavior == BEHAVIOR_LAZY}
+        assert set(verified) <= sampled
         assert len(verified) == len(set(verified))
-        assert {r.recipient for r in verified} <= set(silent)
-        assert len(set(sampled)) > len(verified)
-        # Eager reference: every distinct sampled receipt checked.
-        for miner_id, pk in silent.items():
-            named = any(real_verify(r, pk) for r in set(sampled) if r.recipient == miner_id)
+        assert {recipient for _, recipient in verified} <= set(silent)
+        assert len(sampled) > len(verified)
+        # Eager reference: every distinct sampled receipt signed and checked.
+        for miner_id, m in silent.items():
+            named = any(sign_receipt(m.key, digest, miner_id).verify(m.pk)
+                        for digest, recipient in sampled if recipient == miner_id)
             assert outcome.payoffs[miner_id] == (-params.penalty if named else 0.0)
 
     @pytest.mark.parametrize("forge_every, caught", [(1, False), (2, True)],
@@ -368,22 +387,32 @@ class TestProtocolRuns:
     def test_forged_receipts_do_not_convict(self, monkeypatch, forge_every, caught):
         params = params_with()
         miners = make_miners(8, seed=7, behaviors={BEHAVIOR_LAZY: 1})
-        lazy_id = next(m.miner_id for m in miners if m.behavior == BEHAVIOR_LAZY)
-        signed = []
+        lazy_id, lazy_pk = next((m.miner_id, m.pk) for m in miners
+                                if m.behavior == BEHAVIOR_LAZY)
+        sampled, signed = set(), []  # tx digests that name the lazy miner
+        real_sample = random.Random.sample
+
+        def sample(rng, population, k, **kwargs):
+            chosen = real_sample(rng, population, k, **kwargs)
+            sampled.update(digest for key, digest in chosen if key.public_bytes == lazy_pk)
+            return chosen
 
         def sign(key, tx_hash, recipient):
             receipt = sign_receipt(key, tx_hash, recipient)
             if recipient != lazy_id:
                 return receipt
-            signed.append(receipt)
+            signed.append(tx_hash)
             if len(signed) % forge_every:
                 return receipt
             forged = bytes([receipt.signature[0] ^ 1]) + receipt.signature[1:]
             return Receipt(receipt.tx_hash, recipient, forged)
 
+        monkeypatch.setattr(random.Random, "sample", sample)
         monkeypatch.setattr(shardgame, "sign_receipt", sign)
         outcome = run_receipt_protocol(params, miners, RAND, receipt_sample_size=3)
-        assert len(signed) == 8
+        # Only sampled receipts are signed, each once, and only until one convicts.
+        assert set(signed) <= sampled
+        assert len(signed) == len(set(signed)) == (1 if caught else len(sampled))
         assert outcome.payoffs[lazy_id] == (-params.penalty if caught else 0.0)
         assert outcome.classification[lazy_id] == DEFECTOR
 
