@@ -27,8 +27,7 @@ def main() -> None:
     inst = cong.CongestionInstance(k=2, n_miners=2, mu=1.0, gamma=0.0,
                                    deadline=1.0)
     sol = cong.solve_congestion_nash(inst)
-    loads = tuple(sol.allocation.loads[j][0] for j in range(inst.k))
-    print(f"  2 miners, 2 puzzles, free entry: equilibrium loads {loads}, "
+    print(f"  2 miners, 2 puzzles, free entry: equilibrium loads {sol.allocation.loads}, "
           f"potential {sol.potential_value:.6f}")
     priced = cong.CongestionInstance(k=2, n_miners=2, mu=1.0, gamma=0.1,
                                      deadline=1.0)

@@ -44,9 +44,7 @@ def main() -> None:
 
     banner("3. Attested channel to the registry enclave")
     reg = registry.Registry(store, NETWORK, seed=7)
-    wallet = attestation.EnclaveIdentity("zkpoi-wallet", 1)
-    policy = attestation.AttestationPolicy.expecting(wallet, reg.enclave)
-    session = reg.open_session(wallet, policy)
+    session = reg.open_session(registry.WALLET_ENCLAVE)
     print(f"  mutual attestation ok; channel binds wallet <-> "
           f"{reg.enclave.name} v{reg.enclave.version}")
 

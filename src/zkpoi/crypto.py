@@ -10,16 +10,19 @@ from __future__ import annotations
 
 import hashlib
 import hmac as _hmac
+from typing import TYPE_CHECKING
 
 from cryptography.exceptions import InvalidSignature, InvalidTag
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PrivateKey,
     Ed25519PublicKey,
 )
-from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from .codec import frame_parts
 from .errors import WrongSession
+
+if TYPE_CHECKING:
+    from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 DIGEST_LEN = 32
 SIGNATURE_LEN = 64

@@ -31,6 +31,9 @@ class CirculationParams:
     delta: float
 
     def __post_init__(self):
+        for name in ("beta_disc", "eta", "alpha_eff", "delta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not 0.0 < self.beta_disc < 1.0:
             raise ValueError("beta_disc must lie in (0, 1)")
         if not 0.0 < self.eta < 1.0:

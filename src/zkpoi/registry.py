@@ -34,6 +34,7 @@ from .errors import (
     DuplicateIdentity,
     DuplicateReason,
     InvalidBundle,
+    MeasurementMismatch,
     NoSession,
     ReplayedRegProof,
     UnknownPseudonym,
@@ -48,6 +49,7 @@ from .credential import (
 from .identity import CertChain, EPassport, SignatureCheck, TrustStore
 
 REGISTRY_ENCLAVE = attestation.EnclaveIdentity(name="zkpoi-registry", version=1)
+WALLET_ENCLAVE = attestation.EnclaveIdentity(name="zkpoi-wallet", version=1)
 
 STATUS_ONLINE = "online"
 STATUS_OFFLINE = "offline"
@@ -134,7 +136,10 @@ class Registry:
     def open_session(self, client: attestation.EnclaveIdentity,
                      policy: attestation.AttestationPolicy | None = None,
                      ) -> attestation.AttestationSession:
-        """Attest a client against this registry's enclave."""
+        """Attest a client against this registry's enclave. Only the wallet
+        enclave is admitted as a client."""
+        if client.measurement != WALLET_ENCLAVE.measurement:
+            raise MeasurementMismatch("client", f"{client.name} v{client.version}")
         policy = policy or attestation.AttestationPolicy.expecting(client, self.enclave)
         return attestation.mutual_attest(client, self.enclave, policy, rng=self._session_rng)
 

@@ -355,9 +355,7 @@ def _registry_round(p: _Params, seed: int, offline_count: int):
     p.reject_unknown()
     store, docs = synthesize_documents(kind, count, hierarchies, seed)
     reg = registry.Registry(store, blockchain_id, seed=seed)
-    client = attestation.EnclaveIdentity("zkpoi-wallet", 1)
-    policy = attestation.AttestationPolicy.expecting(client, reg.enclave)
-    session = reg.open_session(client, policy)
+    session = reg.open_session(registry.WALLET_ENCLAVE)
     for i, doc in enumerate(docs):
         bundle = _build_bundle(doc, i, seed, blockchain_id, store, kdf_iterations=iterations)
         reg.register(attestation.seal(session, bundle.to_bytes()), session, _now())
@@ -469,13 +467,12 @@ def _scenario_econ_congestion(p: _Params, seed: int) -> ScenarioResult:
     solution = cong.solve_congestion_nash(instance)
     rows = []
     for k in range(instance.k):
-        load = solution.allocation.loads[k][0]
-        utility = (cong.miner_utility(instance, solution.allocation, k, 0)
-                   if load else 0.0)
+        load = solution.allocation.loads[k]
+        utility = cong.miner_utility(instance, solution.allocation, k) if load else 0.0
         rows.append({"puzzle": k, "load": load, "utility": utility})
     return ScenarioResult(
         columns=["puzzle", "load", "utility"], rows=rows,
-        summary={"direction": solution.direction,
+        summary={"direction": "argmax",
                  "potential": solution.potential_value,
                  "deviations_checked": len(solution.certificate),
                  "nash_certified": True})
@@ -577,8 +574,12 @@ def _scenario_econ_circulation(p: _Params, seed: int) -> ScenarioResult:
     for i, delta in enumerate(deltas):
         if not 0.0 < delta <= 1.0:
             _fail(f"params.deltas[{i}]", "must lie in (0, 1]")
-        out = circ.stationary_dm_output(circ.CirculationParams(
-            beta_disc=beta, eta=eta, alpha_eff=alpha, delta=delta))
+        try:
+            params = circ.CirculationParams(beta_disc=beta, eta=eta, alpha_eff=alpha,
+                                            delta=delta)
+        except ValueError as exc:
+            _fail("params", str(exc))
+        out = circ.stationary_dm_output(params)
         rows.append({"delta": delta, "q_star": out["q_star"],
                      "q_hat_full": out["q_hat_full"], "q_hat_delta": out["q_hat_delta"],
                      "pareto_dominates": out["pareto_dominates"]})

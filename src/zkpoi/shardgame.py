@@ -76,6 +76,8 @@ class GameParams:
         if not 1 <= self.committee_min <= floor_size:
             raise ValueError(f"committee_min must lie in 1..{floor_size}")
         for name in ("tx_reward", "block_reward", "fixed_cost", "per_tx_cost", "penalty"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
 

@@ -368,7 +368,7 @@ def test_criterion_06_congestion_solver(report):
                         inst = cong.CongestionInstance(
                             k=k, n_miners=n, mu=mu, gamma=gamma, deadline=deadline)
                         sol = cong.solve_congestion_nash(inst)
-                        loads = tuple(sol.allocation.loads[j][0] for j in range(k))
+                        loads = sol.allocation.loads
                         count += 1
                         if not oracles.allocation_is_nash(
                                 loads, [mu] * k, [gamma] * k, deadline, n):
@@ -380,13 +380,12 @@ def test_criterion_06_congestion_solver(report):
 
     worked = cong.CongestionInstance(k=2, n_miners=2, mu=1.0, gamma=0.0, deadline=1.0)
     sol = cong.solve_congestion_nash(worked)
-    loads = tuple(sol.allocation.loads[j][0] for j in range(2))
+    loads = sol.allocation.loads
     if loads != (1, 1):
         problems.append(f"worked instance solved to {loads}, not (1, 1)")
     if abs(sol.potential_value - 1.264241) > 1e-6:
         problems.append(f"worked potential {sol.potential_value!r} != 1.264241 +- 1e-6")
-    nash_loads = {tuple(a.loads[j][0] for j in range(2))
-                  for a in cong.all_nash_allocations(worked)}
+    nash_loads = {a.loads for a in cong.all_nash_allocations(worked)}
     if (2, 0) in nash_loads or (0, 2) in nash_loads:
         problems.append("(2,0) wrongly accepted as an equilibrium")
     if (1, 1) not in nash_loads:

@@ -157,8 +157,11 @@ class TestColdStart:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
-    @pytest.mark.parametrize("module, prefix", [("zkpoi.registry", "zkpoi.econ"),
-                                                ("zkpoi", "zkpoi.")])
+    @pytest.mark.parametrize("module, prefix", [
+        ("zkpoi.registry", "zkpoi.econ"),
+        ("zkpoi", "zkpoi."),
+        ("zkpoi.identity", "cryptography.hazmat.primitives.ciphers"),
+    ])
     def test_import_loads_only_what_it_uses(self, child_env, module, prefix):
         probe = (f"import sys, {module}; "
                  f"print(sorted(m for m in sys.modules if m.startswith({prefix!r})))")
@@ -403,12 +406,23 @@ class TestConfigErrors:
         assert code == 0
         assert out.count(",absent,") == 2
 
-    def test_network_refuses_an_infinite_count(self, capsys, config_file):
-        cfg = config_file({"params": {"m_b": float("inf"), "steps": 3}})
-        code, out, err = run_cli(["econ", "network", "--config", cfg], capsys)
+    @pytest.mark.parametrize("group,verb,params,key", [
+        ("econ", "network", {"m_b": float("inf"), "steps": 3}, "m_b"),
+        ("sim", "epoch", {"block_reward": float("inf")}, "block_reward"),
+        ("sim", "epoch", {"tx_reward": float("inf")}, "tx_reward"),
+        ("sim", "epoch", {"fixed_cost": float("inf")}, "fixed_cost"),
+        ("sim", "epoch", {"per_tx_cost": float("inf")}, "per_tx_cost"),
+        ("sim", "epoch", {"penalty": float("inf")}, "penalty"),
+        ("econ", "circulation", {"alpha_eff": float("inf")}, "alpha_eff"),
+    ], ids=["network", "epoch-block_reward", "epoch-tx_reward", "epoch-fixed_cost",
+            "epoch-per_tx_cost", "epoch-penalty", "circulation"])
+    def test_an_infinite_model_parameter_is_a_config_error(self, capsys, config_file,
+                                                           group, verb, params, key):
+        cfg = config_file({"params": params})
+        code, out, err = run_cli([group, verb, "--config", cfg], capsys)
         assert code == 2
         assert out == ""
-        assert err.strip() == "config error: params: m_b must be finite"
+        assert err.strip() == f"config error: params: {key} must be finite"
 
     @pytest.mark.parametrize("verb, key", [("congestion", "mu"), ("poa", "gamma"),
                                            ("congestion", "gamma"), ("poa", "mu")])

@@ -116,7 +116,6 @@ PAPER_CLAIM_CHECKS: dict[str, str] = {
         "the public witness check: anyone holding a root can check membership",
     "shardgame.is_nash_profile": "the unique-Nash claim of the sharding game",
     "shardgame.decentralization_check": "the decentralization claim of the sharding game",
-    "congestion.Allocation.puzzle_loads": "the equilibrium loads the congestion tests read",
     "circulation.fee_balance": "the fee balance of the circulation model",
     "network.integrate_ratio_ode": "the network-effect ratio dynamics",
     "network.sample_static_joins": "acceptance bar 10 recovers the elasticities through it",

@@ -26,9 +26,8 @@ from zkpoi.econ.congestion import (
 from zkpoi.errors import DegenerateBaseline, Infeasible, TooLarge, ZeroMiners
 
 
-def instance(k=2, n=2, mu=1.0, gamma=0.0, deadline=1.0, m=1):
-    return CongestionInstance(k=k, n_miners=n, mu=mu, gamma=gamma,
-                              deadline=deadline, m=m)
+def instance(k=2, n=2, mu=1.0, gamma=0.0, deadline=1.0):
+    return CongestionInstance(k=k, n_miners=n, mu=mu, gamma=gamma, deadline=deadline)
 
 
 # ---------------------------------------------------------------------------
@@ -79,11 +78,8 @@ class TestUtilityAndInstance:
 
     def test_parameter_grids_coerce(self):
         inst = CongestionInstance(k=2, n_miners=3, mu=[1.0, 2.0], gamma=0.1)
-        assert inst.mu == ((1.0,), (2.0,))
-        assert inst.gamma == ((0.1,), (0.1,))
-        full = CongestionInstance(k=2, n_miners=3, mu=[[1.0, 2.0], [3.0, 4.0]],
-                                  gamma=0.0, m=2)
-        assert full.mu[1][0] == 3.0
+        assert inst.mu == (1.0, 2.0)
+        assert inst.gamma == (0.1, 0.1)
 
     def test_bad_grids_rejected(self):
         with pytest.raises(ValueError):
@@ -94,6 +90,8 @@ class TestUtilityAndInstance:
             CongestionInstance(k=0, n_miners=3, mu=1.0, gamma=0.0)
         with pytest.raises(ValueError):
             CongestionInstance(k=1, n_miners=3, mu=1.0, gamma=0.0, deadline=0.0)
+        with pytest.raises(TypeError):
+            CongestionInstance(k=2, n_miners=3, mu=1.0, gamma=0.0, m=2)
 
     @pytest.mark.parametrize("field", ["mu", "gamma"])
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, [1.0, math.inf]],
@@ -103,7 +101,8 @@ class TestUtilityAndInstance:
         with pytest.raises(ValueError, match=f"^{field} entries must be finite$"):
             CongestionInstance(k=2, n_miners=3, **grids)
 
-    @pytest.mark.parametrize("mu", [[[1.0, 2.0], [3.0]], [[1.0], 2.0], None, "ab"])
+    @pytest.mark.parametrize("mu", [[[1.0, 2.0], [3.0]], [[1.0], 2.0], None, "ab",
+                                    [[1.0, 2.0], [3.0, 4.0]]])
     def test_ragged_or_non_numeric_grids_rejected(self, mu):
         with pytest.raises(ValueError):
             CongestionInstance(k=2, n_miners=3, mu=mu, gamma=0.0)
@@ -111,14 +110,13 @@ class TestUtilityAndInstance:
     def test_array_like_grids_coerce(self):
         inst = CongestionInstance(k=2, n_miners=3, mu=np.array([1, 2]),
                                   gamma=np.float64(0.5))
-        assert inst.mu == ((1.0,), (2.0,))
-        assert inst.gamma == ((0.5,), (0.5,))
+        assert inst.mu == (1.0, 2.0)
+        assert inst.gamma == (0.5, 0.5)
 
     def test_allocation_shapes(self):
         alloc = Allocation((2, 0, 1))
         assert alloc.total == 3
-        assert alloc.puzzle_loads() == (2, 0, 1)
-        assert alloc.flat() == (2, 0, 1)
+        assert alloc.loads == (2, 0, 1)
         with pytest.raises(ValueError):
             Allocation((-1, 2))
 
@@ -172,11 +170,6 @@ class TestPotential:
                       - puzzle_win_prob(before[src], rates[src], 1.0))
         assert phi_delta == pytest.approx(util_delta, abs=1e-12)
 
-    def test_multi_provider_potential_undefined(self):
-        inst = instance(m=2)
-        with pytest.raises(ValueError):
-            potential(inst, Allocation(((1, 0), (0, 1))))
-
 
 # ---------------------------------------------------------------------------
 # Equilibrium solving
@@ -187,8 +180,7 @@ class TestSolver:
     def test_worked_example_balances_miners(self):
         inst = instance(k=2, n=2, mu=1.0, gamma=0.01)
         solution = solve_congestion_nash(inst)
-        assert solution.allocation.puzzle_loads() == (1, 1)
-        assert solution.direction == "argmax"
+        assert solution.allocation.loads == (1, 1)
         assert solution.potential_value == pytest.approx(oracles.PHI_1_1 - 2 * 0.01,
                                                          abs=1e-12)
         assert all(d.delta <= 1e-12 for d in solution.certificate)
@@ -197,11 +189,10 @@ class TestSolver:
         inst = instance(k=2, n=2, mu=1.0, gamma=0.01)
         assert deviation_certificate(inst, Allocation((2, 0))) is None
 
-    @pytest.mark.parametrize("m,direction", [(1, "argmax"), (2, "scan")])
-    def test_empty_market(self, m, direction):
-        solution = solve_congestion_nash(instance(n=0, m=m))
+    def test_empty_market(self):
+        solution = solve_congestion_nash(instance(n=0))
         assert solution.allocation.total == 0
-        assert solution.direction == direction
+        assert solution.potential_value == 0.0
 
     def test_negative_population_infeasible(self):
         with pytest.raises(Infeasible):
@@ -209,12 +200,12 @@ class TestSolver:
 
     def test_oversized_instance_rejected(self):
         with pytest.raises(TooLarge):
-            solve_congestion_nash(instance(k=10, n=100, m=2))
+            solve_congestion_nash(instance(k=10, n=100))
 
     def test_expensive_puzzle_stays_empty(self):
         inst = CongestionInstance(k=2, n_miners=3, mu=1.0, gamma=[0.0, 10.0])
         solution = solve_congestion_nash(inst)
-        assert solution.allocation.puzzle_loads()[1] == 0
+        assert solution.allocation.loads[1] == 0
 
     def test_costly_mining_attracts_nobody(self):
         inst = instance(k=2, n=4, gamma=2.0)  # cost above any win probability
@@ -235,43 +226,25 @@ class TestSolver:
         k = len(puzzles)
         rates, costs = [rate for rate, _ in puzzles], [cost for _, cost in puzzles]
         inst = CongestionInstance(k=k, n_miners=n, mu=rates, gamma=costs)
-        ours = {a.puzzle_loads() for a in all_nash_allocations(inst)}
+        ours = {a.loads for a in all_nash_allocations(inst)}
         theirs = {tuple(loads) for loads in oracles.enumerate_allocations(n, k)
                   if oracles.allocation_is_nash(loads, rates, costs, 1.0, n)}
         assert ours == theirs
         solution = solve_congestion_nash(inst)
-        assert solution.direction == "argmax"
-        assert solution.allocation.puzzle_loads() in theirs
+        assert solution.allocation.loads in theirs
         assert solution.potential_value == potential(inst, solution.allocation)
         phis = [(potential(inst, Allocation(loads)), loads)
                 for loads in oracles.enumerate_allocations(n, k)]
         assert solution.potential_value == max(phi for phi, _ in phis)
-        assert solution.allocation.puzzle_loads() == next(
+        assert solution.allocation.loads == next(
             loads for phi, loads in phis if phi == solution.potential_value)
 
     def test_solver_result_is_in_the_nash_set(self):
         inst = CongestionInstance(k=3, n_miners=5, mu=[1.0, 0.5, 2.0],
                                   gamma=[0.05, 0.0, 0.2])
         solution = solve_congestion_nash(inst)
-        nash_loads = {a.puzzle_loads() for a in all_nash_allocations(inst)}
-        assert solution.allocation.puzzle_loads() in nash_loads
-
-    def test_multi_provider_split_is_stable(self):
-        inst = instance(k=1, n=2, mu=1.0, gamma=0.01, m=2)
-        solution = solve_congestion_nash(inst)
-        assert solution.direction == "scan"
-        assert solution.potential_value is None
-        assert solution.allocation.total == 2
-        assert deviation_certificate(inst, solution.allocation) is not None
-
-    def test_single_provider_reduction(self):
-        """An M=2 instance with a dead second provider solves like M=1."""
-        dead = CongestionInstance(k=2, n_miners=2, mu=[[1.0, 0.0], [1.0, 0.0]],
-                                  gamma=0.01, m=2)
-        flat = instance(k=2, n=2, mu=1.0, gamma=0.01)
-        a = solve_congestion_nash(dead).allocation.puzzle_loads()
-        b = solve_congestion_nash(flat).allocation.puzzle_loads()
-        assert a == b
+        nash_loads = {a.loads for a in all_nash_allocations(inst)}
+        assert solution.allocation.loads in nash_loads
 
 
 # ---------------------------------------------------------------------------

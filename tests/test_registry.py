@@ -35,6 +35,7 @@ from zkpoi.errors import (
     DuplicateIdentity,
     DuplicateReason,
     InvalidBundle,
+    MeasurementMismatch,
     MissingIdentifier,
     NoSession,
     NotMember,
@@ -59,6 +60,7 @@ from zkpoi.identity import (
 from zkpoi.registry import (
     STATUS_OFFLINE,
     STATUS_ONLINE,
+    WALLET_ENCLAVE,
     EncryptedIdDB,
     Registry,
     default_identity_attributes,
@@ -350,6 +352,15 @@ class TestSessions:
         stand_in = SimpleNamespace(server=registry.enclave)
         with pytest.raises(NoSession):
             getattr(registry, operation)(b"whatever", stand_in, NOW)
+
+    @pytest.mark.parametrize("client", [attestation.EnclaveIdentity("not-a-wallet", 0),
+                                        attestation.EnclaveIdentity("zkpoi-wallet", 2)],
+                             ids=["foreign-name", "other-version"])
+    def test_only_the_wallet_client_opens_a_session(self, registry, client):
+        with pytest.raises(MeasurementMismatch) as caught:
+            registry.open_session(client)
+        assert caught.value.side == "client"
+        assert registry.open_session(WALLET_ENCLAVE).client == WALLET_ENCLAVE
 
     def test_session_with_foreign_server_rejected(self, world, registry):
         other = attestation.EnclaveIdentity("some-other-service", 1)
