@@ -1,11 +1,12 @@
-"""numpy's ``default_rng(seed).random()`` stream in pure Python.
+"""numpy's ``default_rng(seed).random(n)`` stream in pure Python.
 
 A seed goes through numpy's SeedSequence (hashmix/mix over a pool of four
 32-bit words, NumPy NEP 19) into the 128-bit state and increment of a PCG64
 XSL-RR generator (M. O'Neill, "PCG: A Family of Simple Fast Space-Efficient
 Statistically Good Algorithms for Random Number Generation", 2014). Each
-draw is one 64-bit output x returned as the double (x >> 11) * 2**-53, so a
-seed yields the same floats as ``numpy.random.default_rng(seed).random()``.
+draw is one 64-bit output x returned as the double (x >> 11) * 2**-53, so
+successive ``randoms(n)`` calls on one seed yield the same floats as
+``numpy.random.default_rng(seed).random(n)`` on the concatenated length.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ _MASK32 = 0xFFFFFFFF
 _MASK53 = (1 << 53) - 1
 _MASK64 = (1 << 64) - 1
 _MASK128 = (1 << 128) - 1
+_DOUBLING = (1 << 64) + 1  # x * _DOUBLING == x | x << 64 for a 64-bit x
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
@@ -62,7 +64,7 @@ def _seed_words(seed: int) -> list[int]:
 
 class PCG64:
     """The generator behind ``numpy.random.default_rng(seed)``; only its
-    ``random()`` draw is ported."""
+    ``random(n)`` draw is ported, as ``randoms(n)``."""
 
     __slots__ = ("_state", "_inc")
 
@@ -71,10 +73,16 @@ class PCG64:
         self._inc = (((w2 << 64 | w3) << 1) | 1) & _MASK128
         self._state = ((self._inc + (w0 << 64 | w1)) * _PCG_MULT + self._inc) & _MASK128
 
-    def random(self) -> float:
-        """The next double in [0, 1)."""
-        state = self._state = (self._state * _PCG_MULT + self._inc) & _MASK128
-        value = ((state >> 64) ^ state) & _MASK64
-        # Rotate right by the top 6 bits, then keep the top 53 bits: shifting
-        # two copies of the value side by side does both in one shift.
-        return (((value | value << 64) >> ((state >> 122) + 11)) & _MASK53) * 2.0**-53
+    def randoms(self, n: int) -> list[float]:
+        """The next n doubles in [0, 1)."""
+        state, inc = self._state, self._inc
+        out = []
+        append = out.append
+        for _ in range(n):
+            state = (state * _PCG_MULT + inc) & _MASK128
+            value = ((state >> 64) ^ state) & _MASK64
+            # Rotate right by the top 6 bits, then keep the top 53 bits:
+            # shifting two copies of the value side by side does both.
+            append((((value * _DOUBLING) >> ((state >> 122) + 11)) & _MASK53) * 2.0**-53)
+        self._state = state
+        return out

@@ -8,6 +8,7 @@ winner-take-all; below one, shares equalize.
 
 from __future__ import annotations
 
+import itertools
 import math
 from array import array
 from collections.abc import Sequence
@@ -129,11 +130,87 @@ class GrowthPath(Sequence):
         return tuple(self._flat[4 * t:4 * t + 4])
 
 
+_BLOCK_STEPS = 4096  # steps whose draws are taken from the stream in one call
+
+
+def _draw_pairs(seed: int, steps: int):
+    """The two draws of each of `steps` steps from numpy's default_rng(seed)
+    stream, taken in blocks of at most 2 * _BLOCK_STEPS floats."""
+    full, rest = divmod(steps, _BLOCK_STEPS)
+    blocks = itertools.chain(itertools.repeat(2 * _BLOCK_STEPS, full), (2 * rest,))
+    draws = itertools.chain.from_iterable(map(PCG64(seed).randoms, blocks))
+    return zip(draws, draws)
+
+
+def _current_counts(pairs, m_a, m_b, c_a, c_b, lam, alpha, beta):
+    """The counts after each step in "current" mode. An arrival changes one
+    count, so only that count's weight and its side's share are recomputed,
+    after its row is yielded: a consumer that takes `steps` rows never
+    computes the weight after the last step. The refresh is _weight and
+    _share written out, with _share itself called only when the weights sum
+    to zero or overflow."""
+    wc_a, wc_b = _weights(c_a, c_b, beta, "customers")
+    merch_a = _share(wc_a, wc_b, beta, "customers")
+    wm_a, wm_b = _weights(m_a, m_b, alpha, "merchants")
+    cust_a = _share(wm_a, wm_b, alpha, "merchants")
+    inf = math.inf
+    try:
+        for u, v in pairs:
+            if u < lam:
+                if v < cust_a:
+                    c_a += 1
+                    yield m_a, m_b, c_a, c_b
+                    wc_a = c_a ** beta
+                else:
+                    c_b += 1
+                    yield m_a, m_b, c_a, c_b
+                    wc_b = c_b ** beta
+                total = wc_a + wc_b
+                merch_a = (wc_a / total if 0.0 < total < inf
+                           else _share(wc_a, wc_b, beta, "customers"))
+            else:
+                if v < merch_a:
+                    m_a += 1
+                    yield m_a, m_b, c_a, c_b
+                    wm_a = m_a ** alpha
+                else:
+                    m_b += 1
+                    yield m_a, m_b, c_a, c_b
+                    wm_b = m_b ** alpha
+                total = wm_a + wm_b
+                cust_a = (wm_a / total if 0.0 < total < inf
+                          else _share(wm_a, wm_b, alpha, "merchants"))
+    except OverflowError:
+        # Only the count just raised can overflow its weight; _weights names
+        # its side as _weight would have.
+        _weights(c_a, c_b, beta, "customers")
+        _weights(m_a, m_b, alpha, "merchants")
+        raise
+
+
+def _expected_counts(pairs, m_a, m_b, c_a, c_b, lam, alpha, beta):
+    """The counts after each step in "expected" mode, where both join
+    probabilities are recomputed from the anticipated counts every step."""
+    for u, v in pairs:
+        merch, cust = _join_split(m_a, m_b, c_a, c_b, lam, alpha, beta, True)
+        if u < lam:
+            if v < cust[0]:
+                c_a += 1
+            else:
+                c_b += 1
+        elif v < merch[0]:
+            m_a += 1
+        else:
+            m_b += 1
+        yield m_a, m_b, c_a, c_b
+
+
 def simulate_network_growth(state: NetworkState, steps: int, seed: int,
                             stride: int = 1) -> GrowthPath:
     """Agent-by-agent growth: each step one arrival is a customer with
     probability lam (else a merchant) and joins a network per
-    join_probabilities; the draws are numpy's default_rng(seed) stream.
+    join_probabilities; the draws are numpy's default_rng(seed) stream, two
+    per step.
 
     Returns the rows (m_a, m_b, c_a, c_b) after steps 0, stride, 2 * stride
     and so on up to `steps`, starting with the initial state: steps // stride
@@ -146,45 +223,16 @@ def simulate_network_growth(state: NetworkState, steps: int, seed: int,
         raise ValueError("steps must be >= 0")
     if stride < 1:
         raise ValueError("stride must be >= 1")
-    draw = PCG64(seed).random
-    m_a, m_b, c_a, c_b = state.m_a, state.m_b, state.c_a, state.c_b
-    lam, alpha, beta = state.lam, state.alpha, state.beta
-    expected = state.expectation_mode == "expected"
-    flat = array("d", (m_a, m_b, c_a, c_b))
-    extend = flat.extend
-    refresh_until = 0 if expected else steps  # no step follows the last one
-    if steps and not expected:
-        wc_a, wc_b = _weights(c_a, c_b, beta, "customers")
-        merch_a = _share(wc_a, wc_b, beta, "customers")
-        wm_a, wm_b = _weights(m_a, m_b, alpha, "merchants")
-        cust_a = _share(wm_a, wm_b, alpha, "merchants")
-    for t in range(1, steps + 1):
-        if expected:
-            merch, cust = _join_split(m_a, m_b, c_a, c_b, lam, alpha, beta, True)
-            merch_a, cust_a = merch[0], cust[0]
-        if draw() < lam:
-            if draw() < cust_a:
-                c_a += 1
-                if t < refresh_until:
-                    wc_a = _weight(c_a, beta, "customers")
-                    merch_a = _share(wc_a, wc_b, beta, "customers")
-            else:
-                c_b += 1
-                if t < refresh_until:
-                    wc_b = _weight(c_b, beta, "customers")
-                    merch_a = _share(wc_a, wc_b, beta, "customers")
-        elif draw() < merch_a:
-            m_a += 1
-            if t < refresh_until:
-                wm_a = _weight(m_a, alpha, "merchants")
-                cust_a = _share(wm_a, wm_b, alpha, "merchants")
-        else:
-            m_b += 1
-            if t < refresh_until:
-                wm_b = _weight(m_b, alpha, "merchants")
-                cust_a = _share(wm_a, wm_b, alpha, "merchants")
-        if t % stride == 0:
-            extend((m_a, m_b, c_a, c_b))
+    counts = (_expected_counts if state.expectation_mode == "expected" else _current_counts)(
+        _draw_pairs(seed, steps), state.m_a, state.m_b, state.c_a, state.c_b,
+        state.lam, state.alpha, state.beta)
+    flat = array("d", (state.m_a, state.m_b, state.c_a, state.c_b))
+    # The inner islice stops at the last step's row without resuming the
+    # generator, so no weight after the last step is computed. A stride
+    # beyond `steps` keeps the initial row alone, as steps + 1 does.
+    stride = min(stride, steps + 1)
+    kept = itertools.islice(itertools.islice(counts, steps), stride - 1, None, stride)
+    flat.extend(itertools.chain.from_iterable(kept))
     return GrowthPath(flat)
 
 
@@ -244,16 +292,15 @@ def sample_static_joins(state: NetworkState, n_joins: int, seed: int,
     """Joins drawn against frozen counts (a short observation window):
     (customer joins to A, customer total, merchant joins to A, merchant
     total)."""
-    draw = PCG64(seed).random
     merch, cust = join_probabilities(state)
     cust_a = cust_total = merch_a = merch_total = 0
-    for _ in range(n_joins):
-        if draw() < state.lam:
+    for u, v in _draw_pairs(seed, n_joins):
+        if u < state.lam:
             cust_total += 1
-            cust_a += draw() < cust[0]
+            cust_a += v < cust[0]
         else:
             merch_total += 1
-            merch_a += draw() < merch[0]
+            merch_a += v < merch[0]
     return cust_a, cust_total, merch_a, merch_total
 
 

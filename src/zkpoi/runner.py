@@ -497,7 +497,7 @@ def _scenario_econ_dominance(p: _Params, seed: int) -> ScenarioResult:
     reward = p.number("reward", 4.0, lo=0.0)
     pow_cost = p.number("pow_cost", 1.5, lo=0.0)
     share_model = p.text("share_model", "zipf", {"zipf", "winner_take_all", "uniform"})
-    population = p.integer("population", 10_000, lo=2, hi=10_000_000)
+    population = p.integer("population", 10_000, lo=2, hi=2**53)  # exact as a float
     top_count = p.integer("top_count", 16, lo=1)
     top_share = p.number("top_share", 0.9, lo=0.0, hi=1.0, exclusive=True)
     udce_cost = p.number("udce_cost", 0.0, lo=0.0)

@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 from scipy.optimize import brentq
+from scipy.special import zeta
 
 # ---------------------------------------------------------------------------
 # Shard cooperation game
@@ -181,6 +182,27 @@ def zipf_top_share(population, exponent, top):
 def calibrate_zipf_exponent(population, top, target):
     """Exponent for which the `top` largest ranks hold `target` of all shares."""
     return brentq(lambda s: zipf_top_share(population, s, top) - target, 0.05, 8.0, xtol=1e-12)
+
+
+POWER_SUM_EXACT_MAX = 10**6  # counts summed term by term
+
+
+def power_sum(n, s):
+    """The sum of k ** -s over k = 1..n: term by term with math.fsum up to
+    POWER_SUM_EXACT_MAX terms, and beyond that, for s > 1 only, as the
+    Riemann zeta function less its Hurwitz tail, zeta(s) - zeta(s, n + 1)."""
+    if n <= POWER_SUM_EXACT_MAX:
+        return math.fsum(k ** -s for k in range(1, n + 1))
+    if not s > 1:
+        raise ValueError("beyond the exact range the oracle needs s > 1")
+    return float(zeta(s) - zeta(s, n + 1))
+
+
+def calibrate_power_exponent(population, top, target, lo=1e-3, hi=16.0):
+    """Exponent at which the `top` largest of `population` power-law ranks
+    hold `target` of the total, from power_sum and a stock root-finder."""
+    return brentq(lambda s: power_sum(top, s) / power_sum(population, s) - target,
+                  lo, hi, xtol=1e-14)
 
 
 def pure_nash_profiles(payoff_tensor):

@@ -379,11 +379,15 @@ class TestConfigErrors:
         assert out
 
     def test_dominance_population_is_capped(self, capsys, config_file):
-        cfg = config_file({"params": {"population": 10**7 + 1}})
+        cfg = config_file({"params": {"population": 2**53 + 1}})
         code, out, err = run_cli(["econ", "dominance", "--config", cfg], capsys)
         assert code == 2
         assert out == ""
-        assert err.strip() == "config error: params.population: must be <= 10000000"
+        assert err.strip() == "config error: params.population: must be <= 9007199254740992"
+        cfg = config_file({"params": {"population": 2**53}})
+        code, out, err = run_cli(["econ", "dominance", "--config", cfg], capsys)
+        assert code == 0
+        assert json.loads(err)["scenario"] == "econ.dominance"
 
     def test_network_without_merchants_reports_a_nan_share(self, capsys, config_file):
         cfg = config_file({"params": {"m_a": 0, "m_b": 0, "steps": 0}})

@@ -4,6 +4,7 @@ stability, and the reward-regime entry game."""
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from zkpoi.econ.games import (
     UDCE,
     PayoffMatrix,
     _linspace,
+    _power_sum,
     calibrate_power_law,
     idsds,
     is_ess,
@@ -207,6 +209,42 @@ class TestShares:
         assert game.payoff(0, (1, 0)) == pytest.approx(oracles.zipf_shares(10_000, s)[-1],
                                                        rel=1e-9)
         assert game.payoff(0, (0, 0)) == pytest.approx(1.0 / 10_000, rel=1e-12)
+
+    # 128 | 129: the exact sum gives way to the Euler-Maclaurin tail
+    @pytest.mark.parametrize("count", [1, 2, 64, 128, 129, 130, 1000, 65_537, 10**6])
+    @pytest.mark.parametrize("s", [0.001, 0.01, 0.1, 0.37, 0.999999, 1.0, 1.000001, 1.5, 2.0,
+                                   7.3, 16.0])
+    def test_power_sum_is_within_a_few_ulps_of_the_exact_sum(self, count, s):
+        want = oracles.power_sum(count, s)
+        assert abs(_power_sum(count, s) - want) <= 2 * math.ulp(want)
+
+    @pytest.mark.parametrize("count", [10**6 + 1, 10**12, 2**53])
+    @pytest.mark.parametrize("s", [1.1, 1.5, 2.0, 7.3, 16.0])
+    def test_power_sum_is_within_a_few_ulps_of_the_zeta_difference(self, count, s):
+        want = oracles.power_sum(count, s)
+        assert abs(_power_sum(count, s) - want) <= 4 * math.ulp(want)
+
+    @pytest.mark.parametrize("population", [1000, 20_000, 100_000])
+    @pytest.mark.parametrize("top_count", [3, 16, 200])
+    @pytest.mark.parametrize("top_share", [0.3, 0.6, 0.9])
+    def test_calibration_matches_the_oracle(self, population, top_count, top_share):
+        want = oracles.calibrate_power_exponent(population, top_count, top_share)
+        got = calibrate_power_law(population, top_count, top_share)
+        assert got == pytest.approx(want, abs=2e-12)
+
+    @pytest.mark.parametrize("population", [10**9, 2**53])
+    @pytest.mark.parametrize("top_count,top_share", [(3, 0.3), (16, 0.9), (200, 0.5),
+                                                     (1000, 0.9)])
+    def test_calibration_beyond_the_exact_range_matches_the_oracle(self, population,
+                                                                  top_count, top_share):
+        # every exponent on this grid exceeds 1.05, where the zeta oracle holds
+        want = oracles.calibrate_power_exponent(population, top_count, top_share, lo=1.05)
+        got = calibrate_power_law(population, top_count, top_share)
+        assert got == pytest.approx(want, abs=2e-12)
+
+    def test_calibration_cost_does_not_grow_with_the_population(self):
+        # a sum over every rank could not finish at 2**53 ranks
+        assert math.isfinite(calibrate_power_law(2**53, 16, 0.9))
 
     def test_calibration_bounds(self):
         with pytest.raises(ValueError):

@@ -3,13 +3,16 @@ ratio dynamics, elasticity recovery, and the overtaking condition."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import oracles
+from zkpoi.econ._pcg64 import PCG64
 from zkpoi.econ.network import (
+    _BLOCK_STEPS,
     NetworkState,
     estimate_elasticities,
     integrate_ratio_ode,
@@ -184,6 +187,21 @@ class TestGrowthSimulation:
         path = simulate_network_growth(state, steps=2000, seed=3)
         assert np.array_equal(np.array(list(path)), reference)
 
+    # Draws come from the stream in blocks of _BLOCK_STEPS steps; rows and
+    # weights must carry across the block edges.
+    @pytest.mark.parametrize("mode", ["current", "expected"])
+    @pytest.mark.parametrize("steps", [_BLOCK_STEPS - 1, _BLOCK_STEPS, _BLOCK_STEPS + 1,
+                                       2 * _BLOCK_STEPS + 1])
+    def test_paths_across_draw_block_edges_match_the_numpy_reference_loop(self, mode,
+                                                                           steps):
+        state = make_state(m_a=3.0, m_b=2.0, c_a=1.0, c_b=4.0, alpha=1.3, beta=0.8,
+                           lam=0.4, expectation_mode=mode)
+        reference = oracles.growth_path(3.0, 2.0, 1.0, 4.0, 0.4, 1.3, 0.8,
+                                        mode == "expected", steps, 17)
+        for stride in (1, 7, _BLOCK_STEPS, steps + 1):
+            path = simulate_network_growth(state, steps, seed=17, stride=stride)
+            assert np.array_equal(np.array(list(path)), reference[::stride])
+
     @pytest.mark.parametrize("seed", range(6))
     def test_a_weight_overflowing_after_the_last_step_is_never_computed(self, seed):
         """2 ** 1000 is a double and 3 ** 1000 is not: whichever A count the
@@ -197,6 +215,35 @@ class TestGrowthSimulation:
         side = "merchants" if m_a == 3.0 else "customers"
         with pytest.raises(DomainError, match=f"^{side} count to the power 1000.0 overflows$"):
             simulate_network_growth(state, steps=2, seed=seed)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_a_b_count_weight_overflowing_mid_path_names_its_side(self, seed):
+        # B leads both sides by 2 ** 1000 to 1, so the first arrival raises a
+        # B count to 3, whose weight overflows on the next step
+        state = make_state(m_a=1.0, m_b=2.0, c_a=1.0, c_b=2.0, alpha=1000.0, beta=1000.0)
+        _, m_b, _, c_b = simulate_network_growth(state, steps=1, seed=seed)[1]
+        side = "merchants" if m_b == 3.0 else "customers"
+        with pytest.raises(DomainError, match=f"^{side} count to the power 1000.0 overflows$"):
+            simulate_network_growth(state, steps=2, seed=seed)
+
+    def test_rows_equal_join_probabilities_recomputed_every_step(self):
+        # customer weights near 1e308 sum past the largest double on every
+        # step, so the merchant split comes from share_of's rescaling
+        state = make_state(m_a=1.0, m_b=1.0, c_a=10_001.0, c_b=10_000.0, alpha=1.0,
+                           beta=77.0)
+        draws = PCG64(4).randoms(2 * 40)
+        rows = [(1.0, 1.0, 10_001.0, 10_000.0)]
+        for u, v in zip(draws[::2], draws[1::2]):
+            m_a, m_b, c_a, c_b = rows[-1]
+            merch, cust = join_probabilities(
+                dataclasses.replace(state, m_a=m_a, m_b=m_b, c_a=c_a, c_b=c_b))
+            if u < state.lam:
+                c_a, c_b = (c_a + 1, c_b) if v < cust[0] else (c_a, c_b + 1)
+            else:
+                m_a, m_b = (m_a + 1, m_b) if v < merch[0] else (m_a, m_b + 1)
+            rows.append((m_a, m_b, c_a, c_b))
+        assert list(simulate_network_growth(state, 40, seed=4)) == rows
+        assert rows[-1][0] > 1.0  # merchants joined A at a split near one half
 
     def test_strong_feedback_locks_in_the_leader(self):
         state = make_state(m_a=6.0, m_b=2.0, c_a=6.0, c_b=2.0, alpha=2.0, beta=2.0)
@@ -269,6 +316,13 @@ class TestElasticityEstimation:
         assert cust_total == pytest.approx(4_000, abs=200)
         assert sample_static_joins(state, 10_000, seed=3) == (
             cust_a, cust_total, merch_a, merch_total)
+
+    @pytest.mark.parametrize("seed", [10, 2**63])
+    def test_static_join_tallies_match_the_numpy_reference_loop(self, seed):
+        state = make_state(m_a=100.0, m_b=50.0, c_a=80.0, c_b=40.0, alpha=1.3, beta=0.7)
+        reference = oracles.sample_joins(np.random.default_rng(seed), 100.0, 50.0, 80.0, 40.0,
+                                         1.3, 0.7, 0.5, 100_000)
+        assert sample_static_joins(state, 100_000, seed) == reference
 
     def test_log_odds_inversion_is_exact(self):
         # with a count ratio of e the elasticity is exactly the join log-odds
