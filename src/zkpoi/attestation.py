@@ -13,7 +13,6 @@ to known-good code is exactly the policy set.
 
 from __future__ import annotations
 
-import secrets
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -43,18 +42,17 @@ class EnclaveIdentity:
 
 @dataclass(frozen=True)
 class AttestationPolicy:
-    """Measurements the handshake accepts, with a version floor."""
+    """Measurements the handshake accepts; a measurement hashes the version,
+    so each one pins a single build."""
 
     allowed_measurements: frozenset[bytes]
-    min_version: int = 0
 
     @classmethod
-    def expecting(cls, *identities: EnclaveIdentity, min_version: int = 0) -> "AttestationPolicy":
-        return cls(frozenset(i.measurement for i in identities), min_version)
+    def expecting(cls, *identities: EnclaveIdentity) -> "AttestationPolicy":
+        return cls(frozenset(i.measurement for i in identities))
 
     def admits(self, identity: EnclaveIdentity) -> bool:
-        return (identity.measurement in self.allowed_measurements
-                and identity.version >= self.min_version)
+        return identity.measurement in self.allowed_measurements
 
 
 class AttestationSession:
@@ -80,24 +78,16 @@ class AttestationSession:
 
 
 def mutual_attest(client: EnclaveIdentity, server: EnclaveIdentity,
-                  policy: AttestationPolicy, rng: ByteStream | None = None,
-                  ) -> AttestationSession:
+                  policy: AttestationPolicy, rng: ByteStream) -> AttestationSession:
     """Handshake: admit both sides under the policy or name the failing one.
 
-    Pass a deterministic byte stream as `rng` to make session material
-    reproducible in seeded experiments; the default draws real entropy.
-    """
+    The session key and client token are drawn from `rng`, so a seeded
+    stream makes session material reproducible."""
     if not policy.admits(client):
         raise MeasurementMismatch("client", f"{client.name} v{client.version}")
     if not policy.admits(server):
         raise MeasurementMismatch("server", f"{server.name} v{server.version}")
-    if rng is None:
-        session_key = secrets.token_bytes(_KEY_LEN)
-        client_token = secrets.token_bytes(_TOKEN_LEN)
-    else:
-        session_key = rng.take(_KEY_LEN)
-        client_token = rng.take(_TOKEN_LEN)
-    return AttestationSession(session_key, client_token, client, server)
+    return AttestationSession(rng.take(_KEY_LEN), rng.take(_TOKEN_LEN), client, server)
 
 
 def seal(session: AttestationSession, payload: bytes) -> bytes:

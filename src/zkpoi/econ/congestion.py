@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from numbers import Real
 
-from ..errors import DegenerateBaseline, Infeasible, TooLarge, ZeroMiners
+from ..errors import DegenerateBaseline, DomainError, Infeasible, TooLarge, ZeroMiners
 
 _ENUMERATION_CAP = 200_000  # candidate allocations an exhaustive scan may touch
 
@@ -221,8 +221,11 @@ def price_of_crypto_anarchy(instance: CongestionInstance,
     """Worst-case equilibrium resource burn relative to the identity-based
     baseline: max over Nash allocations of total_mining_cost, divided by
     zkpoi_cost. The baseline must be positive — identity checks are cheap,
-    not free."""
+    not free. DomainError if the ratio overflows."""
     if zkpoi_cost <= 0:
         raise DegenerateBaseline("the baseline cost must be > 0")
     worst = max(total_mining_cost(instance, a) for a in all_nash_allocations(instance))
-    return worst / zkpoi_cost
+    ratio = worst / zkpoi_cost
+    if math.isinf(ratio):
+        raise DomainError("the worst Nash cost over zkpoi_cost overflows a 64-bit float")
+    return ratio

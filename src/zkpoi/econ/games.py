@@ -220,9 +220,9 @@ PLFC = "PLFC"
 
 _EXACT_SUM_MAX = 128  # counts up to here are summed term by term
 _TAIL_START = 64  # past _EXACT_SUM_MAX, the terms from here on go to Euler-Maclaurin
-# B_2j / (2j)! for j = 1..7, from the Bernoulli numbers B2..B14.
-_EM_COEFFS = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160,
-              -691 / 1307674368000, 1 / 74724249600)
+# B_2j / (2j)! for j = 1..3, from the Bernoulli numbers B2..B6; with the tail
+# starting at 64, the B8 term and those after it weigh below half an ulp.
+_EM_COEFFS = (1 / 12, -1 / 720, 1 / 30240)
 
 
 def _power_sum(count: int, exponent: float) -> float:

@@ -51,8 +51,8 @@ class InvalidDocument(ZkpoiError):
 class MeasurementMismatch(ZkpoiError):
     """One side of the handshake does not match the expected code identity."""
 
-    def __init__(self, side: str, detail: str = ""):
-        super().__init__(f"attestation failed on {side} side" + (f": {detail}" if detail else ""))
+    def __init__(self, side: str, detail: str):
+        super().__init__(f"attestation failed on {side} side: {detail}")
         self.side = side
 
 

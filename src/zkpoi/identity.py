@@ -729,29 +729,20 @@ def validate_epassport(passport: EPassport, csca_store: TrustStore, now: int, *,
 # Cross-document helpers
 # ---------------------------------------------------------------------------
 
-Document = Union[Certificate, CertChain, IdentityCard, EPassport]
+Document = Union[CertChain, IdentityCard, EPassport]
 
 # Each document kind by the wire tag a registration bundle carries for it.
 DOCUMENT_KINDS = {cls.kind: cls for cls in (CertChain, EPassport)}
 
 
-def public_document(doc: Document) -> Union[Certificate, CertChain, EPassport]:
-    """The public form of `doc`: an identity card's chain, any other
-    document itself. TypeError for anything that is not a document."""
+def public_document(doc: Document) -> Union[CertChain, EPassport]:
+    """The public form of `doc`: an identity card's chain, a chain or a
+    passport itself. TypeError for anything else, a bare certificate included."""
     if isinstance(doc, IdentityCard):
         return doc.chain
-    if isinstance(doc, (Certificate, CertChain, EPassport)):
+    if isinstance(doc, (CertChain, EPassport)):
         return doc
     raise TypeError(f"{type(doc).__name__} is not an identity document")
-
-
-def extract_unique_id(doc: Document) -> str:
-    """The document's unique identifier.
-
-    Certificates carry it in an explicit field; passports prefer the personal
-    number and fall back to the document number.
-    """
-    return public_document(doc).unique_id()
 
 
 def active_auth_challenge(message: bytes) -> bytes:
@@ -793,14 +784,7 @@ def verify_unless_recorded(check: SignatureCheck, verified: Collection[Signature
     return True
 
 
-def document_public_bytes(doc: Union[IdentityCard, CertChain, EPassport]) -> bytes:
-    return public_document(doc).public_bytes()
-
-
 def public_bytes_hash(blob: bytes) -> bytes:
     """Stable digest of a document's public form; used as a derivation salt."""
     return hash_parts(b"document-hash", blob)
 
-
-def document_hash(doc: Union[IdentityCard, CertChain, EPassport]) -> bytes:
-    return public_bytes_hash(document_public_bytes(doc))

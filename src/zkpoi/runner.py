@@ -91,13 +91,12 @@ def check_seed(value, source: str) -> int:
     return value
 
 
-def resolve_seed(config: dict, flag_seed: int | None, env=None) -> int:
+def resolve_seed(config: dict, flag_seed: int | None) -> int:
     """Explicit --seed wins; otherwise the ZKPOI_SEED variable overrides the
     config value; otherwise the config value; otherwise zero."""
-    env = os.environ if env is None else env
     if flag_seed is not None:
         return check_seed(flag_seed, "--seed")
-    env_seed = env.get("ZKPOI_SEED")
+    env_seed = os.environ.get("ZKPOI_SEED")
     if env_seed is not None:
         try:
             value = int(env_seed)
@@ -279,10 +278,12 @@ def _scenario_identity_gen(p: _Params, seed: int) -> ScenarioResult:
     with_aa = p.boolean("with_aa", True)
     p.reject_unknown()
     store, docs = synthesize_documents(kind, count, hierarchies, seed, with_aa=with_aa)
-    rows = [{"index": i, "kind": kind, "label": _doc_label(d),
-             "unique_id": identity.extract_unique_id(d),
-             "document_hash": identity.document_hash(d).hex()}
-            for i, d in enumerate(docs)]
+    rows = []
+    for i, doc in enumerate(docs):
+        public = identity.public_document(doc)
+        rows.append({"index": i, "kind": kind, "label": _doc_label(doc),
+                     "unique_id": public.unique_id(),
+                     "document_hash": identity.public_bytes_hash(public.public_bytes()).hex()})
     return ScenarioResult(
         columns=["index", "kind", "label", "unique_id", "document_hash"],
         rows=rows,
@@ -429,13 +430,16 @@ def _scenario_sim_epoch(p: _Params, seed: int) -> ScenarioResult:
     protocols = ["coordinated", "receipts"] if protocol == "both" else [protocol]
     for name in protocols:
         miners = shardgame.make_miners(n, seed, behaviors)
-        if name == "coordinated":
-            outcome = shardgame.run_coordinated_protocol(
-                params, miners, randomness, txs_per_shard=txs)
-        else:
-            outcome = shardgame.run_receipt_protocol(
-                params, miners, randomness, txs_per_shard=txs,
-                receipt_sample_size=sample_size)
+        try:
+            if name == "coordinated":
+                outcome = shardgame.run_coordinated_protocol(
+                    params, miners, randomness, txs_per_shard=txs)
+            else:
+                outcome = shardgame.run_receipt_protocol(
+                    params, miners, randomness, txs_per_shard=txs,
+                    receipt_sample_size=sample_size)
+        except DomainError as exc:
+            _fail("params", str(exc))
         by_id = {m.miner_id: m for m in miners}
         for miner_id in sorted(outcome.payoffs):
             rows.append({"protocol": name, "miner": miner_id,
@@ -484,7 +488,9 @@ def _scenario_econ_poa(p: _Params, seed: int) -> ScenarioResult:
     p.reject_unknown()
     nash = cong.all_nash_allocations(instance)
     worst = max(cong.total_mining_cost(instance, a) for a in nash)
-    ratio = worst / zkpoi_cost  # the float price_of_crypto_anarchy returns
+    ratio = worst / zkpoi_cost  # as price_of_crypto_anarchy computes, and refuses, it
+    if math.isinf(ratio):
+        _fail("params", "the worst Nash cost over zkpoi_cost overflows a 64-bit float")
     rows = [{"nash_count": len(nash), "worst_nash_cost": worst,
              "zkpoi_cost": zkpoi_cost, "ratio": ratio}]
     return ScenarioResult(

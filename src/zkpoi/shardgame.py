@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from .crypto import SigningKey, hash_parts, verify_signature
 from .errors import (
     DegenerateDenominator,
+    DomainError,
     EmptyPopulation,
     TooLarge,
     ZeroCooperators,
@@ -127,11 +128,9 @@ class EpochOutcome:
     payoffs: dict[str, float]
     classification: dict[str, str]
     shards: list[ShardOutcome]
-    protocol: str
 
-    def payoff_vector(self, order: list[str] | None = None) -> list[float]:
-        keys = order if order is not None else sorted(self.payoffs)
-        return [self.payoffs[k] for k in keys]
+    def payoff_vector(self) -> list[float]:
+        return [self.payoffs[k] for k in sorted(self.payoffs)]
 
 
 def make_miners(count: int, seed: int, behaviors: dict[str, int] | None = None,
@@ -161,12 +160,16 @@ def make_miners(count: int, seed: int, behaviors: dict[str, int] | None = None,
 
 
 def payoff_cooperate(params: GameParams, l_j: int, y_len: int, x_len: int) -> float:
-    """Cooperator payoff: shared block reward, shared fees, own costs."""
+    """Cooperator payoff: shared block reward, shared fees, own costs.
+    DomainError if it overflows."""
     if l_j < 1:
         raise ZeroCooperators("cooperator payoff needs at least one cooperator")
-    return (params.block_reward / (params.k * l_j)
-            + params.tx_reward * y_len / l_j
-            - (params.fixed_cost + x_len * params.per_tx_cost))
+    payoff = (params.block_reward / (params.k * l_j)
+              + params.tx_reward * y_len / l_j
+              - (params.fixed_cost + x_len * params.per_tx_cost))
+    if not math.isfinite(payoff):
+        raise DomainError("the cooperator payoff overflows a 64-bit float")
+    return payoff
 
 
 def payoff_defect(params: GameParams) -> float:
@@ -228,22 +231,15 @@ def assign_shards(epoch_randomness: bytes, miners: list[MinerState], params: Gam
 
 
 def deal_transactions(epoch_randomness: bytes, miners: list[MinerState], params: GameParams,
-                      txs_per_shard: int, drop_rate: float = 0.0) -> dict[int, tuple[str, ...]]:
-    """Fill each miner's received list from its shard's pool; a nonzero
-    drop_rate loses each transaction independently per miner."""
+                      txs_per_shard: int) -> dict[int, tuple[str, ...]]:
+    """Fill each miner's received list with its shard's whole pool."""
     epoch_label = epoch_randomness[:8].hex()
     pools = {j: tuple(f"tx-{epoch_label}-s{j}-{i:04d}" for i in range(txs_per_shard))
              for j in range(params.k)}
     for miner in miners:
         if miner.shard is None:
             raise ValueError("assign shards before dealing transactions")
-        pool = pools[miner.shard]
-        if drop_rate:
-            rng = random.Random(int.from_bytes(
-                hash_parts(b"tx-drop", epoch_randomness, miner.miner_id.encode()), "big"))
-            miner.tx_list = tuple(t for t in pool if rng.random() >= drop_rate)
-        else:
-            miner.tx_list = pool
+        miner.tx_list = pools[miner.shard]
     return pools
 
 
@@ -373,10 +369,9 @@ def _gossip_and_collect(members: list[MinerState], pool: tuple[str, ...],
     """
     if sample_size <= 0:
         return {}
-    # Each member's acknowledgments of what it holds, in tx-digest order.
-    digests = sorted((hash_parts(b"tx", tx.encode()), tx) for tx in pool)
-    groups = {m.miner_id: [(m.key, d) for d, tx in digests if tx in m.tx_list]
-              for m in members}
+    # Every member holds the whole pool and acknowledges it, in tx-digest order.
+    digests = sorted(hash_parts(b"tx", tx.encode()) for tx in pool)
+    groups = {m.miner_id: [(m.key, d) for d in digests] for m in members}
     # Holders sample overlapping receipts; each distinct one is kept once.
     holders = [m for m in members if m.behavior != BEHAVIOR_LAZY]
     sampled: dict[str, dict[tuple[SigningKey, bytes], None]] = {}
@@ -389,11 +384,10 @@ def _gossip_and_collect(members: list[MinerState], pool: tuple[str, ...],
 
 
 def _run_epoch(params: GameParams, miners: list[MinerState], epoch_randomness: bytes,
-               txs_per_shard: int, drop_rate: float, sample_size: int | None,
-               ) -> EpochOutcome:
+               txs_per_shard: int, sample_size: int | None) -> EpochOutcome:
     """One epoch: the coordinated run for sample_size=None, else the receipt run."""
     assign_shards(epoch_randomness, miners, params)
-    pools = deal_transactions(epoch_randomness, miners, params, txs_per_shard, drop_rate)
+    pools = deal_transactions(epoch_randomness, miners, params, txs_per_shard)
     payoffs: dict[str, float] = {}
     classification: dict[str, str] = {}
     shards = []
@@ -406,25 +400,23 @@ def _run_epoch(params: GameParams, miners: list[MinerState], epoch_randomness: b
             evidence = _gossip_and_collect(members, pools[j], sample_size, rng)
         shards.append(_settle_shard(j, members, params, payoffs, classification,
                                     evidence=evidence))
-    protocol = "coordinated" if sample_size is None else "receipts"
-    return EpochOutcome(payoffs, classification, shards, protocol=protocol)
+    return EpochOutcome(payoffs, classification, shards)
 
 
 def run_coordinated_protocol(params: GameParams, miners: list[MinerState],
-                             epoch_randomness: bytes, *, txs_per_shard: int = 8,
-                             drop_rate: float = 0.0) -> EpochOutcome:
+                             epoch_randomness: bytes, *, txs_per_shard: int = 8) -> EpochOutcome:
     """One epoch under an honest coordinator.
 
     Hashes are collected, the largest agreeing set is published with its
     thresholds, miners follow the defect rules, rewards go to cooperators
     that actually showed up, and everyone else pays the penalty.
     """
-    return _run_epoch(params, miners, epoch_randomness, txs_per_shard, drop_rate, None)
+    return _run_epoch(params, miners, epoch_randomness, txs_per_shard, None)
 
 
 def run_receipt_protocol(params: GameParams, miners: list[MinerState], epoch_randomness: bytes,
-                         *, txs_per_shard: int = 8, drop_rate: float = 0.0,
-                         receipt_sample_size: int = 3) -> EpochOutcome:
+                         *, txs_per_shard: int = 8, receipt_sample_size: int = 3,
+                         ) -> EpochOutcome:
     """One epoch with no coordinator: gossip, signed acknowledgments, and a
     sampled receipt transcript as the only proof of who saw transactions.
 
@@ -432,8 +424,7 @@ def run_receipt_protocol(params: GameParams, miners: list[MinerState], epoch_ran
     pays the penalty; with receipt_sample_size=0 no evidence circulates and
     silent free-riders go unpunished, which is the sampling trade-off.
     """
-    return _run_epoch(params, miners, epoch_randomness, txs_per_shard, drop_rate,
-                      receipt_sample_size)
+    return _run_epoch(params, miners, epoch_randomness, txs_per_shard, receipt_sample_size)
 
 
 # ---------------------------------------------------------------------------

@@ -47,15 +47,15 @@ class TestMeasurements:
         assert identity == twin and hash(identity) == hash(twin)
         assert repr(identity) == "EnclaveIdentity(name='a', version=1)"
 
-    def test_policy_admits_by_measurement_and_floor(self):
-        policy = AttestationPolicy.expecting(CLIENT, SERVER, min_version=4)
-        assert not policy.admits(CLIENT)  # right code, version below the floor
-        assert policy.admits(SERVER)
+    def test_measurement_pins_the_version(self):
+        assert POLICY.admits(CLIENT) and POLICY.admits(SERVER)
+        for version in (CLIENT.version - 1, CLIENT.version + 1):  # right code, other build
+            assert not POLICY.admits(EnclaveIdentity(CLIENT.name, version))
 
 
 class TestHandshake:
     def test_both_admitted_yields_session(self):
-        session = mutual_attest(CLIENT, SERVER, POLICY)
+        session = mutual_attest(CLIENT, SERVER, POLICY, rng=ByteStream(b"seed-0"))
         assert session.client == CLIENT
         assert session.server == SERVER
         assert len(session.client_token) == 32
@@ -63,23 +63,25 @@ class TestHandshake:
     def test_unknown_client_names_client_side(self):
         rogue = EnclaveIdentity("zkpoi-wallet", 4)  # unexpected version
         with pytest.raises(MeasurementMismatch) as err:
-            mutual_attest(rogue, SERVER, POLICY)
+            mutual_attest(rogue, SERVER, POLICY, rng=ByteStream(b"seed-0"))
         assert err.value.side == "client"
 
     def test_unknown_server_names_server_side(self):
         rogue = EnclaveIdentity("someone-else", 5)
         with pytest.raises(MeasurementMismatch) as err:
-            mutual_attest(CLIENT, rogue, POLICY)
+            mutual_attest(CLIENT, rogue, POLICY, rng=ByteStream(b"seed-0"))
         assert err.value.side == "server"
 
     def test_client_checked_before_server(self):
         with pytest.raises(MeasurementMismatch) as err:
-            mutual_attest(EnclaveIdentity("x", 1), EnclaveIdentity("y", 1), POLICY)
+            mutual_attest(EnclaveIdentity("x", 1), EnclaveIdentity("y", 1), POLICY,
+                          rng=ByteStream(b"seed-0"))
         assert err.value.side == "client"
 
     def test_sessions_are_unlinkable(self):
-        a = mutual_attest(CLIENT, SERVER, POLICY)
-        b = mutual_attest(CLIENT, SERVER, POLICY)
+        stream = ByteStream(b"seed-0")
+        a = mutual_attest(CLIENT, SERVER, POLICY, rng=stream)
+        b = mutual_attest(CLIENT, SERVER, POLICY, rng=stream)
         assert a.client_token != b.client_token
 
     def test_seeded_stream_reproduces_session_material(self):
@@ -98,30 +100,31 @@ class TestHandshake:
 
 class TestSealing:
     def test_round_trip(self):
-        session = mutual_attest(CLIENT, SERVER, POLICY)
+        session = mutual_attest(CLIENT, SERVER, POLICY, rng=ByteStream(b"seed-0"))
         payload = b"registration evidence" * 10
         assert unseal(session, seal(session, payload)) == payload
 
     def test_ciphertexts_differ_across_calls(self):
-        session = mutual_attest(CLIENT, SERVER, POLICY)
+        session = mutual_attest(CLIENT, SERVER, POLICY, rng=ByteStream(b"seed-0"))
         assert seal(session, b"same payload") != seal(session, b"same payload")
 
     def test_other_session_cannot_unseal(self):
-        a = mutual_attest(CLIENT, SERVER, POLICY)
-        b = mutual_attest(CLIENT, SERVER, POLICY)
+        stream = ByteStream(b"seed-0")
+        a = mutual_attest(CLIENT, SERVER, POLICY, rng=stream)
+        b = mutual_attest(CLIENT, SERVER, POLICY, rng=stream)
         blob = seal(a, b"secret")
         with pytest.raises(WrongSession):
             unseal(b, blob)
 
     def test_tampered_blob_rejected(self):
-        session = mutual_attest(CLIENT, SERVER, POLICY)
+        session = mutual_attest(CLIENT, SERVER, POLICY, rng=ByteStream(b"seed-0"))
         blob = bytearray(seal(session, b"secret"))
         blob[-1] ^= 1
         with pytest.raises(WrongSession):
             unseal(session, bytes(blob))
 
     def test_truncated_blob_rejected(self):
-        session = mutual_attest(CLIENT, SERVER, POLICY)
+        session = mutual_attest(CLIENT, SERVER, POLICY, rng=ByteStream(b"seed-0"))
         with pytest.raises(WrongSession):
             unseal(session, b"\x01")
 
@@ -132,11 +135,11 @@ class TestSealing:
             keyed.append(key)
             return _cipher(key)
         monkeypatch.setattr(attestation, "AESGCM", counting)
-        session = mutual_attest(CLIENT, SERVER, POLICY)
+        session = mutual_attest(CLIENT, SERVER, POLICY, rng=ByteStream(b"seed-0"))
         for payload in (b"first", b"second", b""):
             assert unseal(session, seal(session, payload)) == payload
         assert len(keyed) == 1
 
     def test_empty_payload_round_trips(self):
-        session = mutual_attest(CLIENT, SERVER, POLICY)
+        session = mutual_attest(CLIENT, SERVER, POLICY, rng=ByteStream(b"seed-0"))
         assert unseal(session, seal(session, b"")) == b""

@@ -438,6 +438,20 @@ class TestConfigErrors:
         assert out == ""
         assert err.strip() == f"config error: params: {key} entries must be finite"
 
+    @pytest.mark.parametrize("group, verb, params, message", [
+        ("econ", "poa", {"zkpoi_cost": 1e-320, "gamma": 0.1},
+         "the worst Nash cost over zkpoi_cost overflows a 64-bit float"),
+        ("sim", "epoch", {"tx_reward": 1e308, "miners": 2, "shards": 1},
+         "the cooperator payoff overflows a 64-bit float"),
+    ], ids=["poa-ratio", "epoch-payoff"])
+    def test_an_overflowed_payload_is_refused(self, capsys, config_file, group, verb,
+                                              params, message):
+        cfg = config_file({"params": params})
+        code, out, err = run_cli([group, verb, "--config", cfg], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.strip() == f"config error: params: {message}"
+
     def test_infinity_is_not_caught_as_nan(self, capsys, config_file):
         cfg = config_file({"params": {"u_aa": float("inf")}})
         code, out, _ = run_cli(["econ", "ess", "--config", cfg], capsys)

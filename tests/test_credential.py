@@ -35,13 +35,12 @@ from zkpoi.identity import (
     HolderFields,
     active_auth_sign,
     active_auth_verify,
-    document_hash,
-    document_public_bytes,
-    extract_unique_id,
     generate_ca_hierarchy,
     issue_dsc,
     issue_epassport,
     issue_identity_cert,
+    public_bytes_hash,
+    public_document,
 )
 from zkpoi.registry import Registry
 
@@ -217,6 +216,11 @@ class TestBundleGeneration:
         with pytest.raises(ValueError):
             build(card, store, aa_mode="partial")
 
+    def test_a_bare_certificate_is_not_a_document(self, world):
+        store, _, card, *_ = world
+        with pytest.raises(TypeError, match="Certificate is not an identity document"):
+            build(card.certificate, store)
+
     @pytest.mark.parametrize("doc_index, tag", [(2, "card-chain"), (3, "epassport")],
                              ids=["card", "passport"])
     def test_evidence_carries_the_wire_tag(self, world, doc_index, tag):
@@ -324,7 +328,7 @@ class TestWalletRecord:
 
     def test_absent_mode_secret_is_derived_for_each_passphrase(self, fresh_documents):
         store, *_, plain = fresh_documents
-        salt = hash_parts(b"degraded-secret-salt", document_hash(plain))
+        salt = hash_parts(b"degraded-secret-salt", public_bytes_hash(plain.public_bytes()))
         for passphrase in ("pw-one", "pw-two", "pw-one"):
             bundle, _ = build_registration_bundle(plain, passphrase, NETWORK, store, NOW,
                                                   aa_mode=AA_MODE_ABSENT,
@@ -407,7 +411,7 @@ class TestVerifierSteps:
         bundle, _ = build(card, store, suffix=SUFFIX_OFF)
         verdict = verify_registration_bundle(bundle, store, NETWORK, NOW)
         assert verdict.accepted
-        assert verdict.unique_id == extract_unique_id(card)
+        assert verdict.unique_id == public_document(card).unique_id()
 
     @pytest.mark.parametrize("doc_index", [2, 3, 4], ids=["card", "passport", "plain"])
     def test_only_an_accepted_verdict_carries_the_document(self, world, doc_index):
@@ -416,8 +420,8 @@ class TestVerifierSteps:
         bundle, _ = build(doc, store, aa_mode=mode)
         verdict = verify_registration_bundle(bundle, store, NETWORK, NOW)
         assert verdict.accepted
-        assert verdict.unique_id == extract_unique_id(doc)
-        assert document_public_bytes(verdict.document) == bundle.evidence.doc_bytes
+        assert verdict.unique_id == public_document(doc).unique_id()
+        assert public_document(verdict.document).public_bytes() == bundle.evidence.doc_bytes
         assert "document" not in repr(verdict)
         rejected = verify_registration_bundle(bundle, store, "chain-other", NOW)
         assert rejected.code == "step5"
@@ -499,7 +503,7 @@ class TestAbsentMode:
         store, *_, plain_passport = world
         assert credential.AA_ABSENT_ITERATION_MULTIPLIER == 8
         bundle, _ = build(plain_passport, store, aa_mode=AA_MODE_ABSENT)
-        digest = document_hash(plain_passport)
+        digest = public_bytes_hash(plain_passport.public_bytes())
         expected = pbkdf2_sha256("hunter2 passphrase",
                                  hash_parts(b"degraded-secret-salt", digest), ITERS * 8)
         assert bundle.evidence.secret == expected
@@ -508,7 +512,7 @@ class TestAbsentMode:
         store, _, _, passport, plain_passport = world
         full, _ = build(passport, store, aa_mode=AA_MODE_FULL)
         degraded, _ = build(plain_passport, store, aa_mode=AA_MODE_ABSENT)
-        assert extract_unique_id(passport) == extract_unique_id(plain_passport)
+        assert passport.unique_id() == plain_passport.unique_id()
         assert full.pseudonym.digest != degraded.pseudonym.digest
 
     @pytest.mark.parametrize("field, value, reason", [

@@ -171,3 +171,137 @@ def test_public_name_scan_sees_a_dead_name(tmp_path):
                                      "    raise TypeError('quoted expects a Store')\n")
     assert public_names_only_tests_reach(library, [tmp_path]) == {
         "a.dead", "a.quoted", "a.Store.orphan"}
+
+
+# Parameters with a default that no call in src/, bench/ or demos/ sets, kept
+# on purpose, as "module.qualified name(parameter)": reason.
+OPTIONS_ONLY_TESTS_SET: dict[str, str] = {
+    "network.integrate_ratio_ode(dt)":
+        "the step of a PAPER_CLAIM_CHECKS function that only tests call",
+    "identity.HolderFields(optional_data)":
+        "the ICAO 9303 DG1 optional-data element, which the composite check digit covers",
+}
+
+
+def _decorator_names(node: ast.FunctionDef | ast.ClassDef) -> set[str]:
+    names = set()
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        names.add(target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", ""))
+    return names
+
+
+def _field_parameter(value: ast.expr | None) -> tuple[bool, bool]:
+    """(is an __init__ parameter, has a default) for a dataclass field's value."""
+    if not (isinstance(value, ast.Call) and getattr(value.func, "id", "") == "field"):
+        return True, value is not None
+    keywords = {k.arg: k.value for k in value.keywords}
+    init = keywords.get("init")
+    return (not (isinstance(init, ast.Constant) and init.value is False),
+            bool({"default", "default_factory"} & set(keywords)))
+
+
+def options_only_tests_set(library_root: Path, reader_roots: list[Path]) -> set[str]:
+    """Parameters with a default of the functions, methods and constructors
+    defined under `library_root`, dataclass fields included, that no call
+    under `reader_roots` sets, as "module.qualified name(parameter)".
+
+    A call is matched by the callee's name, as the public-name scan matches
+    reads. It sets a parameter by keyword, by position, or through `*` or
+    `**`; an attribute store of a field's name also sets the field."""
+    # label -> (callee names, position after self/cls or None, name, is a field)
+    options: dict[str, tuple[set[str], int | None, str, bool]] = {}
+
+    def function(node: ast.FunctionDef, prefix: str, owner: ast.ClassDef | None) -> None:
+        positional = [a.arg for a in node.args.posonlyargs + node.args.args]
+        if owner is not None and "staticmethod" not in _decorator_names(node):
+            positional = positional[1:]
+        label = prefix if node.name == "__init__" else f"{prefix}.{node.name}"
+        callees = {node.name} | ({owner.name} if node.name == "__init__" else set())
+        for index in range(len(positional) - len(node.args.defaults), len(positional)):
+            options[f"{label}({positional[index]})"] = (
+                callees, index, positional[index], False)
+        for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
+            if default is not None:
+                options[f"{label}({arg.arg})"] = (callees, None, arg.arg, False)
+        collect(node.body, label, None)
+
+    def dataclass_fields(node: ast.ClassDef, prefix: str) -> None:
+        index = 0
+        for stmt in node.body:
+            if not (isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)):
+                continue
+            if "ClassVar" in ast.unparse(stmt.annotation):
+                continue
+            in_init, has_default = _field_parameter(stmt.value)
+            if in_init and has_default:
+                options[f"{prefix}({stmt.target.id})"] = ({node.name}, index, stmt.target.id, True)
+            index += in_init
+
+    def collect(body: list[ast.stmt], prefix: str, owner: ast.ClassDef | None) -> None:
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                function(node, prefix, owner)
+            elif isinstance(node, ast.ClassDef):
+                label = f"{prefix}.{node.name}"
+                has_init = any(isinstance(n, ast.FunctionDef) and n.name == "__init__"
+                               for n in node.body)
+                if "dataclass" in _decorator_names(node) and not has_init:
+                    dataclass_fields(node, label)
+                collect(node.body, label, node)
+
+    for path in library_root.rglob("*.py"):
+        collect(ast.parse(path.read_text(), filename=str(path)).body, path.stem, None)
+
+    # callee name -> per call: (positional count, first starred position, keywords)
+    calls: dict[str, list[tuple[int, int | None, set[str | None]]]] = {}
+    stored = set()
+    for root in reader_roots:
+        for path in root.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                    starred = [i for i, a in enumerate(node.args) if isinstance(a, ast.Starred)]
+                    calls.setdefault(name, []).append(
+                        (len(node.args), starred[0] if starred else None,
+                         {k.arg for k in node.keywords}))
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                    stored.add(node.attr)
+
+    def is_set(callees: set[str], index: int | None, name: str, field: bool) -> bool:
+        if field and name in stored:
+            return True
+        for count, star, keywords in (c for callee in callees for c in calls.get(callee, ())):
+            if name in keywords or None in keywords:
+                return True
+            if index is not None and (index < count or (star is not None and index >= star)):
+                return True
+        return False
+
+    return {label for label, option in options.items() if not is_set(*option)}
+
+
+def test_no_option_only_tests_set():
+    readers = [ROOT / "src", ROOT / "bench", ROOT / "demos"]
+    assert options_only_tests_set(ROOT / "src" / "zkpoi", readers) == set(
+        OPTIONS_ONLY_TESTS_SET)
+
+
+def test_option_scan_sees_a_dead_option(tmp_path):
+    library, app, tests = (tmp_path / name for name in ("lib", "app", "tests"))
+    for folder in (library, app, tests):
+        folder.mkdir()
+    (library / "a.py").write_text("from dataclasses import dataclass\n\n"
+                                  "def run(x, dead=0):\n    pass\n\n"
+                                  "def spread(x, keyed=0):\n    pass\n\n"
+                                  "class Store:\n    def get(self, key, placed=None):\n"
+                                  "        pass\n\n"
+                                  "@dataclass\nclass Config:\n    name: str\n"
+                                  "    stored: int = 0\n")
+    (app / "app.py").write_text("from a import Config, Store, run, spread\n\n"
+                                "def main(options):\n    run(1)\n    spread(1, **options)\n"
+                                "    Store().get('k', 0)\n"
+                                "    config = Config('x')\n    config.stored = 3\n")
+    (tests / "test_a.py").write_text("from a import run\n\n"
+                                     "def test_run():\n    run(1, dead=2)\n")
+    assert options_only_tests_set(library, [app]) == {"a.run(dead)"}

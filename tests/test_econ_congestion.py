@@ -23,7 +23,7 @@ from zkpoi.econ.congestion import (
     solve_congestion_nash,
     total_mining_cost,
 )
-from zkpoi.errors import DegenerateBaseline, Infeasible, TooLarge, ZeroMiners
+from zkpoi.errors import DegenerateBaseline, DomainError, Infeasible, TooLarge, ZeroMiners
 
 
 def instance(k=2, n=2, mu=1.0, gamma=0.0, deadline=1.0):
@@ -269,6 +269,12 @@ class TestAnarchyRatio:
     def test_zero_baseline_rejected(self):
         with pytest.raises(DegenerateBaseline):
             price_of_crypto_anarchy(self.worked_instance(), zkpoi_cost=0.0)
+
+    @pytest.mark.parametrize("gamma, zkpoi_cost", [(0.1, 1e-320), (1e308, 0.01)],
+                             ids=["tiny-baseline", "overflowed-cost"])
+    def test_overflowed_ratio_raises(self, gamma, zkpoi_cost):
+        with pytest.raises(DomainError, match="overflows"):
+            price_of_crypto_anarchy(instance(k=2, n=2, mu=1.0, gamma=gamma), zkpoi_cost)
 
     def test_scales_inversely_with_baseline(self):
         inst = self.worked_instance()

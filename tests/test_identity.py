@@ -29,14 +29,14 @@ from zkpoi.identity import (
     TrustStore,
     active_auth_sign,
     active_auth_verify,
-    document_hash,
     yymmdd_timestamp,
-    extract_unique_id,
     generate_ca_hierarchy,
     icao_check_digit,
     issue_dsc,
     issue_epassport,
     issue_identity_cert,
+    public_bytes_hash,
+    public_document,
     _decode_issuer,
     validate_chain,
     validate_epassport,
@@ -836,21 +836,21 @@ class TestIssuerDecodeMemo:
 class TestUniqueId:
     def test_card_uses_explicit_field(self, card_setup):
         _, _, card = card_setup
-        assert extract_unique_id(card) == "UID-0001"
-        assert extract_unique_id(card.chain) == "UID-0001"
-        assert extract_unique_id(card.certificate) == "UID-0001"
+        assert public_document(card).unique_id() == "UID-0001"
+        assert public_document(card.chain).unique_id() == "UID-0001"
+        assert card.certificate.unique_id() == "UID-0001"
 
     def test_card_without_field_raises(self, card_setup):
         _, _, card = card_setup
         stripped = dataclasses.replace(card.certificate, unique_id_field=None)
         with pytest.raises(MissingIdentifier):
-            extract_unique_id(stripped)
+            public_document(dataclasses.replace(card.chain, leaf=stripped)).unique_id()
 
     def test_card_with_empty_field_raises(self, card_setup):
         _, _, card = card_setup
         emptied = dataclasses.replace(card.certificate, unique_id_field="")
         with pytest.raises(MissingIdentifier):
-            extract_unique_id(emptied)
+            public_document(dataclasses.replace(card.chain, leaf=emptied)).unique_id()
 
     @pytest.mark.parametrize("personal_number, document_number",
                              [("", "X1234567"), (None, "")])
@@ -861,20 +861,27 @@ class TestUniqueId:
             passport, dg11_personal_number=personal_number,
             dg1=dataclasses.replace(passport.dg1, document_number=document_number))
         with pytest.raises(MissingIdentifier):
-            extract_unique_id(emptied)
+            public_document(emptied).unique_id()
 
     def test_passport_prefers_personal_number(self, passport_setup):
         *_, passport = passport_setup
-        assert extract_unique_id(passport) == "PN-42"
+        assert public_document(passport).unique_id() == "PN-42"
 
     def test_passport_falls_back_to_document_number(self, passport_setup):
         *_, passport = passport_setup
         anonymous = dataclasses.replace(passport, dg11_personal_number=None)
-        assert extract_unique_id(anonymous) == passport.dg1.document_number
+        assert public_document(anonymous).unique_id() == passport.dg1.document_number
 
     def test_unsupported_type_raises(self):
         with pytest.raises(TypeError):
-            extract_unique_id(object())
+            public_document(object())
+
+    def test_a_bare_certificate_is_not_a_document(self, card_setup):
+        store, _, card = card_setup
+        with pytest.raises(TypeError, match="Certificate is not an identity document"):
+            public_document(card.certificate).validate(store, NOW)
+        with pytest.raises(TypeError, match="Certificate is not an identity document"):
+            public_bytes_hash(public_document(card.certificate).public_bytes())
 
     def test_card_issuer_refuses_an_empty_identifier(self, card_setup):
         _, hierarchy, _ = card_setup
@@ -897,7 +904,7 @@ class TestUniqueId:
         passport = issue_epassport(csca, dsc, dataclasses.replace(holder, document_number=""),
                                    with_aa=True, seed=9)
         assert validate_epassport(passport, store, NOW).accepted
-        assert extract_unique_id(passport) == "PN-42"
+        assert public_document(passport).unique_id() == "PN-42"
 
 
 class TestChallengeSigning:
@@ -952,13 +959,15 @@ class TestHierarchyAndHashing:
         *_, passport = passport_setup
         other = issue_identity_cert(hierarchy, hierarchy.issuers[0],
                                     "Bob Example", "UID-0002", WINDOW)
-        digests = {document_hash(card), document_hash(other), document_hash(passport)}
+        digests = {public_bytes_hash(public_document(doc).public_bytes())
+                   for doc in (card, other, passport)}
         assert len(digests) == 3
 
     def test_document_hash_stable_across_round_trip(self, passport_setup):
         *_, passport = passport_setup
         rebuilt = EPassport.from_bytes(passport.public_bytes())
-        assert document_hash(rebuilt) == document_hash(passport)
+        assert (public_bytes_hash(rebuilt.public_bytes())
+                == public_bytes_hash(passport.public_bytes()))
 
     def test_same_seed_reproduces_hierarchy(self):
         store_a, _ = generate_ca_hierarchy(2, 1, seed=77)

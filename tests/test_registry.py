@@ -29,7 +29,7 @@ from zkpoi.credential import (
     build_registration_bundle,
     derive_pseudonym,
 )
-from zkpoi.crypto import hmac_sha256
+from zkpoi.crypto import ByteStream, hmac_sha256
 from zkpoi.errors import (
     AlreadyMember,
     DuplicateIdentity,
@@ -365,7 +365,7 @@ class TestSessions:
     def test_session_with_foreign_server_rejected(self, world, registry):
         other = attestation.EnclaveIdentity("some-other-service", 1)
         policy = attestation.AttestationPolicy.expecting(CLIENT, other)
-        session = attestation.mutual_attest(CLIENT, other, policy)
+        session = attestation.mutual_attest(CLIENT, other, policy, rng=ByteStream(b"other"))
         with pytest.raises(NoSession):
             registry.register(b"whatever", session, NOW)
 
