@@ -31,7 +31,7 @@ def main() -> None:
           f"potential {sol.potential_value:.6f}")
     priced = cong.CongestionInstance(k=2, n_miners=2, mu=1.0, gamma=0.1,
                                      deadline=1.0)
-    ratio = cong.price_of_crypto_anarchy(priced, zkpoi_cost=0.01)
+    ratio = cong.price_of_crypto_anarchy(priced, zkpoi_cost=0.01).ratio
     print(f"  with entry cost 0.1 vs a 0.01 identity check, the worst "
           f"equilibrium costs {ratio:.1f}x more")
 

@@ -130,10 +130,6 @@ def accumulator_remove(acc: Accumulator, element: bytes) -> None:
     acc._levels = None
 
 
-def _root_of(acc_or_root) -> bytes:
-    return acc_or_root.root if isinstance(acc_or_root, Accumulator) else bytes(acc_or_root)
-
-
 def _level_widths(count: int) -> list[int]:
     widths = [count]
     while widths[-1] > 1:
@@ -165,9 +161,8 @@ def _verify_path(witness: MembershipWitness, root: bytes) -> bool:
     return expected == root
 
 
-def accumulator_verify(acc_or_root, element: bytes, witness: MembershipWitness) -> bool:
-    """Publicly check that `element` sits under the root the witness targets."""
-    root = _root_of(acc_or_root)
+def accumulator_verify(root: bytes, element: bytes, witness: MembershipWitness) -> bool:
+    """Publicly check that `element` sits under the published `root`."""
     expected_leaf = hash_parts(_LEAF_TAG, witness.domain_tag, element)
     return witness.leaf == expected_leaf and _verify_path(witness, root)
 
@@ -182,12 +177,12 @@ def accumulator_non_membership(acc: Accumulator, element: bytes) -> NonMembershi
     return NonMembershipWitness(acc.domain_tag, left, right, len(acc._leaves))
 
 
-def accumulator_verify_non_membership(acc_or_root, element: bytes,
+def accumulator_verify_non_membership(root: bytes, element: bytes,
                                       witness: NonMembershipWitness) -> bool:
-    """Check an adjacency proof: both neighbors verify, sit next to each
-    other, and the absent element's digest falls strictly between them; at
-    the boundaries a single neighbor plus the count pins the gap."""
-    root = _root_of(acc_or_root)
+    """Check an adjacency proof against the published `root`: both neighbors
+    verify, sit next to each other, and the absent element's digest falls
+    strictly between them; at the boundaries a single neighbor plus the
+    count pins the gap."""
     digest = hash_parts(_LEAF_TAG, witness.domain_tag, element)
     left, right = witness.left, witness.right
     if witness.count == 0:

@@ -4,8 +4,8 @@ Grammar: zkpoi <identity|register|registry|sim|econ> <verb>
              [--config FILE] [--seed N] [--out PATH] [--format csv|json]
 
 Exit codes: 0 success, 2 configuration/validation error, 1 runtime error.
-Seeds resolve as --seed, then the ZKPOI_SEED environment variable, then the
-config file's "seed" field, then 0; whichever is used must lie in [0, 2**64).
+Seeds resolve as --seed, then the config file's "seed" field, then 0;
+whichever is used must lie in [0, 2**64).
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ def build_parser() -> argparse.ArgumentParser:
             vp.add_argument("--config", metavar="F", default=None,
                             help="JSON experiment config")
             vp.add_argument("--seed", metavar="S", type=int, default=None,
-                            help="64-bit seed (overrides ZKPOI_SEED and the config)")
+                            help="64-bit seed (overrides the config)")
             vp.add_argument("--out", metavar="PATH", default=None,
                             help="write the scenario output to this file")
             vp.add_argument("--format", choices=("csv", "json"), default=None,

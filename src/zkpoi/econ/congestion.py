@@ -216,16 +216,27 @@ def total_mining_cost(instance: CongestionInstance, allocation: Allocation) -> f
     return sum(instance.gamma[k] * allocation.loads[k] for k in range(instance.k))
 
 
+@dataclass(frozen=True)
+class AnarchyPrice:
+    """How many allocations are Nash, the worst of their mining costs, and
+    that cost over the identity-based baseline."""
+
+    nash_count: int
+    worst_nash_cost: float
+    ratio: float
+
+
 def price_of_crypto_anarchy(instance: CongestionInstance,
-                            zkpoi_cost: float = 0.01) -> float:
+                            zkpoi_cost: float = 0.01) -> AnarchyPrice:
     """Worst-case equilibrium resource burn relative to the identity-based
     baseline: max over Nash allocations of total_mining_cost, divided by
     zkpoi_cost. The baseline must be positive — identity checks are cheap,
     not free. DomainError if the ratio overflows."""
     if zkpoi_cost <= 0:
         raise DegenerateBaseline("the baseline cost must be > 0")
-    worst = max(total_mining_cost(instance, a) for a in all_nash_allocations(instance))
+    nash = all_nash_allocations(instance)
+    worst = max(total_mining_cost(instance, a) for a in nash)
     ratio = worst / zkpoi_cost
     if math.isinf(ratio):
         raise DomainError("the worst Nash cost over zkpoi_cost overflows a 64-bit float")
-    return ratio
+    return AnarchyPrice(len(nash), worst, ratio)

@@ -163,21 +163,18 @@ def _linspace(lo: float, hi: float, n: int) -> list[float]:
     return [i * step + lo for i in range(n - 1)] + [hi]
 
 
-def _payoff_fn(u):
-    if callable(u):
-        return u
-    return lambda a, b: float(u[(a, b)])
-
-
 def is_ess(u, strategies, candidate) -> bool:
-    """Evolutionary stability of `candidate` in a symmetric two-player game.
+    """Evolutionary stability of `candidate` in a symmetric two-player game
+    whose payoffs `u` map (own strategy, other strategy) to a number.
 
     For every mutant s' the resident must either beat it against residents
     outright, or tie there and strictly beat it against mutants. The implied
     mixed-population inequality is then re-verified numerically for invasion
     shares epsilon on a grid in [1e-3, ESS_EPSILON0].
     """
-    pay = _payoff_fn(u)
+    def pay(a, b) -> float:
+        return float(u[(a, b)])
+
     strategies = tuple(strategies)
     if candidate not in strategies:
         raise ValueError("candidate must be one of the strategies")

@@ -382,16 +382,16 @@ def issue_identity_cert(hierarchy: CaHierarchy, authority_name: str, subject: st
     return IdentityCard(chain=chain, holder_key=holder_key)
 
 
-def validate_chain(chain: Union[CertChain, bytes], store: TrustStore, now: int,
+def validate_chain(chain: CertChain, store: TrustStore, now: int,
                    crl: frozenset[tuple[str, int]] | None = None, *,
                    verified: Collection[SignatureCheck] = ()) -> ValidationReport:
-    """Five-step chain validation.
+    """Four-step validation of a decoded chain (`CertChain.from_bytes`
+    checks the grammar, and raises DecodeError).
 
-    1. grammar (canonical decode, when raw bytes are given);
-    2. validity window of every certificate;
-    3. revocation against the optional (issuer, serial) set — skipped when absent;
-    4. issuer/subject linkage and signature along the chain;
-    5. the chain terminates at a trusted self-signed root from the store.
+    1. validity window of every certificate;
+    2. revocation against the optional (issuer, serial) set — skipped when absent;
+    3. issuer/subject linkage and signature along the chain;
+    4. the chain terminates at a trusted self-signed root from the store.
 
     Every step runs on every call. Each signature check goes through
     `verify_unless_recorded`: an intermediate certificate's against the
@@ -399,12 +399,6 @@ def validate_chain(chain: Union[CertChain, bytes], store: TrustStore, now: int,
     record `verified`. An accepting report carries the leaf check when it
     was verified here.
     """
-    if isinstance(chain, (bytes, bytearray, memoryview)):
-        try:
-            chain = CertChain.from_bytes(bytes(chain))
-        except DecodeError:
-            return ValidationReport.fail(FailureCode.GRAMMAR_ERROR, now)
-
     certs = chain.certs()
     for cert in certs:
         if not (cert.not_before <= now <= cert.not_after):

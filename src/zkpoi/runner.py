@@ -92,17 +92,9 @@ def check_seed(value, source: str) -> int:
 
 
 def resolve_seed(config: dict, flag_seed: int | None) -> int:
-    """Explicit --seed wins; otherwise the ZKPOI_SEED variable overrides the
-    config value; otherwise the config value; otherwise zero."""
+    """Explicit --seed wins; otherwise the config value; otherwise zero."""
     if flag_seed is not None:
         return check_seed(flag_seed, "--seed")
-    env_seed = os.environ.get("ZKPOI_SEED")
-    if env_seed is not None:
-        try:
-            value = int(env_seed)
-        except ValueError:
-            _fail("ZKPOI_SEED", f"must be an integer, got {env_seed!r}")
-        return check_seed(value, "ZKPOI_SEED")
     return check_seed(config.get("seed", 0), "seed")
 
 
@@ -486,16 +478,15 @@ def _scenario_econ_poa(p: _Params, seed: int) -> ScenarioResult:
     instance = _congestion_instance(p)
     zkpoi_cost = p.number("zkpoi_cost", 0.01, lo=0.0, exclusive=True)
     p.reject_unknown()
-    nash = cong.all_nash_allocations(instance)
-    worst = max(cong.total_mining_cost(instance, a) for a in nash)
-    ratio = worst / zkpoi_cost  # as price_of_crypto_anarchy computes, and refuses, it
-    if math.isinf(ratio):
-        _fail("params", "the worst Nash cost over zkpoi_cost overflows a 64-bit float")
-    rows = [{"nash_count": len(nash), "worst_nash_cost": worst,
-             "zkpoi_cost": zkpoi_cost, "ratio": ratio}]
+    try:
+        price = cong.price_of_crypto_anarchy(instance, zkpoi_cost)
+    except DomainError as exc:
+        _fail("params", str(exc))
+    rows = [{"nash_count": price.nash_count, "worst_nash_cost": price.worst_nash_cost,
+             "zkpoi_cost": zkpoi_cost, "ratio": price.ratio}]
     return ScenarioResult(
         columns=["nash_count", "worst_nash_cost", "zkpoi_cost", "ratio"], rows=rows,
-        summary={"ratio": ratio})
+        summary={"ratio": price.ratio})
 
 
 def _scenario_econ_dominance(p: _Params, seed: int) -> ScenarioResult:

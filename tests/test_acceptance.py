@@ -400,7 +400,7 @@ def test_criterion_07_anarchy_ratio(report):
     problems: list[str] = []
     documented = cong.CongestionInstance(k=2, n_miners=2, mu=1.0, gamma=0.1,
                                          deadline=1.0)
-    ratio = cong.price_of_crypto_anarchy(documented, zkpoi_cost=0.01)
+    ratio = cong.price_of_crypto_anarchy(documented, zkpoi_cost=0.01).ratio
     if abs(ratio - 20.0) > 1e-9:
         problems.append(f"documented ratio {ratio!r} != 20.0 +- 1e-9")
 
@@ -409,8 +409,8 @@ def test_criterion_07_anarchy_ratio(report):
     for gamma in np.linspace(0.01, 0.1, 10):
         inst = cong.CongestionInstance(k=2, n_miners=2, mu=1.0, gamma=float(gamma),
                                        deadline=1.0)
-        r1 = cong.price_of_crypto_anarchy(inst, zkpoi_cost=0.01)
-        r2 = cong.price_of_crypto_anarchy(inst, zkpoi_cost=0.02)
+        r1 = cong.price_of_crypto_anarchy(inst, zkpoi_cost=0.01).ratio
+        r2 = cong.price_of_crypto_anarchy(inst, zkpoi_cost=0.02).ratio
         if abs(r1 * 0.01 / gamma - 2.0) > 1e-9:
             problems.append(f"gamma={gamma:.3f}: ratio {r1!r} is not 200*gamma")
         if abs(r1 - 2.0 * r2) > 1e-9:

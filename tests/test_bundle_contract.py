@@ -5,9 +5,10 @@ another bundle's value, or by drawn bytes or text. The bundle is then
 re-encoded, sealed and presented to ``Registry.register`` and
 ``Registry.take_offline``; it is also handed, as a bundle object, to
 ``verify_registration_bundle`` with an empty record and with the record of
-the unmutated bundle's checks, and its document bytes to ``validate_chain``
-and to ``EPassport.from_bytes`` plus ``validate_epassport``. Each call may
-return or raise a ``ZkpoiError``; any other exception escaping is a defect.
+the unmutated bundle's checks, and its document bytes to
+``CertChain.from_bytes`` plus ``validate_chain`` and to
+``EPassport.from_bytes`` plus ``validate_epassport``. Each call may return
+or raise a ``ZkpoiError``; any other exception escaping is a defect.
 Unlike a byte flip, a field edit leaves the signed document intact, so the
 checks behind its signature (the unique id, the pseudonym inputs, the key
 binding and the secret) are reached. One mutant is also held to its verdict:
@@ -36,6 +37,7 @@ from zkpoi.errors import InvalidBundle, ZkpoiError
 from zkpoi.identity import (
     GENESIS,
     YEAR,
+    CertChain,
     EPassport,
     HolderFields,
     generate_ca_hierarchy,
@@ -147,7 +149,8 @@ def verify_directly(base: int, field: str, value) -> None:
                                    verified=verified)
     doc_bytes = value if field == "doc_bytes" else reg["doc_bytes"]
     for verified in ((), RECORDS[base]):
-        returns_or_refuses(validate_chain, doc_bytes, STORE, NOW, verified=verified)
+        returns_or_refuses(lambda: validate_chain(CertChain.from_bytes(doc_bytes), STORE, NOW,
+                                                  verified=verified))
         returns_or_refuses(lambda: validate_epassport(EPassport.from_bytes(doc_bytes), STORE,
                                                       NOW, verified=verified))
 

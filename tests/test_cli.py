@@ -14,6 +14,8 @@ from pathlib import Path
 import pytest
 
 from zkpoi import __version__, cli
+from zkpoi.econ import congestion as cong
+from zkpoi.runner import FLOAT_FORMAT
 
 
 def run_cli(argv, capsys):
@@ -29,11 +31,6 @@ def config_file(tmp_path):
         path.write_text(json.dumps(doc))
         return str(path)
     return write
-
-
-@pytest.fixture(autouse=True)
-def no_ambient_seed(monkeypatch):
-    monkeypatch.delenv("ZKPOI_SEED", raising=False)
 
 
 class TestArgparseSurface:
@@ -207,6 +204,25 @@ class TestSuccessPath:
         row = next(csv.DictReader(io.StringIO(out)))
         assert float(row["ratio"]) == pytest.approx(20.0, abs=1e-9)
 
+    @pytest.mark.parametrize("puzzles", [1, 2, 3])
+    @pytest.mark.parametrize("miners", range(7))
+    def test_anarchy_row_is_the_library_result(self, capsys, config_file, puzzles, miners):
+        for gamma in (0.0, 0.1, 2.0):
+            for zkpoi_cost in (0.01, 1.0):
+                params = {"puzzles": puzzles, "miners": miners, "gamma": gamma,
+                          "zkpoi_cost": zkpoi_cost}
+                code, out, _ = run_cli(["econ", "poa", "--config",
+                                        config_file({"params": params})], capsys)
+                assert code == 0
+                price = cong.price_of_crypto_anarchy(
+                    cong.CongestionInstance(k=puzzles, n_miners=miners, mu=1.0, gamma=gamma),
+                    zkpoi_cost)
+                row = next(csv.DictReader(io.StringIO(out)))
+                assert row == {"nash_count": str(price.nash_count),
+                               "worst_nash_cost": format(price.worst_nash_cost, FLOAT_FORMAT),
+                               "zkpoi_cost": format(zkpoi_cost, FLOAT_FORMAT),
+                               "ratio": format(price.ratio, FLOAT_FORMAT)}, params
+
     def test_out_writes_file_and_prints_manifest(self, capsys, tmp_path):
         target = tmp_path / "run.csv"
         code, out, err = run_cli(
@@ -231,22 +247,17 @@ class TestSeedResolution:
         _, _, err = run_cli(["econ", "ess", "--config", cfg], capsys)
         assert json.loads(err)["seed"] == 9
 
-    def test_env_overrides_config(self, capsys, config_file, monkeypatch):
-        monkeypatch.setenv("ZKPOI_SEED", "123")
+    def test_flag_overrides_config(self, capsys, config_file):
         cfg = config_file({"seed": 9})
-        _, _, err = run_cli(["econ", "ess", "--config", cfg], capsys)
-        assert json.loads(err)["seed"] == 123
-
-    def test_flag_overrides_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("ZKPOI_SEED", "123")
-        _, _, err = run_cli(["econ", "ess", "--seed", "5"], capsys)
+        _, _, err = run_cli(["econ", "ess", "--config", cfg, "--seed", "5"], capsys)
         assert json.loads(err)["seed"] == 5
 
-    def test_non_integer_env_seed_is_a_config_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("ZKPOI_SEED", "abc")
-        code, _, err = run_cli(["econ", "ess"], capsys)
-        assert code == 2
-        assert err.startswith("config error: ZKPOI_SEED: must be an integer")
+    def test_no_environment_variable_sets_the_seed(self, capsys, config_file, monkeypatch):
+        monkeypatch.setenv("ZKPOI_SEED", "123")
+        _, _, err = run_cli(["econ", "ess", "--config", config_file({"seed": 9})], capsys)
+        assert json.loads(err)["seed"] == 9
+        _, _, err = run_cli(["econ", "ess"], capsys)
+        assert json.loads(err)["seed"] == 0
 
     def test_oversized_config_seed_rejected(self, capsys, config_file):
         cfg = config_file({"seed": 2**64})
@@ -255,15 +266,12 @@ class TestSeedResolution:
         assert "seed: must fit in 64 bits" in err
 
     @pytest.mark.parametrize("value", [-1, 2**64])
-    @pytest.mark.parametrize("source", ["--seed", "ZKPOI_SEED", "seed"])
-    def test_out_of_range_seed_is_a_config_error(self, capsys, config_file,
-                                                 monkeypatch, source, value):
+    @pytest.mark.parametrize("source", ["--seed", "seed"])
+    def test_out_of_range_seed_is_a_config_error(self, capsys, config_file, source, value):
         doc = {"params": {"count": 1, "kdf_iterations": 4}}
         argv = ["registry", "register"]
         if source == "--seed":
             argv += ["--seed", str(value)]
-        elif source == "ZKPOI_SEED":
-            monkeypatch.setenv("ZKPOI_SEED", str(value))
         else:
             doc["seed"] = value
         code, out, err = run_cli(argv + ["--config", config_file(doc)], capsys)

@@ -305,3 +305,36 @@ def test_option_scan_sees_a_dead_option(tmp_path):
     (tests / "test_a.py").write_text("from a import run\n\n"
                                      "def test_run():\n    run(1, dead=2)\n")
     assert options_only_tests_set(library, [app]) == {"a.run(dead)"}
+
+
+ENVIRONMENT_NAMES = frozenset({"environ", "environb", "getenv", "getenvb"})
+
+
+def environment_reads(library_root: Path) -> set[str]:
+    """Every read of the process environment under `library_root`, as
+    "path:line": an `os.environ` or `os.getenv` attribute (under any module
+    alias), or one of those names imported from `os`."""
+    reads = set()
+    for path in library_root.rglob("*.py"):
+        label = path.relative_to(library_root).as_posix()
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT_NAMES:
+                reads.add(f"{label}:{node.lineno}")
+            elif (isinstance(node, ast.ImportFrom) and node.module == "os"
+                  and ENVIRONMENT_NAMES & {alias.name for alias in node.names}):
+                reads.add(f"{label}:{node.lineno}")
+    return reads
+
+
+def test_no_environment_read():
+    assert environment_reads(ROOT / "src" / "zkpoi") == set()
+
+
+def test_environment_scan_sees_a_read(tmp_path):
+    (tmp_path / "a.py").write_text("import os\nimport os as system\n\n"
+                                   "def seed():\n    return os.environ.get('SEED')\n\n"
+                                   "def home():\n    return system.getenv('HOME')\n\n"
+                                   "def name(path):\n    return os.path.basename(path)\n")
+    (tmp_path / "b.py").write_text("from os import environ, sep\n\n"
+                                   "def lookup(key):\n    return key + sep\n")
+    assert environment_reads(tmp_path) == {"a.py:5", "a.py:8", "b.py:1"}

@@ -257,14 +257,16 @@ class TestAnarchyRatio:
         return instance(k=2, n=2, mu=1.0, gamma=0.1)
 
     def test_worked_ratio(self):
-        ratio = price_of_crypto_anarchy(self.worked_instance(), zkpoi_cost=0.01)
+        ratio = price_of_crypto_anarchy(self.worked_instance(), zkpoi_cost=0.01).ratio
         assert ratio == pytest.approx(20.0, abs=1e-9)
 
     def test_ratio_uses_worst_equilibrium(self):
         inst = self.worked_instance()
         nash = all_nash_allocations(inst)
         worst = max(total_mining_cost(inst, a) for a in nash)
-        assert price_of_crypto_anarchy(inst, zkpoi_cost=0.01) == worst / 0.01
+        price = price_of_crypto_anarchy(inst, zkpoi_cost=0.01)
+        assert (price.nash_count, price.worst_nash_cost, price.ratio) == (
+            len(nash), worst, worst / 0.01)
 
     def test_zero_baseline_rejected(self):
         with pytest.raises(DegenerateBaseline):
@@ -278,6 +280,6 @@ class TestAnarchyRatio:
 
     def test_scales_inversely_with_baseline(self):
         inst = self.worked_instance()
-        a = price_of_crypto_anarchy(inst, zkpoi_cost=0.01)
-        b = price_of_crypto_anarchy(inst, zkpoi_cost=0.02)
+        a = price_of_crypto_anarchy(inst, zkpoi_cost=0.01).ratio
+        b = price_of_crypto_anarchy(inst, zkpoi_cost=0.02).ratio
         assert a == pytest.approx(2 * b, rel=1e-12)

@@ -161,10 +161,8 @@ class TestEss:
         u = {("A", "A"): 3, ("B", "A"): 2, ("A", "B"): 0, ("B", "B"): 10}
         assert is_ess(u, ("A", "B"), "A")
 
-    def test_callable_payoffs(self):
-        # both pure strategies are strict Nash here, so both are stable
-        pay = lambda a, b: {("A", "A"): 3, ("A", "B"): 0,
-                            ("B", "A"): 2, ("B", "B"): 1}[(a, b)]
+    def test_two_strict_nash_strategies_are_both_stable(self):
+        pay = {("A", "A"): 3, ("A", "B"): 0, ("B", "A"): 2, ("B", "B"): 1}
         assert is_ess(pay, ("A", "B"), "A")
         assert is_ess(pay, ("A", "B"), "B")
 
@@ -175,7 +173,8 @@ class TestEss:
     def test_three_strategy_rock_paper_scissors_has_no_pure_ess(self):
         labels = ("rock", "paper", "scissors")
         beats = {("rock", "scissors"), ("paper", "rock"), ("scissors", "paper")}
-        pay = lambda a, b: 1.0 if (a, b) in beats else (-1.0 if (b, a) in beats else 0.0)
+        pay = {(a, b): 1.0 if (a, b) in beats else (-1.0 if (b, a) in beats else 0.0)
+               for a in labels for b in labels}
         assert not any(is_ess(pay, labels, s) for s in labels)
 
 

@@ -266,7 +266,6 @@ class TestEncodingMemo:
         assert decoded.leaf.subject_name == "Blice Example"
         assert decoded.to_bytes() == flipped
         assert validate_chain(decoded, store, NOW).failure_code is FailureCode.BAD_SIGNATURE
-        assert validate_chain(flipped, store, NOW).failure_code is FailureCode.BAD_SIGNATURE
 
     def test_warm_duplicate_build_and_register_encode_no_certificate(self, encode_calls):
         from zkpoi import attestation
@@ -311,38 +310,37 @@ class TestChainValidation:
         assert report.failure_code is None
         assert report.checked_at == NOW
 
-    def test_accepted_from_bytes_form(self, card_setup):
+    def test_accepted_after_a_decode(self, card_setup):
         store, _, card = card_setup
-        assert validate_chain(card.chain.to_bytes(), store, NOW).accepted
+        assert validate_chain(CertChain.from_bytes(card.chain.to_bytes()), store, NOW).accepted
 
     def test_accepted_at_window_edges(self, card_setup):
         store, _, card = card_setup
         assert validate_chain(card.chain, store, WINDOW[0]).accepted
         assert validate_chain(card.chain, store, WINDOW[1]).accepted
 
-    def test_garbage_bytes_fail_grammar(self, card_setup):
-        store, _, _ = card_setup
-        report = validate_chain(b"not a chain at all", store, NOW)
-        assert (report.verdict, report.failure_code) == ("rejected", FailureCode.GRAMMAR_ERROR)
+    def test_garbage_bytes_fail_grammar(self):
+        with pytest.raises(DecodeError):
+            CertChain.from_bytes(b"not a chain at all")
 
     def test_truncated_bytes_fail_grammar(self, card_setup):
-        store, _, card = card_setup
+        _, _, card = card_setup
         blob = card.chain.to_bytes()
-        report = validate_chain(blob[: len(blob) // 2], store, NOW)
-        assert report.failure_code is FailureCode.GRAMMAR_ERROR
+        with pytest.raises(DecodeError):
+            CertChain.from_bytes(blob[: len(blob) // 2])
 
     def test_trailing_garbage_fails_grammar(self, card_setup):
-        store, _, card = card_setup
-        report = validate_chain(card.chain.to_bytes() + b"\x00", store, NOW)
-        assert report.failure_code is FailureCode.GRAMMAR_ERROR
+        _, _, card = card_setup
+        with pytest.raises(DecodeError):
+            CertChain.from_bytes(card.chain.to_bytes() + b"\x00")
 
     def test_reversed_window_inside_bytes_fails_grammar(self, card_setup):
-        store, _, card = card_setup
+        _, _, card = card_setup
         bad_leaf = dataclasses.replace(card.certificate,
                                        not_before=WINDOW[1], not_after=WINDOW[0])
         blob = chain_with_leaf(card, bad_leaf).to_bytes()
-        report = validate_chain(blob, store, NOW)
-        assert report.failure_code is FailureCode.GRAMMAR_ERROR
+        with pytest.raises(DecodeError):
+            CertChain.from_bytes(blob)
 
     def test_leaf_outside_window_fails_expired(self, card_setup):
         store, _, card = card_setup
@@ -666,7 +664,7 @@ class TestVerifiedIssuerMemo:
     def test_warm_store_accepts_again(self, warm_card):
         store, _, card = warm_card
         assert validate_chain(card.chain, store, NOW).accepted
-        assert validate_chain(card.chain.to_bytes(), store, NOW).accepted
+        assert validate_chain(CertChain.from_bytes(card.chain.to_bytes()), store, NOW).accepted
 
     def test_leaf_signature_is_never_remembered(self, warm_card):
         store, _, card = warm_card
@@ -804,7 +802,6 @@ class TestIssuerDecodeMemo:
         for i, (cert, warm) in enumerate(zip(forged.intermediates, clean.intermediates)):
             assert (cert is warm) == (i != position)
         assert validate_chain(forged, store, NOW).failure_code is FailureCode.BAD_SIGNATURE
-        assert validate_chain(flipped, store, NOW).failure_code is FailureCode.BAD_SIGNATURE
         assert validate_chain(clean, store, NOW).accepted
 
     def test_flipped_signer_decodes_afresh_and_is_not_trusted(self, warm_passport):

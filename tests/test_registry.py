@@ -761,23 +761,22 @@ class TestAccumulator:
         acc = accumulator_generate(1)
         acc.admit(b"alpha")
         w = lone_member_witness(acc)
-        assert accumulator_verify(acc, b"alpha", w)
         assert accumulator_verify(acc.root, b"alpha", w)
 
     def test_witness_fails_for_other_element(self):
         acc = accumulator_generate(1)
         acc.admit(b"alpha")
-        assert not accumulator_verify(acc, b"beta", lone_member_witness(acc))
+        assert not accumulator_verify(acc.root, b"beta", lone_member_witness(acc))
 
     def test_mutation_invalidates_old_witnesses(self):
         acc = accumulator_generate(1)
         acc.admit(b"alpha")
         w = lone_member_witness(acc)
         acc.admit(b"beta")
-        assert not accumulator_verify(acc, b"alpha", w)
+        assert not accumulator_verify(acc.root, b"alpha", w)
         fresh = accumulator_non_membership(acc, b"gamma")
         accumulator_remove(acc, b"beta")
-        assert not accumulator_verify_non_membership(acc, b"gamma", fresh)
+        assert not accumulator_verify_non_membership(acc.root, b"gamma", fresh)
 
     def test_double_admit_is_refused_and_absent_remove_raises(self):
         acc = accumulator_generate(1)
@@ -818,17 +817,17 @@ class TestAccumulator:
             if acc.contains(probe):
                 continue
             w = accumulator_non_membership(acc, probe)
-            assert accumulator_verify_non_membership(acc, probe, w)
-            assert not accumulator_verify_non_membership(acc, elements[0], w)
+            assert accumulator_verify_non_membership(acc.root, probe, w)
+            assert not accumulator_verify_non_membership(acc.root, elements[0], w)
             for neighbour in (w.left, w.right):
                 if neighbour is not None:
-                    assert accumulator_verify(acc, by_leaf[neighbour.leaf], neighbour)
-                    assert not accumulator_verify(acc, probe, neighbour)
+                    assert accumulator_verify(acc.root, by_leaf[neighbour.leaf], neighbour)
+                    assert not accumulator_verify(acc.root, probe, neighbour)
 
     def test_non_membership_on_empty_set(self):
         acc = accumulator_generate(4)
         w = accumulator_non_membership(acc, b"anything")
-        assert accumulator_verify_non_membership(acc, b"anything", w)
+        assert accumulator_verify_non_membership(acc.root, b"anything", w)
 
     def test_non_membership_of_member_refused(self):
         acc = accumulator_generate(5)
@@ -868,4 +867,4 @@ class TestAccumulator:
                 assert acc.contains(probe)
             else:
                 w = accumulator_non_membership(acc, probe)
-                assert accumulator_verify_non_membership(acc, probe, w)
+                assert accumulator_verify_non_membership(acc.root, probe, w)
