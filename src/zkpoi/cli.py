@@ -3,7 +3,8 @@
 Grammar: zkpoi <identity|register|registry|sim|econ> <verb>
              [--config FILE] [--seed N] [--out PATH] [--format csv|json]
 
-Exit codes: 0 success, 2 configuration/validation error, 1 runtime error.
+Exit codes: 0 success; 2 for any refusal caused by the config, a model
+refusing its inputs included; 1 only for I/O and protocol failures.
 Seeds resolve as --seed, then the config file's "seed" field, then 0;
 whichever is used must lie in [0, 2**64).
 """

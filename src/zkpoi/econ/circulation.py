@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ..errors import DomainError, ExponentSingularity, ZeroVolume
+from ..errors import DomainError
 from ._roots import bisect_root
 
 _CROSS_CHECK_TOL = 1e-9
@@ -119,7 +119,7 @@ def gamma_dynamics(gamma0: float, eta: float, alpha_eff: float, steps: int,
         raise ValueError("steps must be >= 0")
     rho = (1.0 + alpha_eff) / (eta + alpha_eff)
     if rho == 1.0:
-        raise ExponentSingularity("the recursion exponent degenerates at rho = 1")
+        raise DomainError("the recursion exponent degenerates at rho = 1")
     exponent = rho / (rho - 1.0)
     seq = [float(gamma0)]
     for _ in range(steps):
@@ -132,5 +132,5 @@ def fee_balance(omega_cost: float, volume: float) -> float:
     The buyer/seller incidence split does not change the fee itself, since
     the two shares add back to the whole."""
     if volume <= 0:
-        raise ZeroVolume("transaction volume must be > 0")
+        raise DomainError("transaction volume must be > 0")
     return omega_cost / volume

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from numbers import Real
 
-from ..errors import DegenerateBaseline, DomainError, Infeasible, TooLarge, ZeroMiners
+from ..errors import DomainError
 
 _ENUMERATION_CAP = 200_000  # candidate allocations an exhaustive scan may touch
 
@@ -57,6 +57,8 @@ class CongestionInstance:
     def __init__(self, k, n_miners, mu, gamma, deadline=1.0):
         if k < 1:
             raise ValueError("need at least one puzzle")
+        if n_miners < 0:
+            raise ValueError("miner count must be >= 0")
         if deadline <= 0:
             raise ValueError("deadline must be > 0")
         object.__setattr__(self, "k", int(k))
@@ -88,7 +90,7 @@ def puzzle_win_prob(l_k: int, mu_k: float, deadline: float) -> float:
     deadline with rate mu_k per miner, and the winner is uniform among the
     l_k miners working on it."""
     if l_k < 1:
-        raise ZeroMiners("win probability needs at least one miner on the puzzle")
+        raise DomainError("win probability needs at least one miner on the puzzle")
     if mu_k < 0 or deadline < 0:
         raise ValueError("rate and deadline must be >= 0")
     return -math.expm1(-deadline * mu_k * l_k) / l_k
@@ -98,7 +100,7 @@ def miner_utility(instance: CongestionInstance, allocation: Allocation, k: int) 
     """Win probability minus operating cost, floored at zero (a miner that
     would lose money simply does not mine)."""
     if allocation.loads[k] < 1:
-        raise ZeroMiners("utility is defined for an occupied puzzle")
+        raise DomainError("utility is defined for an occupied puzzle")
     return _puzzle_utility(instance, allocation.loads[k], k)
 
 
@@ -178,7 +180,7 @@ def _enumerate_allocations(instance: CongestionInstance):
     k = instance.k
     total_count = math.comb(instance.n_miners + k, k)
     if total_count > _ENUMERATION_CAP:
-        raise TooLarge(f"{total_count} candidate allocations exceed the exhaustive cap")
+        raise DomainError(f"{total_count} candidate allocations exceed the exhaustive cap")
     for total in range(instance.n_miners + 1):
         for cuts in itertools.combinations(range(total + k - 1), k - 1):
             loads = []
@@ -197,12 +199,10 @@ def solve_congestion_nash(instance: CongestionInstance) -> NashSolution:
     potential in enumeration order is an equilibrium; it is returned with
     its certificate and its potential.
     """
-    if instance.n_miners < 0:
-        raise Infeasible("miner count must be >= 0")
     best = max(_enumerate_allocations(instance), key=lambda a: potential(instance, a))
     cert = deviation_certificate(instance, best)
     if cert is None:
-        raise Infeasible("the potential's maximizer admits a profitable deviation")
+        raise DomainError("the potential's maximizer admits a profitable deviation")
     return NashSolution(best, cert, potential(instance, best))
 
 
@@ -233,7 +233,7 @@ def price_of_crypto_anarchy(instance: CongestionInstance,
     zkpoi_cost. The baseline must be positive — identity checks are cheap,
     not free. DomainError if the ratio overflows."""
     if zkpoi_cost <= 0:
-        raise DegenerateBaseline("the baseline cost must be > 0")
+        raise DomainError("the baseline cost must be > 0")
     nash = all_nash_allocations(instance)
     worst = max(total_mining_cost(instance, a) for a in nash)
     ratio = worst / zkpoi_cost

@@ -9,12 +9,10 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from ..errors import TooLarge
+from ..errors import DomainError
 from ._roots import bisect_root
 
 _TENSOR_CAP = 1_000_000  # payoff entries an exhaustive pass may touch
-ESS_GRID_POINTS = 12  # invasion shares is_ess re-checks per mutant
-ESS_EPSILON0 = 0.1  # the largest invasion share is_ess re-checks
 
 
 @dataclass(frozen=True)
@@ -35,7 +33,7 @@ class PayoffMatrix:
         except TypeError:
             raise ValueError(f"payoff tensor shape != {expected}") from None
         if math.prod(expected) > _TENSOR_CAP:
-            raise TooLarge("payoff tensor too large for exhaustive analysis")
+            raise DomainError("payoff tensor too large for exhaustive analysis")
         object.__setattr__(self, "strategies", strategies)
         object.__setattr__(self, "u", u)
 
@@ -151,26 +149,15 @@ def _insert(ctx: tuple[int, ...], i: int, s: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _linspace(lo: float, hi: float, n: int) -> list[float]:
-    """numpy.linspace(lo, hi, n), bit for bit: lo + i * step, then hi."""
-    if n < 0:
-        raise ValueError(f"Number of samples, {n}, must be non-negative.")
-    if n < 2:
-        return [lo][:n]
-    step = (hi - lo) / (n - 1)
-    if step == 0:  # numpy's path when the step underflows
-        return [i / (n - 1) * (hi - lo) + lo for i in range(n - 1)] + [hi]
-    return [i * step + lo for i in range(n - 1)] + [hi]
-
-
 def is_ess(u, strategies, candidate) -> bool:
     """Evolutionary stability of `candidate` in a symmetric two-player game
     whose payoffs `u` map (own strategy, other strategy) to a number.
 
     For every mutant s' the resident must either beat it against residents
-    outright, or tie there and strictly beat it against mutants. The implied
-    mixed-population inequality is then re-verified numerically for invasion
-    shares epsilon on a grid in [1e-3, ESS_EPSILON0].
+    outright, or tie there and strictly beat it against mutants (Maynard
+    Smith and Price, 1973). These exact comparisons are equivalent to the
+    resident outscoring the mutant in every mix with a small enough share
+    of mutants.
     """
     def pay(a, b) -> float:
         return float(u[(a, b)])
@@ -183,27 +170,10 @@ def is_ess(u, strategies, candidate) -> bool:
         if mutant == candidate:
             continue
         against_resident = pay(mutant, candidate)
-        if resident > against_resident:
-            pass  # strict Nash against this mutant
-        elif resident == against_resident and pay(candidate, mutant) > pay(mutant, mutant):
-            pass  # tie broken by performance against the mutant itself
-        else:
+        if not (resident > against_resident  # strict Nash against this mutant
+                or resident == against_resident  # or a tie, broken against the mutant
+                and pay(candidate, mutant) > pay(mutant, mutant)):
             return False
-        # Numeric re-verification on an invasion-share grid. Stability only
-        # needs SOME positive barrier, so when the mutant does better in
-        # mutant-heavy mixes the grid stays below the analytic barrier
-        # A / (A - B) instead of sweeping all the way to ESS_EPSILON0.
-        gap_resident = resident - against_resident
-        gap_mutant = pay(candidate, mutant) - pay(mutant, mutant)
-        hi = ESS_EPSILON0
-        if gap_mutant < 0:
-            hi = min(hi, 0.5 * gap_resident / (gap_resident - gap_mutant))
-        lo = min(1e-3, hi / 2)
-        for eps in _linspace(lo, hi, ESS_GRID_POINTS):
-            fit_resident = (1 - eps) * resident + eps * pay(candidate, mutant)
-            fit_mutant = (1 - eps) * against_resident + eps * pay(mutant, mutant)
-            if not fit_resident > fit_mutant:
-                return False
     return True
 
 
@@ -283,7 +253,7 @@ def udce_vs_plfc_game(miner_count: int, pow_cost: float, reward_r: float, *,
     if miner_count < 2:
         raise ValueError("the game needs at least two miners")
     if 2 ** miner_count * miner_count > _TENSOR_CAP:
-        raise TooLarge("miner count too large for an explicit payoff tensor")
+        raise DomainError("miner count too large for an explicit payoff tensor")
     if share_model == "zipf":
         s = calibrate_power_law(population, top_count, top_share)
         plfc_share = population ** -s / _power_sum(population, s)  # last rank's share

@@ -14,7 +14,7 @@ from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from ..errors import BothSidesEmpty, DegenerateRatio, DomainError, IndistinguishableNetworks
+from ..errors import DomainError
 from ._pcg64 import PCG64
 
 EXPECTATION_MODES = ("current", "expected")
@@ -78,7 +78,7 @@ def _share(wa: float, wb: float, exponent: float, side: str) -> float:
 def _weights(count_a: float, count_b: float, exponent: float,
              side: str) -> tuple[float, float]:
     if count_a == 0.0 and count_b == 0.0:
-        raise BothSidesEmpty(f"both networks have zero {side}; probabilities undefined")
+        raise DomainError(f"both networks have zero {side}; probabilities undefined")
     return _weight(count_a, exponent, side), _weight(count_b, exponent, side)
 
 
@@ -251,13 +251,13 @@ def _ratio_rhs(x: float, z: float, lam: float, alpha: float, beta: float,
 
 def state_ratios(state: NetworkState) -> tuple[float, float]:
     if state.m_b <= 0 or state.c_b <= 0:
-        raise DegenerateRatio("ratio dynamics need positive B-side counts")
+        raise DomainError("ratio dynamics need positive B-side counts")
     return state.m_a / state.m_b, state.c_a / state.c_b
 
 
 def _rk4(x, z, lam, alpha, beta, dt):
     if x < 0 or z < 0:
-        raise DegenerateRatio("ratios must be >= 0")
+        raise DomainError("ratios must be >= 0")
     k1 = _ratio_rhs(x, z, lam, alpha, beta)
     k2 = _ratio_rhs(x + dt * k1[0] / 2, z + dt * k1[1] / 2, lam, alpha, beta)
     k3 = _ratio_rhs(x + dt * k2[0] / 2, z + dt * k2[1] / 2, lam, alpha, beta)
@@ -307,7 +307,7 @@ def sample_static_joins(state: NetworkState, n_joins: int, seed: int,
 def _log_ratio_elasticity(frac_a: float, count_a: float, count_b: float,
                           what: str) -> float:
     if count_a <= 0 or count_b <= 0 or count_a == count_b:
-        raise IndistinguishableNetworks(
+        raise DomainError(
             f"{what} counts must be positive and different to identify the elasticity")
     if not 0.0 < frac_a < 1.0:
         raise ValueError("observed join share must lie strictly inside (0, 1)")

@@ -1,8 +1,11 @@
 """Exception taxonomy shared across the package.
 
-ConfigInvalid signals a rejected input (CLI exit code 2); every other
-ZkpoiError is a runtime failure (exit code 1). Validation verdicts on
-documents and bundles are return values, not exceptions.
+One rule decides the CLI exit code: a refusal caused by the config exits 2,
+and exit 1 is left for I/O and protocol failures. ConfigInvalid is the
+config refusal; the runner turns a model's DomainError (or a model
+constructor's ValueError) into one. Every other ZkpoiError exits 1.
+Validation verdicts on documents and bundles are return values, not
+exceptions.
 """
 
 from __future__ import annotations
@@ -100,66 +103,20 @@ class NotMember(ZkpoiError):
     pass
 
 
-# --- shard game -------------------------------------------------------------
-
-class ZeroCooperators(ZkpoiError):
-    pass
-
-
-class DegenerateDenominator(ZkpoiError):
-    pass
-
-
-class TooLarge(ZkpoiError):
-    pass
-
-
-class EmptyPopulation(ZkpoiError):
-    pass
-
-
-# --- economics --------------------------------------------------------------
-
-class ZeroMiners(ZkpoiError):
-    pass
-
-
-class Infeasible(ZkpoiError):
-    pass
-
-
-class DegenerateBaseline(ZkpoiError):
-    pass
-
-
-class BothSidesEmpty(ZkpoiError):
-    pass
-
-
-class DegenerateRatio(ZkpoiError):
-    pass
-
-
-class IndistinguishableNetworks(ZkpoiError):
-    pass
-
+# --- models -----------------------------------------------------------------
 
 class DomainError(ZkpoiError):
-    pass
-
-
-class ExponentSingularity(ZkpoiError):
-    pass
-
-
-class ZeroVolume(ZkpoiError):
-    pass
+    """A model cannot take its inputs: a degenerate case (no cooperators, no
+    miners, a zero baseline), an instance past an exhaustive cap, or a
+    result that overflows. The message names the case. Raised from a
+    scenario, it is a config error (exit 2), like a constructor's
+    ValueError."""
 
 
 # --- experiment runner ------------------------------------------------------
 
 class ConfigInvalid(ZkpoiError):
-    """Config rejected before any work ran; message names the field path."""
+    """Config refused; the message names the field path."""
 
 
 class IoFailure(ZkpoiError):

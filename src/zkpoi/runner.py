@@ -404,13 +404,10 @@ def _scenario_sim_epoch(p: _Params, seed: int) -> ScenarioResult:
     ignorers = p.integer("instruction_ignorers", 0, lo=0)
     sample_size = p.integer("receipt_sample_size", 3, lo=0, hi=10_000)
     p.reject_unknown()
-    try:
-        params = shardgame.GameParams(k=k, n_miners=n, committee_min=committee_min,
-                                      quorum=quorum, tx_reward=tx_reward,
-                                      block_reward=block_reward, fixed_cost=fixed_cost,
-                                      per_tx_cost=per_tx_cost, penalty=penalty)
-    except ValueError as exc:
-        _fail("params", str(exc))
+    params = shardgame.GameParams(k=k, n_miners=n, committee_min=committee_min,
+                                  quorum=quorum, tx_reward=tx_reward,
+                                  block_reward=block_reward, fixed_cost=fixed_cost,
+                                  per_tx_cost=per_tx_cost, penalty=penalty)
     behaviors = {shardgame.BEHAVIOR_LAZY: lazy,
                  shardgame.BEHAVIOR_FALSE_HASH: false_hash,
                  shardgame.BEHAVIOR_IGNORER: ignorers}
@@ -422,16 +419,13 @@ def _scenario_sim_epoch(p: _Params, seed: int) -> ScenarioResult:
     protocols = ["coordinated", "receipts"] if protocol == "both" else [protocol]
     for name in protocols:
         miners = shardgame.make_miners(n, seed, behaviors)
-        try:
-            if name == "coordinated":
-                outcome = shardgame.run_coordinated_protocol(
-                    params, miners, randomness, txs_per_shard=txs)
-            else:
-                outcome = shardgame.run_receipt_protocol(
-                    params, miners, randomness, txs_per_shard=txs,
-                    receipt_sample_size=sample_size)
-        except DomainError as exc:
-            _fail("params", str(exc))
+        if name == "coordinated":
+            outcome = shardgame.run_coordinated_protocol(
+                params, miners, randomness, txs_per_shard=txs)
+        else:
+            outcome = shardgame.run_receipt_protocol(
+                params, miners, randomness, txs_per_shard=txs,
+                receipt_sample_size=sample_size)
         by_id = {m.miner_id: m for m in miners}
         for miner_id in sorted(outcome.payoffs):
             rows.append({"protocol": name, "miner": miner_id,
@@ -451,10 +445,7 @@ def _congestion_instance(p: _Params) -> cong.CongestionInstance:
     mu = p.number("mu", 1.0, lo=0.0)
     gamma = p.number("gamma", 0.0, lo=0.0)
     deadline = p.number("deadline", 1.0, lo=0.0, exclusive=True)
-    try:
-        return cong.CongestionInstance(k=k, n_miners=n, mu=mu, gamma=gamma, deadline=deadline)
-    except ValueError as exc:
-        _fail("params", str(exc))
+    return cong.CongestionInstance(k=k, n_miners=n, mu=mu, gamma=gamma, deadline=deadline)
 
 
 def _scenario_econ_congestion(p: _Params, seed: int) -> ScenarioResult:
@@ -478,10 +469,7 @@ def _scenario_econ_poa(p: _Params, seed: int) -> ScenarioResult:
     instance = _congestion_instance(p)
     zkpoi_cost = p.number("zkpoi_cost", 0.01, lo=0.0, exclusive=True)
     p.reject_unknown()
-    try:
-        price = cong.price_of_crypto_anarchy(instance, zkpoi_cost)
-    except DomainError as exc:
-        _fail("params", str(exc))
+    price = cong.price_of_crypto_anarchy(instance, zkpoi_cost)
     rows = [{"nash_count": price.nash_count, "worst_nash_cost": price.worst_nash_cost,
              "zkpoi_cost": zkpoi_cost, "ratio": price.ratio}]
     return ScenarioResult(
@@ -499,13 +487,10 @@ def _scenario_econ_dominance(p: _Params, seed: int) -> ScenarioResult:
     top_share = p.number("top_share", 0.9, lo=0.0, hi=1.0, exclusive=True)
     udce_cost = p.number("udce_cost", 0.0, lo=0.0)
     p.reject_unknown()
-    try:
-        matrix = games.udce_vs_plfc_game(miner_count, pow_cost, reward,
-                                         share_model=share_model, population=population,
-                                         top_count=top_count, top_share=top_share,
-                                         udce_cost=udce_cost)
-    except (ValueError, DomainError) as exc:
-        _fail("params", str(exc))
+    matrix = games.udce_vs_plfc_game(miner_count, pow_cost, reward,
+                                     share_model=share_model, population=population,
+                                     top_count=top_count, top_share=top_share,
+                                     udce_cost=udce_cost)
     result = games.idsds(matrix)
     rows = [{"player": i, "surviving": "|".join(result.surviving[i])}
             for i in range(miner_count)]
@@ -544,11 +529,8 @@ def _scenario_econ_network(p: _Params, seed: int) -> ScenarioResult:
     stride = p.integer("stride", max(1, steps // 100), lo=1)
     mode = p.text("expectation_mode", "current", set(network.EXPECTATION_MODES))
     p.reject_unknown()
-    try:
-        state = network.NetworkState(m_a=m_a, m_b=m_b, c_a=c_a, c_b=c_b, lam=lam,
-                                     alpha=alpha, beta=beta, expectation_mode=mode)
-    except ValueError as exc:
-        _fail("params", str(exc))
+    state = network.NetworkState(m_a=m_a, m_b=m_b, c_a=c_a, c_b=c_b, lam=lam,
+                                 alpha=alpha, beta=beta, expectation_mode=mode)
     path = network.simulate_network_growth(state, steps, seed, stride)
     rows = []
     for t, (m_a_t, m_b_t, c_a_t, c_b_t) in zip(range(0, steps + 1, stride), path):
@@ -571,11 +553,7 @@ def _scenario_econ_circulation(p: _Params, seed: int) -> ScenarioResult:
     for i, delta in enumerate(deltas):
         if not 0.0 < delta <= 1.0:
             _fail(f"params.deltas[{i}]", "must lie in (0, 1]")
-        try:
-            params = circ.CirculationParams(beta_disc=beta, eta=eta, alpha_eff=alpha,
-                                            delta=delta)
-        except ValueError as exc:
-            _fail("params", str(exc))
+        params = circ.CirculationParams(beta_disc=beta, eta=eta, alpha_eff=alpha, delta=delta)
         out = circ.stationary_dm_output(params)
         rows.append({"delta": delta, "q_star": out["q_star"],
                      "q_hat_full": out["q_hat_full"], "q_hat_delta": out["q_hat_delta"],
@@ -653,7 +631,9 @@ def render_json(scenario: str, seed: int, result: ScenarioResult) -> bytes:
 def run(config: dict, scenario: str, seed: int, out_path=None,
         output_format: str | None = None) -> tuple[RunManifest, bytes]:
     """Validate, execute, serialize, optionally write; returns the manifest
-    and the serialized output bytes."""
+    and the serialized output bytes. A config the scenario's models refuse
+    (a DomainError, or a ValueError from a model constructor) is a
+    ConfigInvalid under "params"."""
     check_seed(seed, "seed")
     if scenario not in SCENARIOS:
         _fail("scenario", f"unknown scenario {scenario!r}; "
@@ -674,7 +654,10 @@ def run(config: dict, scenario: str, seed: int, out_path=None,
         _fail(f"output.{key}", "unknown output key")
 
     params = _Params(config.get("params", {}))
-    result = SCENARIOS[scenario](params, seed)
+    try:
+        result = SCENARIOS[scenario](params, seed)
+    except (DomainError, ValueError) as exc:  # a config the model cannot take
+        _fail("params", str(exc))
 
     fmt = output_format or output_section.get("format") or result.default_format
     if fmt not in ("csv", "json"):

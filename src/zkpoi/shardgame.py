@@ -24,13 +24,7 @@ import random
 from dataclasses import dataclass, field
 
 from .crypto import SigningKey, hash_parts, verify_signature
-from .errors import (
-    DegenerateDenominator,
-    DomainError,
-    EmptyPopulation,
-    TooLarge,
-    ZeroCooperators,
-)
+from .errors import DomainError
 
 BEHAVIOR_HONEST = "honest"
 BEHAVIOR_LAZY = "lazy-defector"
@@ -163,7 +157,7 @@ def payoff_cooperate(params: GameParams, l_j: int, y_len: int, x_len: int) -> fl
     """Cooperator payoff: shared block reward, shared fees, own costs.
     DomainError if it overflows."""
     if l_j < 1:
-        raise ZeroCooperators("cooperator payoff needs at least one cooperator")
+        raise DomainError("cooperator payoff needs at least one cooperator")
     payoff = (params.block_reward / (params.k * l_j)
               + params.tx_reward * y_len / l_j
               - (params.fixed_cost + x_len * params.per_tx_cost))
@@ -195,11 +189,11 @@ def cooperation_thresholds(params: GameParams, l_j: int, y_len: int) -> Threshol
     """Lower cutoff for a miner whose list is the agreed set, upper cutoff
     for a miner verifying the agreed set while holding extra transactions."""
     if l_j < 1:
-        raise ZeroCooperators("thresholds need at least one cooperator")
+        raise DomainError("thresholds need at least one cooperator")
     share = params.block_reward / (params.k * l_j)
     rate_gap = params.tx_reward / l_j - params.per_tx_cost
     if rate_gap == 0:
-        raise DegenerateDenominator("per-tx benefit equals per-tx cost at this shard size")
+        raise DomainError("per-tx benefit equals per-tx cost at this shard size")
     theta1_direct = (params.fixed_cost - share - params.penalty) / rate_gap
     theta1_published = (params.fixed_cost - share + params.penalty) / rate_gap
     if params.per_tx_cost == 0:
@@ -468,7 +462,7 @@ def is_nash_profile(params: GameParams, entries) -> bool:
     """
     entries = [(int(s), a, tuple(t)) for s, a, t in entries]
     if len(entries) > _NASH_LIMIT:
-        raise TooLarge(f"exhaustive check capped at {_NASH_LIMIT} miners")
+        raise DomainError(f"exhaustive check capped at {_NASH_LIMIT} miners")
     for shard, action, _ in entries:
         if action not in ("C", "D"):
             raise ValueError(f"action must be C or D, got {action!r}")
@@ -548,7 +542,7 @@ def decentralization_check(player_powers: dict[str, list[float]], m: int,
     power is within (1 + epsilon) of the delta-th percentile player's.
     """
     if not player_powers:
-        raise EmptyPopulation("no players to measure")
+        raise DomainError("no players to measure")
     if not 0.0 <= delta <= 100.0:
         raise ValueError("delta is a percentile in [0, 100]")
     effective = sorted(float(sum(powers)) for powers in player_powers.values())

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy.optimize import brentq
@@ -228,6 +229,29 @@ def pure_nash_profiles(payoff_tensor):
         if ok:
             out.append(profile)
     return out
+
+
+def ess_by_invasion(u, strategies, candidate):
+    """Whether `candidate` outscores every mutant in a population where the
+    mutant holds a share below the exact invasion barrier, evaluated in
+    exact rational arithmetic on the payoffs u[(own, other)].
+
+    Against a mutant at share e the resident leads by (1 - e) * a + e * b,
+    with a = u(c, c) - u(m, c) and b = u(c, m) - u(m, m). That lead is
+    linear in e, so at half of its root a / (a - b), or at e = 1/2 when the
+    root is not in (0, 1), it has the sign it has for every smaller share.
+    """
+    pay = {key: Fraction(value) for key, value in u.items()}
+    for mutant in strategies:
+        if mutant == candidate:
+            continue
+        a = pay[(candidate, candidate)] - pay[(mutant, candidate)]
+        b = pay[(candidate, mutant)] - pay[(mutant, mutant)]
+        barrier = a / (a - b) if a != b else Fraction(1)
+        share = (barrier if 0 < barrier < 1 else Fraction(1)) / 2
+        if not (1 - share) * a + share * b > 0:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -180,6 +180,18 @@ class TestSuccessPath:
         assert manifest["artifact_version"] == __version__
         assert set(manifest["outputs"]) == {"econ.ess.csv"}
 
+    @pytest.mark.parametrize("u_aa, u_ab, u_ba, u_bb", [
+        (1, 5, 0.9999999999999999, 5),  # B trails A by one ulp against A
+        (1, 1e300, 0.5, 1e300),  # A's lead of 0.5 rounds away in any float mix
+    ], ids=["one-ulp", "1e300"])
+    def test_strict_nash_is_an_ess_at_float_edges(self, capsys, config_file,
+                                                  u_aa, u_ab, u_ba, u_bb):
+        params = {"u_aa": u_aa, "u_ab": u_ab, "u_ba": u_ba, "u_bb": u_bb}
+        code, out, _ = run_cli(["econ", "ess", "--config", config_file({"params": params})],
+                               capsys)
+        assert code == 0
+        assert out == "candidate,is_ess\nA,true\n"
+
     def test_json_format_flag(self, capsys):
         code, out, _ = run_cli(["econ", "ess", "--format", "json"], capsys)
         assert code == 0
@@ -518,35 +530,39 @@ class TestConfigErrors:
 
 
 class TestRuntimeErrors:
-    def test_circulation_overflow_exits_1(self, capsys, config_file):
-        cfg = config_file({"params": {"beta_disc": 1e-300, "eta": 0.999,
-                                      "alpha_eff": 0.0, "deltas": [1e-12]}})
-        code, out, err = run_cli(["econ", "circulation", "--config", cfg], capsys)
-        assert code == 1
-        assert out == ""
-        assert err.startswith("error: DomainError:")
+    """Failures that arise while a scenario runs. A model refusing its config
+    exits 2, like any config error; only I/O and protocol failures exit 1."""
 
-    def test_network_weight_overflow_exits_1(self, capsys, config_file):
-        cfg = config_file({"params": {"m_a": 1e308, "steps": 50}})
-        code, out, err = run_cli(["econ", "network", "--config", cfg], capsys)
-        assert code == 1
+    def refused(self, capsys, config_file, verb, params):
+        code, out, err = run_cli(["econ", verb, "--config", config_file({"params": params})],
+                                 capsys)
+        assert code == 2
         assert out == ""
-        assert err.startswith("error: DomainError:")
-        assert "Traceback" not in err
+        return err.strip()
 
-    def test_domain_failure_exits_1(self, capsys, config_file):
+    def test_circulation_overflow_exits_2(self, capsys, config_file):
+        params = {"beta_disc": 1e-300, "eta": 0.999, "alpha_eff": 0.0, "deltas": [1e-12]}
+        assert self.refused(capsys, config_file, "circulation", params) == (
+            "config error: params: circulation condition overflowed before its root "
+            "was bracketed")
+
+    def test_network_weight_overflow_exits_2(self, capsys, config_file):
+        params = {"m_a": 1e308, "steps": 50}
+        assert self.refused(capsys, config_file, "network", params) == (
+            "config error: params: merchants count to the power 1.5 overflows")
+
+    def test_domain_failure_exits_2(self, capsys, config_file):
         # both networks start with zero customers: join odds are undefined
-        cfg = config_file({"params": {"c_a": 0.0, "c_b": 0.0, "steps": 10}})
-        code, out, err = run_cli(["econ", "network", "--config", cfg], capsys)
-        assert code == 1
-        assert out == ""
-        assert err.startswith("error: BothSidesEmpty:")
+        params = {"c_a": 0.0, "c_b": 0.0, "steps": 10}
+        assert self.refused(capsys, config_file, "network", params) == (
+            "config error: params: both networks have zero customers; "
+            "probabilities undefined")
 
-    def test_exhaustive_cap_exits_1(self, capsys, config_file):
-        cfg = config_file({"params": {"puzzles": 16, "miners": 64}})
-        code, _, err = run_cli(["econ", "poa", "--config", cfg], capsys)
-        assert code == 1
-        assert err.startswith("error: TooLarge:")
+    def test_exhaustive_cap_exits_2(self, capsys, config_file):
+        params = {"puzzles": 16, "miners": 64}
+        assert self.refused(capsys, config_file, "poa", params) == (
+            "config error: params: 26958221130508525 candidate allocations exceed "
+            "the exhaustive cap")
 
     def test_unwritable_out_path_exits_1(self, capsys, tmp_path):
         target = tmp_path / "missing-dir" / "run.csv"

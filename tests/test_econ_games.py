@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -16,7 +16,6 @@ from zkpoi.econ.games import (
     PLFC,
     UDCE,
     PayoffMatrix,
-    _linspace,
     _power_sum,
     calibrate_power_law,
     idsds,
@@ -24,7 +23,7 @@ from zkpoi.econ.games import (
     is_pure_nash,
     udce_vs_plfc_game,
 )
-from zkpoi.errors import TooLarge
+from zkpoi.errors import DomainError
 
 
 def two_player(u1_rows, u2_rows, row_names, col_names):
@@ -157,7 +156,7 @@ class TestEss:
 
     def test_small_invasion_barrier_still_counts(self):
         """The mutant wins mutant-heavy mixes, so stability holds only below
-        a barrier (1/11) smaller than the grid top; the check must find it."""
+        a barrier (1/11); any positive barrier makes A an ESS."""
         u = {("A", "A"): 3, ("B", "A"): 2, ("A", "B"): 0, ("B", "B"): 10}
         assert is_ess(u, ("A", "B"), "A")
 
@@ -178,11 +177,41 @@ class TestEss:
         assert not any(is_ess(pay, labels, s) for s in labels)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.floats(min_value=0.0, max_value=0.5), st.floats(min_value=0.0, max_value=0.5),
-       st.integers(min_value=0, max_value=40))
-def test_ess_grid_matches_numpy_linspace(lo, hi, n):
-    assert _linspace(lo, hi, n) == np.linspace(lo, hi, n).tolist()
+PAIRS = (("A", "A"), ("A", "B"), ("B", "A"), ("B", "B"))
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+EDGE_PAYOFFS = st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                                0.5, 1.0, 1e300, -1e300, 1.7976931348623157e308))
+
+
+@st.composite
+def edge_payoffs(draw):
+    """(u_aa, u_ab, u_ba, u_bb): each one free, an edge value, or within one
+    ulp of a shared anchor, so that ties and one-ulp gaps are common."""
+    anchor = draw(FINITE | EDGE_PAYOFFS)
+    near = st.sampled_from([anchor, math.nextafter(anchor, math.inf),
+                            math.nextafter(anchor, -math.inf)]).filter(math.isfinite)
+    return draw(st.tuples(*[FINITE | EDGE_PAYOFFS | near] * 4))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(edge_payoffs(), st.sampled_from("AB"))
+def test_ess_matches_the_exact_invasion_oracle(payoffs, candidate):
+    u = dict(zip(PAIRS, payoffs))
+    assert is_ess(u, ("A", "B"), candidate) == oracles.ess_by_invasion(u, "AB", candidate)
+
+
+@settings(max_examples=500, deadline=None)
+@given(edge_payoffs(), st.sampled_from("AB"), st.data())
+def test_ess_verdict_is_scale_free(payoffs, candidate, data):
+    """Scaling every payoff by 2**k, for any k that keeps every nonzero
+    payoff normal, changes no verdict."""
+    exponents = [math.frexp(x)[1] for x in payoffs if x]
+    assume(all(-1021 <= e <= 1024 for e in exponents))  # the normal range
+    k = data.draw(st.integers(-1021 - min(exponents, default=0),
+                              1024 - max(exponents, default=0)))
+    scaled = [math.ldexp(x, k) for x in payoffs]
+    assert is_ess(dict(zip(PAIRS, scaled)), ("A", "B"), candidate) == is_ess(
+        dict(zip(PAIRS, payoffs)), ("A", "B"), candidate)
 
 
 # ---------------------------------------------------------------------------
@@ -298,5 +327,5 @@ class TestRewardRegimeGame:
             udce_vs_plfc_game(1, 1.0, 4.0)
         with pytest.raises(ValueError):
             udce_vs_plfc_game(3, 1.0, 4.0, share_model="lognormal")
-        with pytest.raises(TooLarge):
+        with pytest.raises(DomainError, match="too large for an explicit payoff tensor"):
             udce_vs_plfc_game(17, 1.0, 4.0)
