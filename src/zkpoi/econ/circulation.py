@@ -125,12 +125,3 @@ def gamma_dynamics(gamma0: float, eta: float, alpha_eff: float, steps: int,
     for _ in range(steps):
         seq.append(seq[-1] ** exponent)
     return seq
-
-
-def fee_balance(omega_cost: float, volume: float) -> float:
-    """Per-payment fee that finances a total cost over a transaction volume.
-    The buyer/seller incidence split does not change the fee itself, since
-    the two shares add back to the whole."""
-    if volume <= 0:
-        raise DomainError("transaction volume must be > 0")
-    return omega_cost / volume

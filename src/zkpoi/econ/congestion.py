@@ -148,28 +148,30 @@ def deviation_certificate(instance: CongestionInstance, allocation: Allocation,
                           ) -> tuple[Deviation, ...] | None:
     """Every unilateral deviation (switch puzzles, go idle, or join from
     idle) with its utility delta; None as soon as any strictly profitable
-    one exists. A complete all-nonpositive certificate is a Nash proof."""
+    one exists. A complete all-nonpositive certificate is a Nash proof.
+
+    A deviation is profitable exactly when its delta is greater than 0:
+    the utilities are compared with no tolerance, so a gain counts however
+    small the rates and costs make the utilities."""
     loads = allocation.loads
     records: list[Deviation] = []
     for k, l_k in enumerate(loads):
         if l_k < 1:
             continue
         here = _puzzle_utility(instance, l_k, k)
-        leave_delta = 0.0 - here
-        if leave_delta > 1e-12:
-            return None
-        records.append(Deviation("leave", k, None, leave_delta))
+        # Going idle earns 0, which never beats a utility floored at zero.
+        records.append(Deviation("leave", k, None, 0.0 - here))
         for k2 in range(instance.k):
             if k2 == k:
                 continue
             delta = _puzzle_utility(instance, loads[k2] + 1, k2) - here
-            if delta > 1e-12:
+            if delta > 0.0:
                 return None
             records.append(Deviation("move", k, k2, delta))
     if allocation.total < instance.n_miners:
         for k2 in range(instance.k):
             delta = _puzzle_utility(instance, loads[k2] + 1, k2) - 0.0
-            if delta > 1e-12:
+            if delta > 0.0:
                 return None
             records.append(Deviation("join", None, k2, delta))
     return tuple(records)
@@ -193,17 +195,25 @@ def _enumerate_allocations(instance: CongestionInstance):
 
 
 def solve_congestion_nash(instance: CongestionInstance) -> NashSolution:
-    """Deviation-certified equilibrium allocation.
+    """Deviation-certified equilibrium allocation: the first equilibrium in
+    enumeration order whose potential is highest among the equilibria,
+    returned with its certificate and its potential.
 
     The game is an exact potential game, so the first maximizer of the
-    potential in enumeration order is an equilibrium; it is returned with
-    its certificate and its potential.
+    potential is that equilibrium unless rounding tied a non-equilibrium
+    with it (equal puzzles at rates near 1e-20); then the equilibria are
+    searched. There is always one: the float utilities themselves form a
+    potential game.
     """
-    best = max(_enumerate_allocations(instance), key=lambda a: potential(instance, a))
+    def phi(allocation: Allocation) -> float:
+        return potential(instance, allocation)
+
+    best = max(_enumerate_allocations(instance), key=phi)
     cert = deviation_certificate(instance, best)
-    if cert is None:
-        raise DomainError("the potential's maximizer admits a profitable deviation")
-    return NashSolution(best, cert, potential(instance, best))
+    if cert is None:  # rounding tied a non-equilibrium with the maximum
+        best = max(all_nash_allocations(instance), key=phi)
+        cert = deviation_certificate(instance, best)
+    return NashSolution(best, cert, phi(best))
 
 
 def all_nash_allocations(instance: CongestionInstance) -> list[Allocation]:

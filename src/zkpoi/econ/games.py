@@ -61,13 +61,17 @@ def _frozen_tensor(u, shape: tuple[int, ...], depth: int = 0):
 
 
 def is_pure_nash(matrix: PayoffMatrix, profile: tuple[int, ...]) -> bool:
-    """No player gains by a unilateral switch to any of its strategies."""
+    """No player gains by a unilateral switch to any of its strategies.
+
+    A switch is a gain exactly when its payoff is greater than the current
+    one: payoffs are compared with no tolerance, so scaling every payoff by
+    the same power of two never changes the verdict."""
     profile = tuple(profile)
     for i in range(matrix.num_players):
         here = matrix.payoff(i, profile)
         for alt in range(len(matrix.strategies[i])):
             trial = profile[:i] + (alt,) + profile[i + 1:]
-            if matrix.payoff(i, trial) > here + 1e-12:
+            if matrix.payoff(i, trial) > here:
                 return False
     return True
 

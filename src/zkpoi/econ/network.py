@@ -88,30 +88,19 @@ def _attraction(count_a: float, count_b: float, exponent: float,
     return _share(wa, wb, exponent, side), share_of(wb, wa)
 
 
-def _join_split(m_a, m_b, c_a, c_b, lam, alpha, beta, expected: bool,
+def _join_split(m_a, m_b, c_a, c_b, lam, alpha, beta,
                 ) -> tuple[tuple[float, float], tuple[float, float]]:
+    """((merchant->A, merchant->B), (customer->A, customer->B)) in "expected"
+    mode: each side's counts are first advanced by their one-step expected
+    increment (the current-count probabilities times the arrival split),
+    modeling joiners who anticipate the next arrival rather than react to
+    the present."""
     merch = _attraction(c_a, c_b, beta, "customers")
     cust = _attraction(m_a, m_b, alpha, "merchants")
-    if expected:
-        exp_c = (c_a + lam * cust[0], c_b + lam * cust[1])
-        exp_m = (m_a + (1 - lam) * merch[0], m_b + (1 - lam) * merch[1])
-        merch = _attraction(exp_c[0], exp_c[1], beta, "customers")
-        cust = _attraction(exp_m[0], exp_m[1], alpha, "merchants")
-    return merch, cust
-
-
-def join_probabilities(state: NetworkState,
-                       ) -> tuple[tuple[float, float], tuple[float, float]]:
-    """((merchant->A, merchant->B), (customer->A, customer->B)).
-
-    Merchants weigh customer counts to the power beta, customers weigh
-    merchant counts to the power alpha. In "expected" mode each side's
-    counts are first advanced by their one-step expected increment (the
-    current-count probabilities times the arrival split), modeling joiners
-    who anticipate the next arrival rather than react to the present.
-    """
-    return _join_split(state.m_a, state.m_b, state.c_a, state.c_b, state.lam,
-                       state.alpha, state.beta, state.expectation_mode == "expected")
+    exp_c = (c_a + lam * cust[0], c_b + lam * cust[1])
+    exp_m = (m_a + (1 - lam) * merch[0], m_b + (1 - lam) * merch[1])
+    return (_attraction(exp_c[0], exp_c[1], beta, "customers"),
+            _attraction(exp_m[0], exp_m[1], alpha, "merchants"))
 
 
 class GrowthPath(Sequence):
@@ -192,7 +181,7 @@ def _expected_counts(pairs, m_a, m_b, c_a, c_b, lam, alpha, beta):
     """The counts after each step in "expected" mode, where both join
     probabilities are recomputed from the anticipated counts every step."""
     for u, v in pairs:
-        merch, cust = _join_split(m_a, m_b, c_a, c_b, lam, alpha, beta, True)
+        merch, cust = _join_split(m_a, m_b, c_a, c_b, lam, alpha, beta)
         if u < lam:
             if v < cust[0]:
                 c_a += 1
@@ -208,16 +197,18 @@ def _expected_counts(pairs, m_a, m_b, c_a, c_b, lam, alpha, beta):
 def simulate_network_growth(state: NetworkState, steps: int, seed: int,
                             stride: int = 1) -> GrowthPath:
     """Agent-by-agent growth: each step one arrival is a customer with
-    probability lam (else a merchant) and joins a network per
-    join_probabilities; the draws are numpy's default_rng(seed) stream, two
-    per step.
+    probability lam (else a merchant) and joins A with A's share of the
+    weights it sees: merchants weigh customer counts to the power beta,
+    customers weigh merchant counts to the power alpha ("expected" mode
+    weighs the counts _join_split anticipates). The draws are numpy's
+    default_rng(seed) stream, two per step.
 
     Returns the rows (m_a, m_b, c_a, c_b) after steps 0, stride, 2 * stride
     and so on up to `steps`, starting with the initial state: steps // stride
     + 1 rows, so memory follows the rows kept. The default stride keeps every
     step. In "current" mode an arrival changes one count, so the next step
-    recomputes only that count's weight, and the rows equal those of calling
-    join_probabilities on every step.
+    recomputes only that count's weight, and the rows equal those of
+    recomputing both shares from the counts on every step.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
@@ -237,102 +228,8 @@ def simulate_network_growth(state: NetworkState, steps: int, seed: int,
 
 
 # ---------------------------------------------------------------------------
-# Ratio dynamics
+# Overtaking
 # ---------------------------------------------------------------------------
-
-
-def _ratio_rhs(x: float, z: float, lam: float, alpha: float, beta: float,
-               ) -> tuple[float, float]:
-    """Stated mean-field dynamics of the merchant ratio x = m_a/m_b and the
-    customer ratio z = c_a/c_b: each ratio relaxes toward the other side's
-    attraction ratio."""
-    return (1 - lam) * (z ** beta - x), lam * (x ** alpha - z)
-
-
-def state_ratios(state: NetworkState) -> tuple[float, float]:
-    if state.m_b <= 0 or state.c_b <= 0:
-        raise DomainError("ratio dynamics need positive B-side counts")
-    return state.m_a / state.m_b, state.c_a / state.c_b
-
-
-def _rk4(x, z, lam, alpha, beta, dt):
-    if x < 0 or z < 0:
-        raise DomainError("ratios must be >= 0")
-    k1 = _ratio_rhs(x, z, lam, alpha, beta)
-    k2 = _ratio_rhs(x + dt * k1[0] / 2, z + dt * k1[1] / 2, lam, alpha, beta)
-    k3 = _ratio_rhs(x + dt * k2[0] / 2, z + dt * k2[1] / 2, lam, alpha, beta)
-    k4 = _ratio_rhs(x + dt * k3[0], z + dt * k3[1], lam, alpha, beta)
-    x1 = x + dt / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-    z1 = z + dt / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-    return x1, z1
-
-
-def integrate_ratio_ode(state: NetworkState, t_end: float, dt: float = 1e-3,
-                        ) -> tuple[float, float]:
-    """Advance the ratio dynamics to t_end with fixed steps (the final step
-    shrinks to land exactly on t_end)."""
-    x, z = state_ratios(state)
-    if t_end < 0 or dt <= 0:
-        raise ValueError("need t_end >= 0 and dt > 0")
-    remaining = t_end
-    while remaining > 0:
-        h = min(dt, remaining)
-        x, z = _rk4(x, z, state.lam, state.alpha, state.beta, h)
-        remaining -= h
-    return x, z
-
-
-# ---------------------------------------------------------------------------
-# Elasticity estimation and overtaking
-# ---------------------------------------------------------------------------
-
-
-def sample_static_joins(state: NetworkState, n_joins: int, seed: int,
-                        ) -> tuple[int, int, int, int]:
-    """Joins drawn against frozen counts (a short observation window):
-    (customer joins to A, customer total, merchant joins to A, merchant
-    total)."""
-    merch, cust = join_probabilities(state)
-    cust_a = cust_total = merch_a = merch_total = 0
-    for u, v in _draw_pairs(seed, n_joins):
-        if u < state.lam:
-            cust_total += 1
-            cust_a += v < cust[0]
-        else:
-            merch_total += 1
-            merch_a += v < merch[0]
-    return cust_a, cust_total, merch_a, merch_total
-
-
-def _log_ratio_elasticity(frac_a: float, count_a: float, count_b: float,
-                          what: str) -> float:
-    if count_a <= 0 or count_b <= 0 or count_a == count_b:
-        raise DomainError(
-            f"{what} counts must be positive and different to identify the elasticity")
-    if not 0.0 < frac_a < 1.0:
-        raise ValueError("observed join share must lie strictly inside (0, 1)")
-    return (math.log(frac_a) - math.log(1.0 - frac_a)) / (math.log(count_a) - math.log(count_b))
-
-
-def estimate_elasticities(customer_joins: tuple[int, int], merchant_joins: tuple[int, int],
-                          state: NetworkState) -> tuple[float, float]:
-    """(alpha_hat, beta_hat) from observed join tallies against the counts
-    held during the observation window.
-
-    customer_joins / merchant_joins: (joins to A, total joins) per side. The
-    log-odds of joining A divided by the log count ratio recovers each
-    elasticity; equal counts make the denominator zero and the elasticity
-    unidentifiable.
-    """
-    cust_a, cust_total = customer_joins
-    merch_a, merch_total = merchant_joins
-    if cust_total <= 0 or merch_total <= 0:
-        raise ValueError("need at least one observed join on each side")
-    alpha_hat = _log_ratio_elasticity(cust_a / cust_total, state.m_a, state.m_b,
-                                      "merchant")
-    beta_hat = _log_ratio_elasticity(merch_a / merch_total, state.c_a, state.c_b,
-                                     "customer")
-    return alpha_hat, beta_hat
 
 
 def overtake_analysis(m_incumbent: float, lam: float, e_c_new: float,

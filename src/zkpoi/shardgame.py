@@ -422,61 +422,7 @@ def run_receipt_protocol(params: GameParams, miners: list[MinerState], epoch_ran
 
 
 # ---------------------------------------------------------------------------
-# Equilibrium checking
-# ---------------------------------------------------------------------------
-
-_NASH_LIMIT = 12
-
-
-def _profile_payoffs(params: GameParams, entries) -> list[float]:
-    by_shard: dict[int, list[int]] = {}
-    for idx, (shard, _action, _txs) in enumerate(entries):
-        by_shard.setdefault(shard, []).append(idx)
-    payoffs = [0.0] * len(entries)
-    for _shard, idxs in by_shard.items():
-        coops = [i for i in idxs if entries[i][1] == "C"]
-        if coops:
-            common = set(entries[coops[0]][2])
-            for i in coops[1:]:
-                common &= set(entries[i][2])
-        else:
-            common = set()
-        for i in idxs:
-            _, action, txs = entries[i]
-            if action == "D":
-                payoffs[i] = payoff_defect(params)
-            elif len(coops) < params.quorum:
-                # Below quorum nothing publishes: costs are sunk, rewards zero.
-                payoffs[i] = -(params.fixed_cost + len(txs) * params.per_tx_cost)
-            else:
-                payoffs[i] = payoff_cooperate(params, len(coops), len(common), len(txs))
-    return payoffs
-
-
-def is_nash_profile(params: GameParams, entries) -> bool:
-    """Exhaustive unilateral-deviation check over C/D flips.
-
-    entries: per-miner (shard, action, tx_list) with action "C" or "D";
-    cooperators agree on the intersection of their lists, and the shard
-    composition is recomputed after each hypothetical flip.
-    """
-    entries = [(int(s), a, tuple(t)) for s, a, t in entries]
-    if len(entries) > _NASH_LIMIT:
-        raise DomainError(f"exhaustive check capped at {_NASH_LIMIT} miners")
-    for shard, action, _ in entries:
-        if action not in ("C", "D"):
-            raise ValueError(f"action must be C or D, got {action!r}")
-    base = _profile_payoffs(params, entries)
-    for i, (shard, action, txs) in enumerate(entries):
-        trial = list(entries)
-        trial[i] = (shard, "D" if action == "C" else "C", txs)
-        if _profile_payoffs(params, trial)[i] > base[i] + 1e-12:
-            return False
-    return True
-
-
-# ---------------------------------------------------------------------------
-# Shard security and decentralization
+# Shard security
 # ---------------------------------------------------------------------------
 
 
@@ -523,38 +469,3 @@ def epoch_failure_bound(num_shards: int, per_shard_prob: float, views: int,
     finite = sum(4.0 ** (-k) * num_shards * per_shard_prob for k in range(views + 1))
     limit = (4.0 / 3.0) * num_shards * per_shard_prob
     return finite, limit
-
-
-@dataclass(frozen=True)
-class DecentralizationReport:
-    ok: bool
-    population: int
-    ep_max: float
-    ep_percentile: float
-    ratio: float
-
-
-def decentralization_check(player_powers: dict[str, list[float]], m: int,
-                           epsilon: float, delta: float) -> DecentralizationReport:
-    """Population-size and power-ratio test.
-
-    Passes when at least m players exist and the richest player's effective
-    power is within (1 + epsilon) of the delta-th percentile player's.
-    """
-    if not player_powers:
-        raise DomainError("no players to measure")
-    if not 0.0 <= delta <= 100.0:
-        raise ValueError("delta is a percentile in [0, 100]")
-    effective = sorted(float(sum(powers)) for powers in player_powers.values())
-    if any(map(math.isnan, effective)):  # NaN propagates, so the check fails
-        effective = [math.nan] * len(effective)
-    ep_max = effective[-1]
-    # the "lower" percentile: the sample at rank floor((n - 1) * delta / 100)
-    ep_delta = effective[math.floor((len(effective) - 1) * (delta / 100))]
-    if ep_delta == 0.0:
-        ratio = math.inf if ep_max > 0 else 1.0
-    else:
-        ratio = ep_max / ep_delta
-    ok = len(effective) >= m and ratio <= 1.0 + epsilon
-    return DecentralizationReport(ok=ok, population=len(effective), ep_max=ep_max,
-                                  ep_percentile=ep_delta, ratio=ratio)

@@ -47,6 +47,20 @@ def verify_calls(monkeypatch):
 
 
 @pytest.fixture
+def sign_calls(monkeypatch):
+    """The messages handed to Ed25519 signing from now on, in order."""
+    from zkpoi.crypto import SigningKey
+
+    calls: list[bytes] = []
+
+    def counting(self, message, _sign=SigningKey.sign):
+        calls.append(message)
+        return _sign(self, message)
+    monkeypatch.setattr(SigningKey, "sign", counting)
+    return calls
+
+
+@pytest.fixture
 def encode_calls(monkeypatch):
     """The structure tags of the ``Encoder``s built from now on, in order.
 

@@ -84,7 +84,8 @@ def profile_payoffs(k, quorum, block_reward, tx_reward, fixed_cost, per_tx_cost,
 
 def profile_is_nash(k, quorum, block_reward, tx_reward, fixed_cost, per_tx_cost, penalty,
                     entries):
-    """Exhaustive unilateral-deviation scan over C/D flips."""
+    """Exhaustive unilateral-deviation scan over C/D flips; a flip is a gain
+    exactly when its payoff is greater, with no tolerance."""
     base = profile_payoffs(k, quorum, block_reward, tx_reward, fixed_cost, per_tx_cost,
                            penalty, entries)
     for i, (shard, action, txs) in enumerate(entries):
@@ -92,7 +93,7 @@ def profile_is_nash(k, quorum, block_reward, tx_reward, fixed_cost, per_tx_cost,
         flipped[i] = (shard, "D" if action == "C" else "C", txs)
         alt = profile_payoffs(k, quorum, block_reward, tx_reward, fixed_cost, per_tx_cost,
                               penalty, flipped)
-        if alt[i] > base[i] + 1e-12:
+        if alt[i] > base[i]:
             return False
     return True
 
@@ -142,28 +143,41 @@ def enumerate_allocations(n_miners, n_puzzles):
 
 def allocation_is_nash(loads, rates, costs, deadline, n_miners):
     """Deviation check independent of the solver: movers may switch puzzles or
-    go idle, and idle miners may join any puzzle; utilities clip at zero."""
+    go idle, and idle miners may join any puzzle; utilities clip at zero.
+
+    A move is profitable exactly when the utility it brings is greater than
+    the one held, with no tolerance. The win probability is taken as
+    -expm1(-T mu l) / l, not as win_prob's 1 - exp(-T mu l), which is 0
+    once T mu l is below about 1e-16 and so would tie every move there.
+    """
 
     def util(l, k):
-        return max(win_prob(l, rates[k], deadline) - costs[k], 0.0)
+        return max(-math.expm1(-deadline * rates[k] * l) / l - costs[k], 0.0)
 
     total = sum(loads)
     for k, l_k in enumerate(loads):
         if l_k == 0:
             continue
         here = util(l_k, k)
-        if 0.0 > here + 1e-12:  # leaving for idle
+        if 0.0 > here:  # leaving for idle
             return False
         for k2 in range(len(loads)):
             if k2 == k:
                 continue
-            if util(loads[k2] + 1, k2) > here + 1e-12:
+            if util(loads[k2] + 1, k2) > here:
                 return False
     if total < n_miners:  # an idle miner joining
         for k2 in range(len(loads)):
-            if util(loads[k2] + 1, k2) > 1e-12:
+            if util(loads[k2] + 1, k2) > 0.0:
                 return False
     return True
+
+
+def congestion_equilibria(n_miners, rates, costs, deadline):
+    """Every Nash allocation of the congestion game, as load tuples in
+    enumeration order, by exhaustive exact deviation checks."""
+    return [loads for loads in enumerate_allocations(n_miners, len(rates))
+            if allocation_is_nash(loads, rates, costs, deadline, n_miners)]
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +221,8 @@ def calibrate_power_exponent(population, top, target, lo=1e-3, hi=16.0):
 
 
 def pure_nash_profiles(payoff_tensor):
-    """All pure Nash profiles of a finite game, by direct enumeration.
+    """All pure Nash profiles of a finite game, by direct enumeration; a
+    switch is a gain exactly when its payoff is greater, with no tolerance.
 
     payoff_tensor[s1, ..., sn, i] is player i's payoff.
     """
@@ -221,7 +236,7 @@ def pure_nash_profiles(payoff_tensor):
             for alt in range(shape[i]):
                 trial = list(profile)
                 trial[i] = alt
-                if payoff_tensor[tuple(trial) + (i,)] > here + 1e-12:
+                if payoff_tensor[tuple(trial) + (i,)] > here:
                     ok = False
                     break
             if not ok:

@@ -15,6 +15,7 @@ import time
 import numpy as np
 import pytest
 
+import claims
 import oracles
 from zkpoi import attestation, cli, credential, identity, registry, shardgame
 from zkpoi.econ import circulation as circ
@@ -496,9 +497,9 @@ def test_criterion_10_network_effects(report):
     true_alpha, true_beta = 1.3, 0.7
     state = network.NetworkState(m_a=100.0, m_b=50.0, c_a=80.0, c_b=40.0,
                                  lam=0.5, alpha=true_alpha, beta=true_beta)
-    cust_a, cust_total, merch_a, merch_total = network.sample_static_joins(
+    cust_a, cust_total, merch_a, merch_total = claims.sample_static_joins(
         state, 100_000, seed=10)
-    alpha_hat, beta_hat = network.estimate_elasticities(
+    alpha_hat, beta_hat = claims.estimate_elasticities(
         (cust_a, cust_total), (merch_a, merch_total), state)
     if abs(alpha_hat - true_alpha) > 0.1:
         problems.append(f"alpha estimate {alpha_hat:.4f} off by > 0.1")

@@ -216,6 +216,13 @@ class TestSuccessPath:
         row = next(csv.DictReader(io.StringIO(out)))
         assert float(row["ratio"]) == pytest.approx(20.0, abs=1e-9)
 
+    def test_anarchy_at_small_rates_counts_only_equilibria(self, capsys, config_file):
+        cfg = config_file({"params": {"puzzles": 2, "miners": 3, "mu": 1e-13,
+                                      "gamma": 5e-14}})
+        code, out, _ = run_cli(["econ", "poa", "--config", cfg], capsys)
+        assert code == 0
+        assert next(csv.DictReader(io.StringIO(out)))["nash_count"] == "2"
+
     @pytest.mark.parametrize("puzzles", [1, 2, 3])
     @pytest.mark.parametrize("miners", range(7))
     def test_anarchy_row_is_the_library_result(self, capsys, config_file, puzzles, miners):

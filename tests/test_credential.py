@@ -258,18 +258,6 @@ def fresh_documents():
             issue_epassport(csca, dsc, holder, with_aa=False, seed=32))
 
 
-@pytest.fixture
-def sign_calls(monkeypatch):
-    """The messages handed to Ed25519 signing from now on, in order."""
-    calls: list[bytes] = []
-
-    def counting(self, message, _sign=SigningKey.sign):
-        calls.append(message)
-        return _sign(self, message)
-    monkeypatch.setattr(SigningKey, "sign", counting)
-    return calls
-
-
 class TestWalletRecord:
     @pytest.mark.parametrize("doc_index", [1, 2], ids=["card", "passport"])
     def test_second_build_verifies_nothing_and_signs_the_binding(

@@ -110,16 +110,11 @@ def test_dead_private_name_scan_sees_a_dead_name(tmp_path):
 
 
 # Public names that only tests call, kept because each checks a claim of the
-# paper, as "module.qualified name": reason.
+# paper, as "module.qualified name": reason. Checks that are no part of the
+# protocol live in tests/claims.py instead.
 PAPER_CLAIM_CHECKS: dict[str, str] = {
     "accumulator.accumulator_verify":
         "the public witness check: anyone holding a root can check membership",
-    "shardgame.is_nash_profile": "the unique-Nash claim of the sharding game",
-    "shardgame.decentralization_check": "the decentralization claim of the sharding game",
-    "circulation.fee_balance": "the fee balance of the circulation model",
-    "network.integrate_ratio_ode": "the network-effect ratio dynamics",
-    "network.sample_static_joins": "acceptance bar 10 recovers the elasticities through it",
-    "network.estimate_elasticities": "acceptance bar 10 recovers the elasticities through it",
 }
 
 
@@ -176,8 +171,6 @@ def test_public_name_scan_sees_a_dead_name(tmp_path):
 # Parameters with a default that no call in src/, bench/ or demos/ sets, kept
 # on purpose, as "module.qualified name(parameter)": reason.
 OPTIONS_ONLY_TESTS_SET: dict[str, str] = {
-    "network.integrate_ratio_ode(dt)":
-        "the step of a PAPER_CLAIM_CHECKS function that only tests call",
     "identity.HolderFields(optional_data)":
         "the ICAO 9303 DG1 optional-data element, which the composite check digit covers",
 }
@@ -338,3 +331,32 @@ def test_environment_scan_sees_a_read(tmp_path):
     (tmp_path / "b.py").write_text("from os import environ, sep\n\n"
                                    "def lookup(key):\n    return key + sep\n")
     assert environment_reads(tmp_path) == {"a.py:5", "a.py:8", "b.py:1"}
+
+
+def library_imports(path: Path) -> set[str]:
+    """Every import of `zkpoi` or one of its modules in the file at `path`,
+    as "line: module"."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            modules = [node.module]
+        else:
+            continue
+        found.update(f"{node.lineno}: {module}" for module in modules
+                     if module.split(".")[0] == "zkpoi")
+    return found
+
+
+def test_oracles_import_nothing_from_the_library():
+    assert library_imports(ROOT / "tests" / "oracles.py") == set()
+
+
+def test_oracle_import_scan_sees_an_import(tmp_path):
+    module = tmp_path / "oracles.py"
+    module.write_text("import math\nimport zkpoi\nimport zkpoi_extra\n"
+                      "from zkpoi.econ import network\n\n"
+                      "def reference():\n    import zkpoi.shardgame as game\n"
+                      "    return game\n")
+    assert library_imports(module) == {"2: zkpoi", "4: zkpoi.econ", "7: zkpoi.shardgame"}

@@ -10,9 +10,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from claims import fee_balance
 from zkpoi.econ.circulation import (
     CirculationParams,
-    fee_balance,
     gamma_dynamics,
     stationary_dm_output,
 )

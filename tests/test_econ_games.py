@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -212,6 +213,55 @@ def test_ess_verdict_is_scale_free(payoffs, candidate, data):
     scaled = [math.ldexp(x, k) for x in payoffs]
     assert is_ess(dict(zip(PAIRS, scaled)), ("A", "B"), candidate) == is_ess(
         dict(zip(PAIRS, payoffs)), ("A", "B"), candidate)
+
+
+def is_normal_or_zero(x: float) -> bool:
+    return x == 0 or sys.float_info.min <= abs(x) < math.inf
+
+
+@st.composite
+def edge_games(draw, values=FINITE | EDGE_PAYOFFS):
+    """A game of two or three players with two or three strategies each,
+    whose payoffs are drawn from `values` or lie within one ulp of a shared
+    anchor: (strategy counts, flat payoffs in tensor order)."""
+    shape = tuple(draw(st.lists(st.integers(2, 3), min_size=2, max_size=3)))
+    anchor = draw(values)
+    near = st.sampled_from([anchor, math.nextafter(anchor, math.inf),
+                            math.nextafter(anchor, -math.inf)]).filter(math.isfinite)
+    size = math.prod(shape) * len(shape)
+    return shape, draw(st.lists(values | near, min_size=size, max_size=size))
+
+
+def game_of(shape, payoffs) -> PayoffMatrix:
+    strategies = [[f"s{j}" for j in range(count)] for count in shape]
+    return PayoffMatrix(strategies, np.reshape(payoffs, shape + (len(shape),)))
+
+
+def pure_nash_set(matrix: PayoffMatrix) -> list[tuple[int, ...]]:
+    return [profile for profile in itertools.product(*map(range, (len(s) for s in
+                                                                  matrix.strategies)))
+            if is_pure_nash(matrix, profile)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_games())
+def test_pure_nash_matches_the_exhaustive_oracle(game):
+    matrix = game_of(*game)
+    assert pure_nash_set(matrix) == oracles.pure_nash_profiles(np.asarray(matrix.u))
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_games(values=(FINITE | EDGE_PAYOFFS).filter(is_normal_or_zero)), st.data())
+def test_pure_nash_verdict_is_scale_free(game, data):
+    """Scaling every payoff by 2**k, for any k that keeps every nonzero
+    payoff normal, changes no verdict."""
+    shape, payoffs = game
+    assume(all(map(is_normal_or_zero, payoffs)))  # a near value may be subnormal
+    exponents = [math.frexp(x)[1] for x in payoffs if x]
+    k = data.draw(st.integers(-1021 - min(exponents, default=0),
+                              1024 - max(exponents, default=0)))
+    scaled = [math.ldexp(x, k) for x in payoffs]
+    assert pure_nash_set(game_of(shape, scaled)) == pure_nash_set(game_of(shape, payoffs))
 
 
 # ---------------------------------------------------------------------------

@@ -10,18 +10,20 @@ import numpy as np
 import pytest
 
 import oracles
+from claims import (
+    estimate_elasticities,
+    integrate_ratio_ode,
+    join_probabilities,
+    sample_static_joins,
+    state_ratios,
+)
 from zkpoi.econ._pcg64 import PCG64
 from zkpoi.econ.network import (
     _BLOCK_STEPS,
     NetworkState,
-    estimate_elasticities,
-    integrate_ratio_ode,
-    join_probabilities,
     overtake_analysis,
-    sample_static_joins,
     share_of,
     simulate_network_growth,
-    state_ratios,
 )
 from zkpoi.errors import DomainError
 

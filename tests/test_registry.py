@@ -605,6 +605,52 @@ class TestVerifyOnce:
         other.register(sealed(session, bundle), session, NOW)
         assert len(verify_calls) == 3
 
+    def test_a_repeated_round_spends_the_signature_budget(self, verify_calls, sign_calls):
+        """A second round over the same cards, against a fresh registry,
+        makes exactly these Ed25519 verifies and signs per operation: the
+        wallet and the trust store already hold their records, the fresh
+        registry holds none."""
+        store, hierarchy = generate_ca_hierarchy(3, 2, seed=407)
+        issuers = hierarchy.issuers
+        cards = [issue_identity_cert(hierarchy, issuers[i % len(issuers)], f"Subject {i}",
+                                     f"UID-B-{i}", WINDOW) for i in range(6)]
+        renewals = [issue_identity_cert(hierarchy, issuers[i % len(issuers)], f"Subject {i}",
+                                        f"UID-B-{i}", WINDOW) for i in (0, 3)]
+
+        def one_round(seed: int) -> dict[str, set[tuple[int, int]]]:
+            registry = Registry(store, NETWORK, seed=seed)
+            session = registry.open_session(CLIENT)
+            spent: dict[str, set[tuple[int, int]]] = {}
+
+            def attempt(kind, action, expected=None):
+                verify_calls.clear()
+                sign_calls.clear()
+                with pytest.raises(expected) if expected else contextlib.nullcontext():
+                    action()
+                spent.setdefault(kind, set()).add((len(verify_calls), len(sign_calls)))
+
+            def register(card, passphrase):
+                return registry.register(sealed(session, make_bundle(card, store, passphrase)),
+                                         session, NOW)
+
+            for i, card in enumerate(cards):
+                attempt("admission", lambda: register(card, f"pp-{i}"))
+            for i, card in enumerate(cards):
+                attempt("duplicate", lambda: register(card, f"other-pp-{i}"),
+                        DuplicateIdentity)
+            for i, card in enumerate(renewals):
+                attempt("renewal", lambda: register(card, f"renewed-pp-{i}"),
+                        DuplicateIdentity)
+            for i, card in enumerate(cards):
+                replay = sealed(session, make_bundle(card, store, f"pp-{i}"))
+                attempt("replay", lambda: registry.take_offline(replay, session, NOW),
+                        ReplayedRegProof)
+            return spent
+
+        one_round(seed=23)
+        assert one_round(seed=24) == {"admission": {(3, 1)}, "duplicate": {(1, 1)},
+                                      "renewal": {(3, 1)}, "replay": {(0, 0)}}
+
     def test_duplicate_with_another_valid_secret_fails_at_step7(self, warm_cards):
         """A holder can sign any number of other messages: a signature that
         is not over the common string is verified and refused."""

@@ -3,6 +3,7 @@ checks, and shard-safety probabilities."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from claims import decentralization_check, is_nash_profile
 from zkpoi import shardgame
 from zkpoi.errors import DomainError
 from zkpoi.shardgame import (
@@ -26,9 +28,7 @@ from zkpoi.shardgame import (
     assign_shards,
     cooperation_thresholds,
     deal_transactions,
-    decentralization_check,
     epoch_failure_bound,
-    is_nash_profile,
     make_miners,
     payoff_cooperate,
     payoff_defect,
@@ -450,9 +450,9 @@ class TestNashProfiles:
         with pytest.raises(ValueError):
             is_nash_profile(params_with(), [(0, "X", ("t",))])
 
-    @settings(max_examples=80, deadline=None)
-    @given(st.data())
-    def test_matches_oracle_on_random_profiles(self, data):
+    @staticmethod
+    def draw_profile(data) -> tuple[GameParams, list]:
+        """Rewards and costs in quarters up to 64, and up to six miners."""
         k = data.draw(st.sampled_from([1, 2]))
         n = data.draw(st.integers(2, 6))
         quorum = data.draw(st.integers(1, max(1, n // k)))
@@ -470,11 +470,30 @@ class TestNashProfiles:
             action = data.draw(st.sampled_from(["C", "D"]))
             txs = tuple(sorted(data.draw(st.sets(st.sampled_from(pool), max_size=4))))
             entries.append((shard, action, txs))
+        return params, entries
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_matches_oracle_on_random_profiles(self, data):
+        params, entries = self.draw_profile(data)
         ours = is_nash_profile(params, entries)
         theirs = oracles.profile_is_nash(params.k, params.quorum, params.block_reward,
                                          params.tx_reward, params.fixed_cost,
                                          params.per_tx_cost, params.penalty, entries)
         assert ours == theirs
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.integers(-1000, 1000))
+    def test_verdict_is_scale_free(self, data, k):
+        """Scaling every reward, cost and penalty by 2**k changes no verdict.
+        Every nonzero amount drawn lies in [1/4, 64], and the payoffs divide
+        them by at most 12 and sum a few of them, so for |k| <= 1000 every
+        value stays normal."""
+        params, entries = self.draw_profile(data)
+        scaled = dataclasses.replace(params, **{
+            name: math.ldexp(getattr(params, name), k)
+            for name in ("block_reward", "tx_reward", "fixed_cost", "per_tx_cost", "penalty")})
+        assert is_nash_profile(scaled, entries) == is_nash_profile(params, entries)
 
 
 # ---------------------------------------------------------------------------
