@@ -151,8 +151,10 @@ def deviation_certificate(instance: CongestionInstance, allocation: Allocation,
     one exists. A complete all-nonpositive certificate is a Nash proof.
 
     A deviation is profitable exactly when its delta is greater than 0:
-    the utilities are compared with no tolerance, so a gain counts however
-    small the rates and costs make the utilities."""
+    the computed float utilities are compared with no tolerance, so the
+    verdict is exact for them at any payoff scale. Below T*mu of about
+    1e-16 those utilities no longer depend on the load, and the verdicts
+    are then those of the rounded model, not of the game."""
     loads = allocation.loads
     records: list[Deviation] = []
     for k, l_k in enumerate(loads):
@@ -197,23 +199,14 @@ def _enumerate_allocations(instance: CongestionInstance):
 def solve_congestion_nash(instance: CongestionInstance) -> NashSolution:
     """Deviation-certified equilibrium allocation: the first equilibrium in
     enumeration order whose potential is highest among the equilibria,
-    returned with its certificate and its potential.
-
-    The game is an exact potential game, so the first maximizer of the
-    potential is that equilibrium unless rounding tied a non-equilibrium
-    with it (equal puzzles at rates near 1e-20); then the equilibria are
-    searched. There is always one: the float utilities themselves form a
-    potential game.
+    returned with its certificate and its potential. There is always one:
+    the float utilities themselves form a potential game.
     """
     def phi(allocation: Allocation) -> float:
         return potential(instance, allocation)
 
-    best = max(_enumerate_allocations(instance), key=phi)
-    cert = deviation_certificate(instance, best)
-    if cert is None:  # rounding tied a non-equilibrium with the maximum
-        best = max(all_nash_allocations(instance), key=phi)
-        cert = deviation_certificate(instance, best)
-    return NashSolution(best, cert, phi(best))
+    best = max(all_nash_allocations(instance), key=phi)
+    return NashSolution(best, deviation_certificate(instance, best), phi(best))
 
 
 def all_nash_allocations(instance: CongestionInstance) -> list[Allocation]:

@@ -116,7 +116,7 @@ def binomial_tail_exact(n, m):
 
 
 def win_prob(load, rate, deadline):
-    return (1.0 - math.exp(-deadline * rate * load)) / load
+    return -math.expm1(-deadline * rate * load) / load
 
 
 def potential_direct(loads, rates, costs, deadline):
@@ -146,13 +146,11 @@ def allocation_is_nash(loads, rates, costs, deadline, n_miners):
     go idle, and idle miners may join any puzzle; utilities clip at zero.
 
     A move is profitable exactly when the utility it brings is greater than
-    the one held, with no tolerance. The win probability is taken as
-    -expm1(-T mu l) / l, not as win_prob's 1 - exp(-T mu l), which is 0
-    once T mu l is below about 1e-16 and so would tie every move there.
+    the one held, with no tolerance.
     """
 
     def util(l, k):
-        return max(-math.expm1(-deadline * rates[k] * l) / l - costs[k], 0.0)
+        return max(win_prob(l, rates[k], deadline) - costs[k], 0.0)
 
     total = sum(loads)
     for k, l_k in enumerate(loads):
