@@ -25,7 +25,7 @@ instead of decoding the evidence again.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Collection
+from typing import Collection, Container
 
 from .codec import Decoder, Encoder, frame_parts
 from .crypto import PUBLIC_KEY_LEN, SigningKey, hash_parts, pbkdf2_sha256, sha256
@@ -181,7 +181,9 @@ class RegistrationBundle:
 @dataclass(frozen=True)
 class BundleVerdict:
     accepted: bool
-    failed_step: int | None = None  # 3..7, first check that failed
+    # 3..7, first check that failed; None on an accepted verdict and on the
+    # refusal of a registered identifier (`already_registered`).
+    failed_step: int | None = None
     reason: str | None = None
     # The verified document and its unique id; None on a rejected verdict.
     unique_id: str | None = None
@@ -197,6 +199,10 @@ class BundleVerdict:
     @staticmethod
     def fail(step: int, reason: str) -> "BundleVerdict":
         return BundleVerdict(False, step, reason)
+
+    @staticmethod
+    def already_registered() -> "BundleVerdict":
+        return BundleVerdict(False, reason="identifier already registered")
 
 
 def _required_mode(doc) -> tuple[str, bytes | None]:
@@ -264,18 +270,27 @@ def build_registration_bundle(doc, passphrase: str, blockchain_id: str,
 
 def verify_registration_bundle(bundle: RegistrationBundle, trust_store: TrustStore,
                                blockchain_id: str, now: int, *,
-                               verified: Collection[SignatureCheck] = ()) -> BundleVerdict:
+                               verified: Collection[SignatureCheck] = (),
+                               registered: Container[str] = ()) -> BundleVerdict:
     """Re-execute the generation checks; report the first failing step.
 
     Step 3 validates the disclosed document, step 4 extracts the unique id,
     step 5 recomputes the pseudonym, step 6 checks the mode the document
-    requires (`_required_mode`), a PUBLIC_KEY_LEN-byte wallet key, and the
-    key binding, which only a full-mode bundle carries, and step 7 checks
-    the secret of a full-mode bundle.
+    requires (`_required_mode`), a PUBLIC_KEY_LEN-byte wallet key, the
+    presence of the key binding, which only a full-mode bundle carries, and
+    then the binding itself, and step 7 checks the secret of a full-mode
+    bundle.
     An accepting verdict carries the decoded document, its unique id and the
     checks it verified. The document's signature and the secret are not
     verified again when equal to a check in the caller's record `verified`;
     every other check runs on every call.
+
+    A bundle whose unique id is in the caller's `registered` is refused
+    with a verdict that failed no step (`BundleVerdict.already_registered`).
+    When its secret check is in `verified`, the refusal comes right after
+    step 6's framing checks, without verifying the key binding or the
+    secret: only the holder's own bundles carry a recorded secret, so no
+    forger reaches it. Otherwise it comes after step 7.
     """
     try:
         doc = bundle.evidence.decode_document()
@@ -306,9 +321,15 @@ def verify_registration_bundle(bundle: RegistrationBundle, trust_store: TrustSto
     if doc_pk is None and bundle.sign_pk is not None:
         return BundleVerdict.fail(6, "absent mode carries no key binding")
     if doc_pk is not None:
-        if bundle.sign_pk is None or not active_auth_verify(doc_pk, bundle.pk, bundle.sign_pk):
+        if bundle.sign_pk is None:
             return BundleVerdict.fail(6, "key binding signature does not verify")
-        if not verify_unless_recorded(_secret_check(doc_pk, bundle.evidence.secret),
-                                      verified, checks):
+        secret_check = _secret_check(doc_pk, bundle.evidence.secret)
+        if secret_check in verified and unique_id in registered:
+            return BundleVerdict.already_registered()
+        if not active_auth_verify(doc_pk, bundle.pk, bundle.sign_pk):
+            return BundleVerdict.fail(6, "key binding signature does not verify")
+        if not verify_unless_recorded(secret_check, verified, checks):
             return BundleVerdict.fail(7, "pseudonym secret does not verify")
+    if unique_id in registered:
+        return BundleVerdict.already_registered()
     return BundleVerdict(True, unique_id=unique_id, document=doc, checks=tuple(checks))

@@ -1,12 +1,13 @@
 """The simulated permissionless registry: one pseudonym per person.
 
 Registration runs entirely inside attested logic: the bundle arrives sealed
-under an attestation session, is re-verified, and the unique identifier the
-verdict carries is checked against a keyed-tag store whose key only the
+under an attestation session, is re-verified, and the verifier checks the
+document's unique identifier against a keyed-tag store whose key only the
 attested logic holds; the verified document is not decoded again. Only the
 document's own signature and the pseudonym secret may come from the
-registry's record of the checks behind the entries it admitted, so a
-repeat presentation of an admitted document costs one signature check.
+registry's record of the checks behind the entries it admitted. A repeat
+presentation of an admitted, still registered document is refused before
+its key binding is verified, so it costs no signature check.
 The host observes pseudonym digests, public keys and opaque tags; it never
 sees a plaintext identifier. A second uniqueness layer, the
 set accumulator over stable personal attributes, catches re-issued
@@ -24,6 +25,7 @@ its log position.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Container
 
 from . import attestation
 from .accumulator import Accumulator, accumulator_generate, accumulator_remove
@@ -77,7 +79,7 @@ class EncryptedIdDB:
     def tag(self, unique_id: str) -> bytes:
         return hmac_sha256(self._db_key, unique_id.encode("utf-8"))
 
-    def contains(self, unique_id: str) -> bool:
+    def __contains__(self, unique_id: str) -> bool:
         return self.tag(unique_id) in self._tags
 
     def add(self, unique_id: str) -> None:
@@ -153,12 +155,15 @@ class Registry:
         except DecodeError as exc:
             raise InvalidBundle(f"bundle does not decode: {exc}") from exc
 
-    def _verify(self, bundle: RegistrationBundle, now: int) -> BundleVerdict:
+    def _verify(self, bundle: RegistrationBundle, now: int, *,
+                registered: Container[str] = ()) -> BundleVerdict:
         verdict = verify_registration_bundle(bundle, self.trust_store, self.blockchain_id, now,
-                                             verified=self._verified)
-        if not verdict.accepted:
-            raise InvalidBundle(f"bundle rejected at {verdict.code}: {verdict.reason}")
-        return verdict
+                                             verified=self._verified, registered=registered)
+        if verdict.accepted:
+            return verdict
+        if verdict.failed_step is None:
+            raise DuplicateIdentity(verdict.reason, DuplicateReason.IDENTIFIER)
+        raise InvalidBundle(f"bundle rejected at {verdict.code}: {verdict.reason}")
 
     # -- core operations --------------------------------------------------------
 
@@ -178,10 +183,7 @@ class Registry:
         bundle = self._unseal_bundle(session, sealed_bundle)
         if bundle.pseudonym.suffix != SUFFIX_REG:
             raise InvalidBundle("registration requires a REG-suffix pseudonym")
-        verdict = self._verify(bundle, now)
-        if self._id_db.contains(verdict.unique_id):
-            raise DuplicateIdentity("identifier already registered",
-                                    DuplicateReason.IDENTIFIER)
+        verdict = self._verify(bundle, now, registered=self._id_db)
         existing = self.entries.get(bundle.pseudonym.digest)
         if existing is not None and not (self.allow_reregistration
                                          and existing.status == STATUS_OFFLINE):

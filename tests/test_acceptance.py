@@ -47,7 +47,7 @@ def open_registry(store, seed=1):
     return reg, session
 
 
-def test_criterion_01_registration_suite(report):
+def test_criterion_01_registration_suite(report, verify_calls):
     problems: list[str] = []
     started = time.monotonic()
 
@@ -106,6 +106,11 @@ def test_criterion_01_registration_suite(report):
             pass
     if reg.online_count() != 10_000:
         problems.append("replayed proofs changed the online count")
+    # The signature budget: per admission, the wallet's leaf and the
+    # registry's leaf, key binding and secret; per renewal, the same; none
+    # per duplicate or replay; six intermediate certificates once each.
+    if len(verify_calls) != 42_006:
+        problems.append(f"{len(verify_calls)} Ed25519 verifies, expected 42006")
 
     elapsed = time.monotonic() - started
     if elapsed > 60.0:

@@ -128,6 +128,13 @@ def sealed(session, bundle):
     return attestation.seal(session, bundle.to_bytes())
 
 
+def unbound(card, store):
+    """A fresh-passphrase bundle of `card` carrying a wallet key its key
+    binding does not sign."""
+    bundle = make_bundle(card, store, passphrase="another passphrase")
+    return dataclasses.replace(bundle, pk=make_bundle(card, store, passphrase="a third").pk)
+
+
 # ---------------------------------------------------------------------------
 # Admission and uniqueness
 # ---------------------------------------------------------------------------
@@ -566,23 +573,23 @@ class TestVerifyOnce:
         registry.register(sealed(session, make_bundle(passports[1], store)), session, NOW)
         assert len(verify_calls) == 4
 
-    def test_duplicate_card_verifies_one_signature(self, warm_cards, verify_calls):
-        """The registry's key binding: it verified this leaf and secret when
-        it admitted the card."""
+    def test_duplicate_card_verifies_no_signature(self, warm_cards, verify_calls):
+        """The registry verified this leaf and secret when it admitted the
+        card, and refuses the retry before its key binding."""
         store, _, registry, session, cards = warm_cards
         retry = make_bundle(cards[0], store, passphrase="another passphrase")
         verify_calls.clear()
         with pytest.raises(DuplicateIdentity):
             registry.register(sealed(session, retry), session, NOW)
-        assert len(verify_calls) == 1
+        assert len(verify_calls) == 0
 
-    def test_duplicate_passport_verifies_one_signature(self, warm_passports, verify_calls):
+    def test_duplicate_passport_verifies_no_signature(self, warm_passports, verify_calls):
         store, registry, session, passports = warm_passports
         retry = make_bundle(passports[0], store, passphrase="another passphrase")
         verify_calls.clear()
         with pytest.raises(DuplicateIdentity):
             registry.register(sealed(session, retry), session, NOW)
-        assert len(verify_calls) == 1
+        assert len(verify_calls) == 0
 
     def test_renewed_card_verifies_four_signatures(self, warm_cards, verify_calls):
         """A renewal is a new document: new serial, key, leaf and secret."""
@@ -648,7 +655,7 @@ class TestVerifyOnce:
             return spent
 
         one_round(seed=23)
-        assert one_round(seed=24) == {"admission": {(3, 1)}, "duplicate": {(1, 1)},
+        assert one_round(seed=24) == {"admission": {(3, 1)}, "duplicate": {(0, 1)},
                                       "renewal": {(3, 1)}, "replay": {(0, 0)}}
 
     def test_duplicate_with_another_valid_secret_fails_at_step7(self, warm_cards):
@@ -660,6 +667,60 @@ class TestVerifyOnce:
                              secret, "UID-W-0")
         with pytest.raises(InvalidBundle, match="step7"):
             registry.register(sealed(session, forged), session, NOW)
+
+    def test_unbound_duplicate_is_refused_before_its_key_binding(self, warm_cards,
+                                                                  verify_calls):
+        """The one outcome the early refusal changes: the holder's retry
+        under a wallet key its binding does not sign is refused as a
+        duplicate identifier, verifying nothing and writing nothing."""
+        store, _, registry, session, cards = warm_cards
+        mutant = unbound(cards[0], store)
+        view, record = registry.host_view(), set(registry._verified)
+        verify_calls.clear()
+        with pytest.raises(DuplicateIdentity) as caught:
+            registry.register(sealed(session, mutant), session, NOW)
+        assert caught.value.reason is DuplicateReason.IDENTIFIER
+        assert len(verify_calls) == 0
+        assert registry.host_view() == view and registry._verified == record
+
+    def test_unbound_bundle_of_a_new_card_fails_at_step6(self, warm_cards):
+        store, _, _, _, cards = warm_cards
+        registry = Registry(store, NETWORK, seed=25)
+        session = registry.open_session(CLIENT)
+        with pytest.raises(InvalidBundle, match="step6: key binding signature does not verify"):
+            registry.register(sealed(session, unbound(cards[0], store)), session, NOW)
+        assert registry.online_count() == 0
+
+    def test_unbound_bundle_of_a_retired_card_fails_at_step6(self, world):
+        """Retirement under re-registration releases the identifier, so the
+        returning card's bundle is verified in full again."""
+        store, hierarchy = world
+        registry = Registry(store, NETWORK, seed=26, allow_reregistration=True)
+        card = make_card(hierarchy, 30)
+        session = registry.open_session(CLIENT)
+        registry.register(sealed(session, make_bundle(card, store)), session, NOW)
+        registry.take_offline(sealed(session, make_bundle(card, store, suffix=SUFFIX_OFF)),
+                              session, NOW)
+        with pytest.raises(InvalidBundle, match="step6: key binding signature does not verify"):
+            registry.register(sealed(session, unbound(card, store)), session, NOW)
+        entry = registry.register(sealed(session, make_bundle(card, store)), session, NOW)
+        assert entry.status == STATUS_ONLINE
+        assert registry.online_count() == 1
+
+    def test_forgeries_of_an_admitted_passport_fail_their_steps(self, warm_passports,
+                                                                 forge_degraded):
+        """No secret of the forger's choosing is in the registry's record, so
+        a forgery never reaches the early refusal."""
+        store, registry, session, passports = warm_passports
+        with pytest.raises(InvalidBundle, match="step6: the document requires "
+                                                "authentication mode 'full'"):
+            registry.register(sealed(session, forge_degraded(passports[0], NETWORK)),
+                              session, NOW)
+        chosen = with_secret(make_bundle(passports[0], store, passphrase="another passphrase"),
+                             b"attacker-chosen", passports[0].unique_id())
+        with pytest.raises(InvalidBundle, match="step7: pseudonym secret does not verify"):
+            registry.register(sealed(session, chosen), session, NOW)
+        assert registry.online_count() == 1
 
     def test_admitted_leaf_under_a_swapped_intermediate_fails_at_step3(self, warm_cards):
         """The leaf's issuer re-keyed and validly re-signed by its own parent:
