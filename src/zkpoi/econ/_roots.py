@@ -1,4 +1,4 @@
-"""The one bracketed root-finder the econ models share."""
+"""The bracketed root-finder; its one caller is games.calibrate_power_law."""
 
 from __future__ import annotations
 

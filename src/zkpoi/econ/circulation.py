@@ -15,9 +15,6 @@ import math
 from dataclasses import dataclass
 
 from ..errors import DomainError
-from ._roots import bisect_root
-
-_CROSS_CHECK_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -44,41 +41,25 @@ class CirculationParams:
             raise ValueError("delta must lie in (0, 1]")
 
 
-def _delta_condition_root(beta: float, eta: float, alpha: float, delta: float) -> float:
-    target = 1.0 / beta
-
-    def gap(q):
-        return delta * q ** (-(eta + alpha)) + (1.0 - delta) - target
-
-    # gap decreases in q and is negative at 1; halve the lower bracket until
-    # it turns positive so even far-sub-unity roots stay bracketed
-    lo = 0.5
-    try:
-        while gap(lo) <= 0.0:
-            lo *= 0.5
-            if lo == 0.0:
-                raise DomainError("circulation condition root underflowed the bracket")
-    except OverflowError as exc:
-        raise DomainError("circulation condition overflowed before its root was "
-                          "bracketed") from exc
-    return bisect_root(gap, lo, 1.0 + 1e-12, xtol=1e-15)
-
-
 def stationary_dm_output(params: CirculationParams) -> dict:
-    """Closed-form stationary outputs, cross-checked by a root-finder.
+    """Closed-form stationary outputs.
 
     Returns q_star (efficient trade, always 1 under the CRRA forms),
     q_hat_full (full circulation), q_hat_delta (fraction-delta circulation),
     and whether full circulation strictly Pareto-dominates. Raises
-    DomainError if the closed forms disagree with the bracketing root-finder
-    beyond 1e-9 or the ordering q_hat_delta <= q_hat_full < q_star breaks.
+    DomainError only when the floats break the ordering
+    q_hat_delta <= q_hat_full < q_star (e.g. at alpha_eff = 1e20, where
+    q_hat_full rounds to 1).
+
+    q_hat_delta is (delta * beta / (1 - beta + delta * beta)) ** ex, the
+    condition solved without 1/beta: 1/beta - 1 cancels as beta nears 1 and
+    overflows for beta below about 1e-308.
 
     For delta < 1 the true q_hat_delta lies strictly below q_hat_full, but
     with delta close to 1 the closed form can round up to q_hat_full (e.g.
     beta=0.09375, eta=0.5, alpha=0, delta=1-2**-53). The result is then the
-    largest float strictly below q_hat_full, which is still within the
-    root-finder tolerance, so strict dominance holds at floating-point edges
-    too.
+    largest float strictly below q_hat_full, so strict dominance holds at
+    floating-point edges too.
     """
     beta, eta, alpha, delta = (params.beta_disc, params.eta,
                                params.alpha_eff, params.delta)
@@ -90,16 +71,10 @@ def stationary_dm_output(params: CirculationParams) -> dict:
     if delta == 1.0:
         q_hat_delta = q_hat_full
     else:
-        q_hat_delta = (delta / (1.0 / beta - 1.0 + delta)) ** ex
+        q_hat_delta = (delta * beta / (1.0 - beta + delta * beta)) ** ex
         if q_hat_delta >= q_hat_full:
             q_hat_delta = math.nextafter(q_hat_full, 0.0)
 
-    root_full = _delta_condition_root(beta, eta, alpha, 1.0)
-    root_delta = root_full if delta == 1.0 else _delta_condition_root(beta, eta, alpha, delta)
-    if abs(root_full - q_hat_full) > _CROSS_CHECK_TOL:
-        raise DomainError("full-circulation closed form disagrees with the root-finder")
-    if abs(root_delta - q_hat_delta) > _CROSS_CHECK_TOL:
-        raise DomainError("partial-circulation closed form disagrees with the root-finder")
     if not (q_hat_delta <= q_hat_full < q_star):
         raise DomainError("stationary outputs violate q_hat(delta) <= q_hat(1) < q*")
     if delta < 1.0 and not q_hat_delta < q_hat_full:

@@ -2,7 +2,8 @@
 Nash solving with deviation certificates, and the cost ratio against an
 identity-based baseline.
 
-Miners allocate themselves across K puzzles, one provider per puzzle. The
+Miners allocate themselves across K identical puzzles, one provider per
+puzzle, each solved at the same rate and mined at the same cost. The
 chance of being first to solve a puzzle splits among its miners, so every
 extra miner dilutes the rest — a congestion externality that admits an
 exact potential whose maximizer is deviation-stable.
@@ -13,59 +14,36 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from numbers import Real
 
 from ..errors import DomainError
 
 _ENUMERATION_CAP = 200_000  # candidate allocations an exhaustive scan may touch
 
 
-def _as_vector(value, k: int, name: str) -> tuple[float, ...]:
-    """Coerce a scalar or per-puzzle sequence to K floats."""
-    if isinstance(value, Real):
-        values = [value] * k
-    elif _is_sized(value, k) and all(isinstance(v, Real) for v in value):
-        values = value
-    else:
-        raise ValueError(f"{name} must be scalar or length-{k}")
-    vector = tuple(float(v) for v in values)
-    if not all(math.isfinite(v) for v in vector):
-        raise ValueError(f"{name} entries must be finite")
-    if any(v < 0 for v in vector):
-        raise ValueError(f"{name} entries must be >= 0")
-    return vector
-
-
-def _is_sized(value, n: int) -> bool:
-    try:
-        return len(value) == n
-    except TypeError:
-        return False
-
-
 @dataclass(frozen=True)
 class CongestionInstance:
-    """K puzzles, N miners, deadline T, with per-miner solve rates mu[k]
-    and per-miner operating costs gamma[k]."""
+    """K identical puzzles, N miners, deadline T: each miner on a puzzle
+    solves it at rate mu and pays operating cost gamma."""
 
     k: int
     n_miners: int
-    mu: tuple[float, ...]
-    gamma: tuple[float, ...]
+    mu: float
+    gamma: float
     deadline: float = 1.0
 
-    def __init__(self, k, n_miners, mu, gamma, deadline=1.0):
-        if k < 1:
+    def __post_init__(self):
+        if self.k < 1:
             raise ValueError("need at least one puzzle")
-        if n_miners < 0:
+        if self.n_miners < 0:
             raise ValueError("miner count must be >= 0")
-        if deadline <= 0:
+        if self.deadline <= 0:
             raise ValueError("deadline must be > 0")
-        object.__setattr__(self, "k", int(k))
-        object.__setattr__(self, "n_miners", int(n_miners))
-        object.__setattr__(self, "mu", _as_vector(mu, k, "mu"))
-        object.__setattr__(self, "gamma", _as_vector(gamma, k, "gamma"))
-        object.__setattr__(self, "deadline", float(deadline))
+        for name in ("mu", "gamma"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite")
+            if value < 0:
+                raise ValueError(f"{name} must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -101,7 +79,7 @@ def miner_utility(instance: CongestionInstance, allocation: Allocation, k: int) 
     would lose money simply does not mine)."""
     if allocation.loads[k] < 1:
         raise DomainError("utility is defined for an occupied puzzle")
-    return _puzzle_utility(instance, allocation.loads[k], k)
+    return _puzzle_utility(instance, allocation.loads[k])
 
 
 def potential(instance: CongestionInstance, allocation: Allocation) -> float:
@@ -109,11 +87,9 @@ def potential(instance: CongestionInstance, allocation: Allocation) -> float:
     occupancies 1..l_k, each less the cost. Its exact-difference property
     is what certifies the solver."""
     total = 0.0
-    for k, l_k in enumerate(allocation.loads):
-        mu_k = instance.mu[k]
-        gamma_k = instance.gamma[k]
+    for l_k in allocation.loads:
         for occupancy in range(1, l_k + 1):
-            total += puzzle_win_prob(occupancy, mu_k, instance.deadline) - gamma_k
+            total += puzzle_win_prob(occupancy, instance.mu, instance.deadline) - instance.gamma
     return total
 
 
@@ -139,9 +115,9 @@ class NashSolution:
     potential_value: float
 
 
-def _puzzle_utility(instance: CongestionInstance, l_k: int, k: int) -> float:
-    win = puzzle_win_prob(l_k, instance.mu[k], instance.deadline)
-    return max(win - instance.gamma[k], 0.0)
+def _puzzle_utility(instance: CongestionInstance, l_k: int) -> float:
+    win = puzzle_win_prob(l_k, instance.mu, instance.deadline)
+    return max(win - instance.gamma, 0.0)
 
 
 def deviation_certificate(instance: CongestionInstance, allocation: Allocation,
@@ -160,19 +136,19 @@ def deviation_certificate(instance: CongestionInstance, allocation: Allocation,
     for k, l_k in enumerate(loads):
         if l_k < 1:
             continue
-        here = _puzzle_utility(instance, l_k, k)
+        here = _puzzle_utility(instance, l_k)
         # Going idle earns 0, which never beats a utility floored at zero.
         records.append(Deviation("leave", k, None, 0.0 - here))
         for k2 in range(instance.k):
             if k2 == k:
                 continue
-            delta = _puzzle_utility(instance, loads[k2] + 1, k2) - here
+            delta = _puzzle_utility(instance, loads[k2] + 1) - here
             if delta > 0.0:
                 return None
             records.append(Deviation("move", k, k2, delta))
     if allocation.total < instance.n_miners:
         for k2 in range(instance.k):
-            delta = _puzzle_utility(instance, loads[k2] + 1, k2) - 0.0
+            delta = _puzzle_utility(instance, loads[k2] + 1) - 0.0
             if delta > 0.0:
                 return None
             records.append(Deviation("join", None, k2, delta))
@@ -216,7 +192,7 @@ def all_nash_allocations(instance: CongestionInstance) -> list[Allocation]:
 
 
 def total_mining_cost(instance: CongestionInstance, allocation: Allocation) -> float:
-    return sum(instance.gamma[k] * allocation.loads[k] for k in range(instance.k))
+    return sum(instance.gamma * load for load in allocation.loads)
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -282,6 +283,18 @@ def dm_output_delta_root(beta, eta, alpha, delta):
     target = 1.0 / beta
     return brentq(lambda q: delta * q ** (-(eta + alpha)) + (1.0 - delta) - target,
                   1e-9, 1.0 + 1e-12, xtol=1e-15)
+
+
+def dm_output_exact(beta, eta, alpha, delta):
+    """Root of 1/beta = delta * q^-(eta+alpha) + (1 - delta), solved as
+    q = (delta / (1/beta - 1 + delta)) ** (1 / (eta + alpha)) in 50-digit
+    decimal arithmetic from the exact values of the float inputs, then
+    rounded to the nearest float (delta = 1 gives full circulation)."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        beta, eta, alpha, delta = map(Decimal, (beta, eta, alpha, delta))
+        base = delta / (1 / beta - 1 + delta)
+        return float(base ** (1 / (eta + alpha)))
 
 
 # ---------------------------------------------------------------------------

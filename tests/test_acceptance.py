@@ -307,7 +307,7 @@ def test_criterion_03_threshold_oracle_equivalence(report):
               "brute force exactly, including the p=0 sign variants", problems)
 
 
-def test_criterion_04_protocol_equivalence_and_detection(report):
+def test_criterion_04_protocol_equivalence_and_detection(report, monkeypatch, sign_calls):
     problems: list[str] = []
     rng = random.Random(4001)
 
@@ -334,6 +334,14 @@ def test_criterion_04_protocol_equivalence_and_detection(report):
     params = shardgame.GameParams(k=1, n_miners=9, committee_min=2, quorum=4,
                                   tx_reward=1.0, block_reward=100.0, fixed_cost=2.0,
                                   per_tx_cost=0.1, penalty=5.0)
+    # receipts are the only verifies routed through shardgame's own import
+    receipt_verifies = []
+
+    def counting(public_key, signature, message, _verify=shardgame.verify_signature):
+        receipt_verifies.append(signature)
+        return _verify(public_key, signature, message)
+    monkeypatch.setattr(shardgame, "verify_signature", counting)
+    sign_calls.clear()
     caught = 0
     for seed in range(1000):
         miners = shardgame.make_miners(9, seed, {shardgame.BEHAVIOR_LAZY: 3})
@@ -344,9 +352,14 @@ def test_criterion_04_protocol_equivalence_and_detection(report):
         caught += all(outcome.payoffs[mid] == -params.penalty for mid in lazy)
     if caught < 990:
         problems.append(f"defectors fully penalized in only {caught}/1000 runs")
+    budget = (len(sign_calls), len(receipt_verifies))
+    if budget != (3_000, 3_000):
+        problems.append(f"{budget[0]} receipt signs and {budget[1]} receipt verifies, "
+                        "expected 3000 of each")
 
     report(4, "all-honest protocol payoffs identical; 3 lazy defectors of 9 all "
-              f"assigned -p in {caught}/1000 sampled-receipt runs (>= 990)", problems)
+              f"assigned -p in {caught}/1000 sampled-receipt runs (>= 990), with "
+              f"{budget[0]} receipt signs and {budget[1]} verifies", problems)
 
 
 def test_criterion_05_payoff_spot_value(report):

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+import oracles
 from zkpoi import __version__, cli
 from zkpoi.econ import congestion as cong
 from zkpoi.runner import FLOAT_FORMAT
@@ -242,6 +243,22 @@ class TestSuccessPath:
                                "zkpoi_cost": format(zkpoi_cost, FLOAT_FORMAT),
                                "ratio": format(price.ratio, FLOAT_FORMAT)}, params
 
+    @pytest.mark.parametrize("alpha_eff", [1024.0, 1e7])
+    def test_circulation_answers_a_large_effort_convexity(self, capsys, config_file,
+                                                          alpha_eff):
+        cfg = config_file({"params": {"alpha_eff": alpha_eff}})
+        code, out, _ = run_cli(["econ", "circulation", "--config", cfg], capsys)
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert len(rows) == 9
+        for row in rows:
+            delta = float(row["delta"])
+            full, partial = float(row["q_hat_full"]), float(row["q_hat_delta"])
+            assert partial < full < 1.0
+            assert (row["q_hat_full"], row["q_hat_delta"]) == (
+                format(oracles.dm_output_exact(0.9, 0.5, alpha_eff, 1.0), FLOAT_FORMAT),
+                format(oracles.dm_output_exact(0.9, 0.5, alpha_eff, delta), FLOAT_FORMAT))
+
     def test_out_writes_file_and_prints_manifest(self, capsys, tmp_path):
         target = tmp_path / "run.csv"
         code, out, err = run_cli(
@@ -463,7 +480,7 @@ class TestConfigErrors:
         code, out, err = run_cli(["econ", verb, "--config", cfg], capsys)
         assert code == 2
         assert out == ""
-        assert err.strip() == f"config error: params: {key} entries must be finite"
+        assert err.strip() == f"config error: params: {key} must be finite"
 
     @pytest.mark.parametrize("group, verb, params, message", [
         ("econ", "poa", {"zkpoi_cost": 1e-320, "gamma": 0.1},
@@ -547,11 +564,11 @@ class TestRuntimeErrors:
         assert out == ""
         return err.strip()
 
-    def test_circulation_overflow_exits_2(self, capsys, config_file):
-        params = {"beta_disc": 1e-300, "eta": 0.999, "alpha_eff": 0.0, "deltas": [1e-12]}
+    def test_circulation_unorderable_outputs_exit_2(self, capsys, config_file):
+        # beta ** (1 / (eta + 1e20)) rounds to 1, so q_hat(1) < q* cannot hold
+        params = {"alpha_eff": 1e20}
         assert self.refused(capsys, config_file, "circulation", params) == (
-            "config error: params: circulation condition overflowed before its root "
-            "was bracketed")
+            "config error: params: stationary outputs violate q_hat(delta) <= q_hat(1) < q*")
 
     def test_network_weight_overflow_exits_2(self, capsys, config_file):
         params = {"m_a": 1e308, "steps": 50}

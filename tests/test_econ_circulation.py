@@ -4,6 +4,7 @@ recursion, and fee balance."""
 from __future__ import annotations
 
 import math
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -81,11 +82,33 @@ class TestStationaryOutput:
             assert out["q_hat_delta"] < out["q_hat_full"]
             assert out["pareto_dominates"]
 
-    def test_root_beyond_the_float_range_is_a_domain_error(self):
-        # the partial-circulation root lies below the smallest float, so the
-        # bracket search overflows q ** -(eta + alpha) before it finds it
-        with pytest.raises(DomainError):
-            stationary_dm_output(params(beta=1e-300, eta=0.999, alpha=0.0, delta=1e-12))
+    @settings(max_examples=200, deadline=None)
+    @given(beta=st.floats(0.9, 1.0 - 1e-12), eta=st.floats(0.05, 0.95),
+           alpha=st.floats(0.0, 3.0),
+           delta=st.floats(-15.0, 0.0, exclude_max=True).map(lambda e: 10.0 ** e))
+    # near unit discounting, where 1/beta - 1 would lose digits to cancellation
+    @example(beta=0.999999999, eta=0.5, alpha=0.5, delta=1e-12)
+    def test_matches_the_exact_reference_near_unit_discounting(self, beta, eta, alpha,
+                                                               delta):
+        out = stationary_dm_output(params(beta=beta, eta=eta, alpha=alpha, delta=delta))
+        for key, d in (("q_hat_full", 1.0), ("q_hat_delta", delta)):
+            exact = oracles.dm_output_exact(beta, eta, alpha, d)
+            if exact >= sys.float_info.min:
+                assert out[key] == pytest.approx(exact, rel=1e-12, abs=0.0), key
+
+    def test_root_below_the_normal_range_matches_the_reference(self):
+        # q_hat_delta is subnormal, about 4.87e-313
+        out = stationary_dm_output(params(beta=1e-300, eta=0.999, alpha=0.0, delta=1e-12))
+        assert out["q_hat_delta"] == pytest.approx(
+            oracles.dm_output_exact(1e-300, 0.999, 0.0, 1e-12), rel=1e-9)
+        assert 0.0 < out["q_hat_delta"] < out["q_hat_full"]
+
+    def test_subnormal_discount_factor_gives_a_positive_output(self):
+        # 1/beta overflows at beta = 1e-320, which would zero q_hat_delta
+        out = stationary_dm_output(params(beta=1e-320, delta=0.1))
+        assert out["q_hat_delta"] > 0.0
+        assert out["q_hat_delta"] == pytest.approx(
+            oracles.dm_output_exact(1e-320, 0.5, 0.5, 0.1), rel=1e-2)
 
     def test_lower_delta_means_lower_output(self):
         outs = [stationary_dm_output(params(delta=d))["q_hat_delta"]
