@@ -99,6 +99,16 @@ class TestUtilityAndInstance:
         with pytest.raises(ValueError, match=f"^{field} must be finite$"):
             CongestionInstance(k=2, n_miners=3, **grids)
 
+    # The rate and the cost are one number each: a per-puzzle sequence, a
+    # nested list or a non-number is refused, not read entry by entry.
+    @pytest.mark.parametrize("mu", [[[1.0, 2.0], [3.0]], [[1.0], 2.0], None, "ab",
+                                    [[1.0, 2.0], [3.0, 4.0]], [1.0, math.inf]])
+    def test_ragged_or_non_numeric_grids_rejected(self, mu):
+        with pytest.raises(TypeError):
+            CongestionInstance(k=2, n_miners=3, mu=mu, gamma=0.0)
+        with pytest.raises(TypeError):
+            CongestionInstance(k=2, n_miners=3, mu=1.0, gamma=mu)
+
     def test_allocation_shapes(self):
         alloc = Allocation((2, 0, 1))
         assert alloc.total == 3
@@ -182,6 +192,14 @@ class TestSolver:
         with pytest.raises(DomainError, match="exceed the exhaustive cap"):
             solve_congestion_nash(instance(k=10, n=100))
 
+    def test_cost_between_win_probabilities_seats_one_miner_per_puzzle(self):
+        # win(1) = 0.632 > gamma = 0.5 > win(2) = 0.432: a lone miner profits,
+        # a second one on the same puzzle earns the floor of 0.
+        inst = instance(k=2, n=5, mu=1.0, gamma=0.5)
+        nash = all_nash_allocations(inst)
+        assert nash and all(min(a.loads) >= 1 for a in nash)
+        assert solve_congestion_nash(inst).allocation.loads == (1, 1)
+
     def test_costly_mining_attracts_nobody(self):
         inst = instance(k=2, n=4, gamma=2.0)  # cost above any win probability
         solution = solve_congestion_nash(inst)
@@ -213,11 +231,12 @@ class TestSolver:
     # would count every allocation as Nash at small enough rates. The oracle
     # evaluates the same float utilities, so below T * mu of about 1e-16,
     # where they stop depending on the load, both judge the rounded model.
-    def test_nash_sets_match_the_exact_oracle_at_every_rate_scale(self):
-        k, n = 2, 3
+    @pytest.mark.parametrize("k, n, cost_ratio", [(2, 3, 0.5), (3, 4, 0.25)],
+                             ids=["equal-puzzles", "three-puzzles"])
+    def test_nash_sets_match_the_exact_oracle_at_every_rate_scale(self, k, n, cost_ratio):
         for exponent in range(-300, 4):
             scale = 10.0 ** exponent
-            mu, gamma = 1.0 * scale, 0.5 * scale
+            mu, gamma = 1.0 * scale, cost_ratio * scale
             inst = CongestionInstance(k=k, n_miners=n, mu=mu, gamma=gamma)
             theirs = oracles.congestion_equilibria(n, [mu] * k, [gamma] * k, 1.0)
             assert [a.loads for a in all_nash_allocations(inst)] == theirs, scale
