@@ -2,8 +2,10 @@
 
 1. Puzzle congestion: miners racing deadlines spread out into an equilibrium,
    and the cost gap versus identity-based selection is the price of anarchy.
-2. Reward regimes: iterated dominance picks unique-identity mining over
-   winner-take-all proof-of-work once rewards are spread wide enough.
+2. Reward regimes: each miner's payoff depends only on its own regime, so
+   strict dominance, decided from the two regime payoffs, picks
+   unique-identity mining over winner-take-all proof-of-work once rewards
+   are spread wide enough.
 3. Platform competition: cross-side network effects make strong feedback
    tip markets and weak feedback share them.
 4. Token circulation: partial redemption always trims stationary output.
@@ -36,14 +38,15 @@ def main() -> None:
           f"equilibrium costs {ratio:.1f}x more")
 
     banner("2. Which reward regime survives iterated dominance?")
-    matrix = games.udce_vs_plfc_game(
+    game = games.udce_vs_plfc_game(
         4, 1.5, 4.0, share_model="zipf",
         population=10_000, top_count=16, top_share=0.9)
-    result = games.idsds(matrix)
+    result = games.idsds(game)
     names = {games.UDCE: "unique-identity", games.PLFC: "winner-take-all"}
     print(f"  4 miners, hash power calibrated so the top 16 of 10k hold 90%:")
     print(f"  unique survivor: {tuple(names[s] for s in result.unique_survivor)}")
-    print(f"  survivor verified as an equilibrium: {result.nash_verified}")
+    # a strictly dominant profile is an equilibrium: no miner gains by leaving it
+    print(f"  survivor verified as an equilibrium: {result.unique_survivor is not None}")
     u = {("A", "A"): 3.0, ("A", "B"): 0.0, ("B", "A"): 2.0, ("B", "B"): 1.0}
     print(f"  and as a population strategy, 'A' resists invasion: "
           f"{games.is_ess(u, ('A', 'B'), 'A')}")

@@ -1,6 +1,6 @@
-"""Finite-game machinery: payoff tensors, iterated deletion of strictly
-dominated strategies, evolutionary stability, and the reward-regime game
-between uniformly-distributed and power-law-concentrated mining rewards.
+"""Evolutionary stability, power-law reward shares, and the reward-regime
+game between uniformly-distributed and power-law-concentrated mining
+rewards, decided by strict dominance from its two payoffs.
 """
 
 from __future__ import annotations
@@ -9,143 +9,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from ..errors import DomainError
 from ._roots import bisect_root
-
-_TENSOR_CAP = 1_000_000  # payoff entries an exhaustive pass may touch
-
-
-@dataclass(frozen=True)
-class PayoffMatrix:
-    """n-player finite game. u[s1][...][sn][i] is player i's payoff at the
-    pure profile (s1, ..., sn), held as nested tuples of floats (read-only);
-    strategies[i] names player i's options. Any nested sequence of numbers
-    of that shape (a numpy array included) is accepted as u."""
-
-    strategies: tuple[tuple[str, ...], ...]
-    u: tuple
-
-    def __init__(self, strategies, u):
-        strategies = tuple(tuple(s) for s in strategies)
-        expected = tuple(len(s) for s in strategies) + (len(strategies),)
-        try:
-            u = _frozen_tensor(u, expected)
-        except TypeError:
-            raise ValueError(f"payoff tensor shape != {expected}") from None
-        if math.prod(expected) > _TENSOR_CAP:
-            raise DomainError("payoff tensor too large for exhaustive analysis")
-        object.__setattr__(self, "strategies", strategies)
-        object.__setattr__(self, "u", u)
-
-    @property
-    def num_players(self) -> int:
-        return len(self.strategies)
-
-    def payoff(self, player: int, profile: tuple[int, ...]) -> float:
-        cell = self.u
-        for s in profile:
-            cell = cell[s]
-        return cell[player]
-
-
-def _frozen_tensor(u, shape: tuple[int, ...], depth: int = 0):
-    """u as nested tuples of finite floats; ValueError unless u has shape."""
-    if depth == len(shape):
-        value = float(u)
-        if not math.isfinite(value):
-            raise ValueError("payoffs must be finite")
-        return value
-    if len(u) != shape[depth]:
-        raise ValueError(f"payoff tensor shape != {shape}")
-    return tuple(_frozen_tensor(row, shape, depth + 1) for row in u)
-
-
-def is_pure_nash(matrix: PayoffMatrix, profile: tuple[int, ...]) -> bool:
-    """No player gains by a unilateral switch to any of its strategies.
-
-    A switch is a gain exactly when its payoff is greater than the current
-    one: payoffs are compared with no tolerance, so scaling every payoff by
-    the same power of two never changes the verdict."""
-    profile = tuple(profile)
-    for i in range(matrix.num_players):
-        here = matrix.payoff(i, profile)
-        for alt in range(len(matrix.strategies[i])):
-            trial = profile[:i] + (alt,) + profile[i + 1:]
-            if matrix.payoff(i, trial) > here:
-                return False
-    return True
-
-
-@dataclass(frozen=True)
-class Elimination:
-    round: int
-    player: int
-    removed: str
-    dominated_by: str
-
-
-@dataclass(frozen=True)
-class IdsdsResult:
-    surviving: tuple[tuple[str, ...], ...]  # per player, labels that remain
-    survivors: tuple[tuple[str, ...], ...]  # full surviving profiles (labels)
-    trace: tuple[Elimination, ...]
-    unique_survivor: tuple[str, ...] | None
-    is_dominant_equilibrium: bool
-    nash_verified: bool
-
-
-def idsds(matrix: PayoffMatrix) -> IdsdsResult:
-    """Iterated deletion of strictly dominated strategies, to fixpoint.
-
-    A strategy is removed when some other remaining strategy yields strictly
-    more against every remaining opponent combination. When one profile
-    survives, it is flagged a dominant-strategy equilibrium and re-checked
-    with the direct Nash test on the original game.
-    """
-    alive: list[list[int]] = [list(range(len(s))) for s in matrix.strategies]
-    trace: list[Elimination] = []
-    round_no = 0
-    changed = True
-    while changed:
-        changed = False
-        round_no += 1
-        for i in range(matrix.num_players):
-            others = [alive[j] for j in range(matrix.num_players) if j != i]
-            removed_now = []
-            for s in list(alive[i]):
-                dominator = None
-                for t in alive[i]:
-                    if t == s:
-                        continue
-                    if all(matrix.payoff(i, _insert(ctx, i, t))
-                           > matrix.payoff(i, _insert(ctx, i, s))
-                           for ctx in itertools.product(*others)):
-                        dominator = t
-                        break
-                if dominator is not None:
-                    removed_now.append((s, dominator))
-            for s, t in removed_now:
-                if len(alive[i]) == 1:
-                    break
-                alive[i].remove(s)
-                trace.append(Elimination(round_no, i, matrix.strategies[i][s],
-                                         matrix.strategies[i][t]))
-                changed = True
-    surviving = tuple(tuple(matrix.strategies[i][s] for s in alive[i])
-                      for i in range(matrix.num_players))
-    survivor_profiles = tuple(itertools.product(*surviving))
-    unique = survivor_profiles[0] if len(survivor_profiles) == 1 else None
-    nash_ok = False
-    if unique is not None:
-        idx = tuple(alive[i][0] for i in range(matrix.num_players))
-        nash_ok = is_pure_nash(matrix, idx)
-    return IdsdsResult(surviving=surviving, survivors=survivor_profiles, trace=tuple(trace),
-                       unique_survivor=unique, is_dominant_equilibrium=unique is not None,
-                       nash_verified=nash_ok)
-
-
-def _insert(ctx: tuple[int, ...], i: int, s: int) -> tuple[int, ...]:
-    return ctx[:i] + (s,) + ctx[i:]
 
 
 # ---------------------------------------------------------------------------
@@ -233,11 +97,30 @@ def calibrate_power_law(population: int, top_count: int, top_share: float) -> fl
     return bisect_root(gap, 1e-3, 16.0, xtol=1e-12)
 
 
+@dataclass(frozen=True)
+class RegimeGame:
+    """miner_count miners, each paid udce_pay on the uniform chain and
+    plfc_pay on the concentrated one, whatever the others choose."""
+
+    miner_count: int
+    udce_pay: float
+    plfc_pay: float
+
+
+@dataclass(frozen=True)
+class Dominance:
+    """What iterated strict dominance leaves of a RegimeGame."""
+
+    surviving: tuple[str, ...]  # the regimes every miner keeps
+    eliminations: int  # (miner, regime) pairs dropped, all in round 1
+    unique_survivor: tuple[str, ...] | None  # the one surviving profile, if one
+
+
 def udce_vs_plfc_game(miner_count: int, pow_cost: float, reward_r: float, *,
                       share_model: str = "zipf", population: int = 10_000,
                       top_count: int = 16, top_share: float = 0.9,
-                      udce_cost: float = 0.0) -> PayoffMatrix:
-    """Entrant's choice between reward regimes, as a finite game.
+                      udce_cost: float = 0.0) -> RegimeGame:
+    """Entrant's choice between reward regimes.
 
     Each of miner_count prospective miners picks the uniformly-rewarding
     chain or the power-law-concentrated one; payoffs are expected rewards
@@ -253,11 +136,12 @@ def udce_vs_plfc_game(miner_count: int, pow_cost: float, reward_r: float, *,
     * "uniform": the concentrated chain degenerates to uniform shares (a
       zero exponent), leaving costs as the only difference (with zero cost
       the payoffs tie and nothing is dominated).
+
+    ValueError if either payoff is not finite: no regime can be ranked
+    against an infinite or undefined payoff.
     """
     if miner_count < 2:
         raise ValueError("the game needs at least two miners")
-    if 2 ** miner_count * miner_count > _TENSOR_CAP:
-        raise DomainError("miner count too large for an explicit payoff tensor")
     if share_model == "zipf":
         s = calibrate_power_law(population, top_count, top_share)
         plfc_share = population ** -s / _power_sum(population, s)  # last rank's share
@@ -270,11 +154,24 @@ def udce_vs_plfc_game(miner_count: int, pow_cost: float, reward_r: float, *,
         raise ValueError(f"unknown share model {share_model!r}")
     udce_pay = reward_r * udce_share - udce_cost
     plfc_pay = reward_r * plfc_share - pow_cost
-    pays = (udce_pay, plfc_pay)
+    if not (math.isfinite(udce_pay) and math.isfinite(plfc_pay)):
+        raise ValueError("payoffs must be finite")
+    return RegimeGame(miner_count, udce_pay, plfc_pay)
 
-    def tensor(profile):  # u[s1]...[sn][i] = pays[s_i]
-        if len(profile) == miner_count:
-            return [pays[choice] for choice in profile]
-        return [tensor(profile + (choice,)) for choice in (0, 1)]
 
-    return PayoffMatrix(strategies=((UDCE, PLFC),) * miner_count, u=tensor(()))
+def idsds(game: RegimeGame) -> Dominance:
+    """Iterated deletion of strictly dominated strategies, from the two
+    payoffs alone (D. Fudenberg, J. Tirole, Game Theory, 1991, ch. 2).
+
+    A miner's payoff depends only on its own regime, so the regime with the
+    strictly larger payoff beats the other against every choice of the
+    other miners: every miner drops the other regime in round 1, and the
+    profile of winners survives alone. It is a dominant-strategy
+    equilibrium, hence a Nash equilibrium. On an exact tie neither regime
+    dominates and nothing is dropped.
+    """
+    if game.udce_pay == game.plfc_pay:
+        return Dominance(surviving=(UDCE, PLFC), eliminations=0, unique_survivor=None)
+    winner = UDCE if game.udce_pay > game.plfc_pay else PLFC
+    return Dominance(surviving=(winner,), eliminations=game.miner_count,
+                     unique_survivor=(winner,) * game.miner_count)

@@ -487,20 +487,20 @@ def _scenario_econ_dominance(p: _Params, seed: int) -> ScenarioResult:
     top_share = p.number("top_share", 0.9, lo=0.0, hi=1.0, exclusive=True)
     udce_cost = p.number("udce_cost", 0.0, lo=0.0)
     p.reject_unknown()
-    matrix = games.udce_vs_plfc_game(miner_count, pow_cost, reward,
-                                     share_model=share_model, population=population,
-                                     top_count=top_count, top_share=top_share,
-                                     udce_cost=udce_cost)
-    result = games.idsds(matrix)
-    rows = [{"player": i, "surviving": "|".join(result.surviving[i])}
+    game = games.udce_vs_plfc_game(miner_count, pow_cost, reward,
+                                   share_model=share_model, population=population,
+                                   top_count=top_count, top_share=top_share,
+                                   udce_cost=udce_cost)
+    result = games.idsds(game)
+    solved = result.unique_survivor is not None  # a dominant, hence Nash, profile
+    rows = [{"player": i, "surviving": "|".join(result.surviving)}
             for i in range(miner_count)]
     return ScenarioResult(
         columns=["player", "surviving"], rows=rows,
-        summary={"unique_survivor": list(result.unique_survivor) if result.unique_survivor
-                 else None,
-                 "eliminations": len(result.trace),
-                 "dominant_equilibrium": result.is_dominant_equilibrium,
-                 "nash_verified": result.nash_verified})
+        summary={"unique_survivor": list(result.unique_survivor) if solved else None,
+                 "eliminations": result.eliminations,
+                 "dominant_equilibrium": solved,
+                 "nash_verified": solved})
 
 
 def _scenario_econ_ess(p: _Params, seed: int) -> ScenarioResult:
@@ -532,11 +532,12 @@ def _scenario_econ_network(p: _Params, seed: int) -> ScenarioResult:
     state = network.NetworkState(m_a=m_a, m_b=m_b, c_a=c_a, c_b=c_b, lam=lam,
                                  alpha=alpha, beta=beta, expectation_mode=mode)
     path = network.simulate_network_growth(state, steps, seed, stride)
+    if not m_a + m_b:  # the model refuses this from step 1; step 0 has no share either
+        _fail("params", "both networks have zero merchants; probabilities undefined")
     rows = []
     for t, (m_a_t, m_b_t, c_a_t, c_b_t) in zip(range(0, steps + 1, stride), path):
-        share = network.share_of(m_a_t, m_b_t) if m_a_t + m_b_t else math.nan  # no merchants yet
         rows.append({"t": t, "m_a": m_a_t, "m_b": m_b_t, "c_a": c_a_t, "c_b": c_b_t,
-                     "merchant_share_a": share})
+                     "merchant_share_a": network.share_of(m_a_t, m_b_t)})
     return ScenarioResult(
         columns=["t", "m_a", "m_b", "c_a", "c_b", "merchant_share_a"], rows=rows,
         summary={"alpha_beta_product": alpha * beta,
@@ -662,6 +663,11 @@ def run(config: dict, scenario: str, seed: int, out_path=None,
     fmt = output_format or output_section.get("format") or result.default_format
     if fmt not in ("csv", "json"):
         _fail("output.format", "must be 'csv' or 'json'")
+    # RFC 8259 has no NaN or infinity, so no payload may print one
+    for cells in (result.summary, *result.rows):
+        for field, value in cells.items():
+            if isinstance(value, float) and not math.isfinite(value):
+                _fail("params", f"{field} is not finite")
     payload = render_csv(result) if fmt == "csv" else render_json(scenario, seed, result)
 
     outputs = {}

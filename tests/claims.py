@@ -1,20 +1,25 @@
-"""Checks of the paper's claims that only tests call.
+"""Checks of the paper's claims that only tests call, and the generic
+finite-game procedures the library's closed forms are checked against.
 
-Each function here decides a claim from the library's own models: the
+Each claim function decides a claim from the library's own models: the
 unique Nash equilibrium and the decentralization test of the sharding game,
 the fee balance of the circulation model, and the ratio dynamics and
-elasticity recovery of the network model. The library never calls them, so
-they live beside the tests. Unlike ``oracles``, this module imports the
-library: it checks claims on the library's models, not the models
-themselves.
+elasticity recovery of the network model. The finite-game section holds
+n-player payoff tensors, the pure-Nash test and iterated deletion of
+strictly dominated strategies over every opponent profile: the reference
+for `games.idsds`, which decides the reward-regime game from its two
+payoffs. The library never calls any of them, so they live beside the
+tests. Unlike ``oracles``, this module imports the library: it checks
+claims on the library's models, not the models themselves.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
-from zkpoi.econ import network
+from zkpoi.econ import games, network
 from zkpoi.econ.network import NetworkState
 from zkpoi.errors import DomainError
 from zkpoi.shardgame import GameParams, payoff_cooperate, payoff_defect
@@ -233,3 +238,157 @@ def estimate_elasticities(customer_joins: tuple[int, int], merchant_joins: tuple
     beta_hat = _log_ratio_elasticity(merch_a / merch_total, state.c_a, state.c_b,
                                      "customer")
     return alpha_hat, beta_hat
+
+
+# ---------------------------------------------------------------------------
+# Finite games: payoff tensors, pure Nash, iterated strict dominance
+# ---------------------------------------------------------------------------
+
+_TENSOR_CAP = 1_000_000  # payoff entries an exhaustive pass may touch
+
+
+@dataclass(frozen=True)
+class PayoffMatrix:
+    """n-player finite game. u[s1][...][sn][i] is player i's payoff at the
+    pure profile (s1, ..., sn), held as nested tuples of floats (read-only);
+    strategies[i] names player i's options. Any nested sequence of numbers
+    of that shape (a numpy array included) is accepted as u."""
+
+    strategies: tuple[tuple[str, ...], ...]
+    u: tuple
+
+    def __init__(self, strategies, u):
+        strategies = tuple(tuple(s) for s in strategies)
+        expected = tuple(len(s) for s in strategies) + (len(strategies),)
+        try:
+            u = _frozen_tensor(u, expected)
+        except TypeError:
+            raise ValueError(f"payoff tensor shape != {expected}") from None
+        if math.prod(expected) > _TENSOR_CAP:
+            raise DomainError("payoff tensor too large for exhaustive analysis")
+        object.__setattr__(self, "strategies", strategies)
+        object.__setattr__(self, "u", u)
+
+    @property
+    def num_players(self) -> int:
+        return len(self.strategies)
+
+    def payoff(self, player: int, profile: tuple[int, ...]) -> float:
+        cell = self.u
+        for s in profile:
+            cell = cell[s]
+        return cell[player]
+
+
+def _frozen_tensor(u, shape: tuple[int, ...], depth: int = 0):
+    """u as nested tuples of finite floats; ValueError unless u has shape."""
+    if depth == len(shape):
+        value = float(u)
+        if not math.isfinite(value):
+            raise ValueError("payoffs must be finite")
+        return value
+    if len(u) != shape[depth]:
+        raise ValueError(f"payoff tensor shape != {shape}")
+    return tuple(_frozen_tensor(row, shape, depth + 1) for row in u)
+
+
+def is_pure_nash(matrix: PayoffMatrix, profile: tuple[int, ...]) -> bool:
+    """No player gains by a unilateral switch to any of its strategies.
+
+    A switch is a gain exactly when its payoff is greater than the current
+    one: payoffs are compared with no tolerance, so scaling every payoff by
+    the same power of two never changes the verdict."""
+    profile = tuple(profile)
+    for i in range(matrix.num_players):
+        here = matrix.payoff(i, profile)
+        for alt in range(len(matrix.strategies[i])):
+            trial = profile[:i] + (alt,) + profile[i + 1:]
+            if matrix.payoff(i, trial) > here:
+                return False
+    return True
+
+
+@dataclass(frozen=True)
+class Elimination:
+    round: int
+    player: int
+    removed: str
+    dominated_by: str
+
+
+@dataclass(frozen=True)
+class IdsdsResult:
+    surviving: tuple[tuple[str, ...], ...]  # per player, labels that remain
+    survivors: tuple[tuple[str, ...], ...]  # full surviving profiles (labels)
+    trace: tuple[Elimination, ...]
+    unique_survivor: tuple[str, ...] | None
+    is_dominant_equilibrium: bool
+    nash_verified: bool
+
+
+def iterated_strict_dominance(matrix: PayoffMatrix) -> IdsdsResult:
+    """Iterated deletion of strictly dominated strategies, to fixpoint.
+
+    A strategy is removed when some other remaining strategy yields strictly
+    more against every remaining opponent combination. When one profile
+    survives, it is flagged a dominant-strategy equilibrium and re-checked
+    with the direct Nash test on the original game.
+    """
+    alive: list[list[int]] = [list(range(len(s))) for s in matrix.strategies]
+    trace: list[Elimination] = []
+    round_no = 0
+    changed = True
+    while changed:
+        changed = False
+        round_no += 1
+        for i in range(matrix.num_players):
+            others = [alive[j] for j in range(matrix.num_players) if j != i]
+            removed_now = []
+            for s in list(alive[i]):
+                dominator = None
+                for t in alive[i]:
+                    if t == s:
+                        continue
+                    if all(matrix.payoff(i, _insert(ctx, i, t))
+                           > matrix.payoff(i, _insert(ctx, i, s))
+                           for ctx in itertools.product(*others)):
+                        dominator = t
+                        break
+                if dominator is not None:
+                    removed_now.append((s, dominator))
+            for s, t in removed_now:
+                if len(alive[i]) == 1:
+                    break
+                alive[i].remove(s)
+                trace.append(Elimination(round_no, i, matrix.strategies[i][s],
+                                         matrix.strategies[i][t]))
+                changed = True
+    surviving = tuple(tuple(matrix.strategies[i][s] for s in alive[i])
+                      for i in range(matrix.num_players))
+    survivor_profiles = tuple(itertools.product(*surviving))
+    unique = survivor_profiles[0] if len(survivor_profiles) == 1 else None
+    nash_ok = False
+    if unique is not None:
+        idx = tuple(alive[i][0] for i in range(matrix.num_players))
+        nash_ok = is_pure_nash(matrix, idx)
+    return IdsdsResult(surviving=surviving, survivors=survivor_profiles, trace=tuple(trace),
+                       unique_survivor=unique, is_dominant_equilibrium=unique is not None,
+                       nash_verified=nash_ok)
+
+
+def _insert(ctx: tuple[int, ...], i: int, s: int) -> tuple[int, ...]:
+    return ctx[:i] + (s,) + ctx[i:]
+
+
+def regime_tensor(game: games.RegimeGame) -> PayoffMatrix:
+    """The reward-regime game as an explicit n-player tensor:
+    u[s1]...[sn][i] is miner i's payoff for its own regime s_i."""
+    pays = (game.udce_pay, game.plfc_pay)
+
+    def tensor(profile):
+        if len(profile) == game.miner_count:
+            return [pays[choice] for choice in profile]
+        return [tensor(profile + (choice,)) for choice in (0, 1)]
+
+    return PayoffMatrix(strategies=((games.UDCE, games.PLFC),) * game.miner_count,
+                        u=tensor(()))

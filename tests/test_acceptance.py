@@ -568,14 +568,18 @@ def test_criterion_11_ess_and_dominance(report):
     if games.is_ess(drift, ("A", "B"), "A"):
         problems.append("neutral-drift case misclassified as stable")
 
-    matrix = games.udce_vs_plfc_game(4, 1.5, 4.0, share_model="zipf",
-                                     population=10_000, top_count=16, top_share=0.9)
-    result = games.idsds(matrix)
+    game = games.udce_vs_plfc_game(4, 1.5, 4.0, share_model="zipf",
+                                   population=10_000, top_count=16, top_share=0.9)
+    result = games.idsds(game)
     if result.unique_survivor != (games.UDCE,) * 4:
         problems.append(f"IDSDS survivor {result.unique_survivor}")
-    if not result.nash_verified:
+    matrix = claims.regime_tensor(game)
+    reference = claims.iterated_strict_dominance(matrix)
+    if reference.unique_survivor != result.unique_survivor:
+        problems.append(f"generic IDSDS survivor {reference.unique_survivor}")
+    if not reference.nash_verified:
         problems.append("surviving profile failed the equilibrium check")
-    if not games.is_pure_nash(matrix, (0, 0, 0, 0)):
+    if not claims.is_pure_nash(matrix, (0, 0, 0, 0)):
         problems.append("all-UDCE profile is not an equilibrium of the matrix")
     if oracles.pure_nash_profiles(np.asarray(matrix.u)) != [(0, 0, 0, 0)]:
         problems.append("exhaustive oracle disagrees on the equilibrium set")

@@ -433,12 +433,38 @@ class TestConfigErrors:
         assert code == 0
         assert json.loads(err)["scenario"] == "econ.dominance"
 
-    def test_network_without_merchants_reports_a_nan_share(self, capsys, config_file):
-        cfg = config_file({"params": {"m_a": 0, "m_b": 0, "steps": 0}})
-        code, out, err = run_cli(["econ", "network", "--config", cfg], capsys)
-        assert code == 0
-        assert out.splitlines()[1] == "0,0,0,2,1,nan"
-        assert json.loads(err)["scenario"] == "econ.network"
+    @pytest.mark.parametrize("steps", [0, 1, 3])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_network_without_merchants_is_refused_at_every_step_count(
+            self, capsys, config_file, steps, fmt):
+        cfg = config_file({"params": {"m_a": 0, "m_b": 0, "steps": steps}})
+        code, out, err = run_cli(["econ", "network", "--format", fmt, "--config", cfg],
+                                 capsys)
+        assert code == 2
+        assert out == ""
+        assert err.strip() == ("config error: params: both networks have zero "
+                               "merchants; probabilities undefined")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_an_overflowed_summary_is_refused(self, capsys, config_file, fmt):
+        cfg = config_file({"params": {"beta": 1e308, "alpha": 10, "steps": 0}})
+        code, out, err = run_cli(["econ", "network", "--format", fmt, "--config", cfg],
+                                 capsys)
+        assert code == 2
+        assert out == ""
+        assert err.strip() == "config error: params: alpha_beta_product is not finite"
+
+    @pytest.mark.parametrize("params", [{"reward": 1e309},
+                                        {"reward": 1e309, "pow_cost": 1e309}],
+                             ids=["infinite", "undefined"])
+    def test_dominance_refuses_a_non_finite_payoff(self, capsys, config_file, params):
+        # an infinite reward gives both regimes an infinite payoff, and with an
+        # infinite cost the concentrated regime's is NaN: neither is a tie
+        code, out, err = run_cli(["econ", "dominance", "--config",
+                                  config_file({"params": params})], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.strip() == "config error: params: payoffs must be finite"
 
     def test_register_build_refuses_an_absent_mode_card(self, capsys, config_file):
         params = {"kind": "card", "aa_mode": "absent", "count": 2, "kdf_iterations": 4}

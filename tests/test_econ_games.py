@@ -1,5 +1,7 @@
 """Finite games: payoff tensors, iterated strict dominance, evolutionary
-stability, and the reward-regime entry game."""
+stability, and the reward-regime entry game. The tensor, pure-Nash and
+generic dominance tests exercise the reference procedures in `claims`, which
+the library's two-payoff verdict is checked against."""
 
 from __future__ import annotations
 
@@ -13,18 +15,17 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from claims import PayoffMatrix, is_pure_nash, iterated_strict_dominance, regime_tensor
 from zkpoi.econ.games import (
     PLFC,
     UDCE,
-    PayoffMatrix,
+    RegimeGame,
     _power_sum,
     calibrate_power_law,
     idsds,
     is_ess,
-    is_pure_nash,
     udce_vs_plfc_game,
 )
-from zkpoi.errors import DomainError
 
 
 def two_player(u1_rows, u2_rows, row_names, col_names):
@@ -89,7 +90,7 @@ class TestPayoffMatrix:
 
 class TestIdsds:
     def test_dilemma_solves_to_defection(self):
-        result = idsds(PRISONERS)
+        result = iterated_strict_dominance(PRISONERS)
         assert result.unique_survivor == ("defect", "defect")
         assert result.is_dominant_equilibrium
         assert result.nash_verified
@@ -103,7 +104,7 @@ class TestIdsds:
             u2_rows=[[2, 1], [2, 1], [0, 5]],
             row_names=("A", "B", "C"),
             col_names=("X", "Y"))
-        result = idsds(game)
+        result = iterated_strict_dominance(game)
         assert result.unique_survivor == ("B", "X")
         assert result.nash_verified
         removals = [(e.round, e.player, e.removed) for e in result.trace]
@@ -117,7 +118,7 @@ class TestIdsds:
             u2_rows=[[-1, 1], [1, -1]],
             row_names=("heads", "tails"),
             col_names=("heads", "tails"))
-        result = idsds(game)
+        result = iterated_strict_dominance(game)
         assert result.trace == ()
         assert result.unique_survivor is None
         assert not result.is_dominant_equilibrium
@@ -131,7 +132,7 @@ class TestIdsds:
             for i in range(3):
                 u[profile + (i,)] = float(profile[i])
         game = PayoffMatrix(strategies=(("lo", "hi"),) * 3, u=u)
-        result = idsds(game)
+        result = iterated_strict_dominance(game)
         assert result.unique_survivor == ("hi", "hi", "hi")
         assert result.nash_verified
 
@@ -284,9 +285,8 @@ class TestShares:
     def test_zipf_entrant_earns_the_last_rank_share(self):
         s = calibrate_power_law(10_000, 16, 0.9)
         game = udce_vs_plfc_game(2, 0.0, 1.0)
-        assert game.payoff(0, (1, 0)) == pytest.approx(oracles.zipf_shares(10_000, s)[-1],
-                                                       rel=1e-9)
-        assert game.payoff(0, (0, 0)) == pytest.approx(1.0 / 10_000, rel=1e-12)
+        assert game.plfc_pay == pytest.approx(oracles.zipf_shares(10_000, s)[-1], rel=1e-9)
+        assert game.udce_pay == pytest.approx(1.0 / 10_000, rel=1e-12)
 
     # 128 | 129: the exact sum gives way to the Euler-Maclaurin tail
     @pytest.mark.parametrize("count", [1, 2, 64, 128, 129, 130, 1000, 65_537, 10**6])
@@ -339,22 +339,28 @@ class TestShares:
 class TestRewardRegimeGame:
     def test_payoffs_depend_only_on_own_choice(self):
         game = udce_vs_plfc_game(3, 1.5, 4.0)
+        matrix = regime_tensor(game)
         for profile in itertools.product((0, 1), repeat=3):
             for i in range(3):
                 lone = tuple(profile[i] if j == i else 0 for j in range(3))
-                assert game.payoff(i, profile) == game.payoff(i, lone)
+                assert matrix.payoff(i, profile) == matrix.payoff(i, lone)
+                assert matrix.payoff(i, profile) == (game.udce_pay, game.plfc_pay)[profile[i]]
 
     def test_concentrated_regime_is_dominated_under_calibrated_shares(self):
         game = udce_vs_plfc_game(4, 1.5, 4.0)
+        assert game.udce_pay > game.plfc_pay
         result = idsds(game)
         assert result.unique_survivor == (UDCE,) * 4
-        assert result.is_dominant_equilibrium
-        assert result.nash_verified
-        assert all(e.removed == PLFC for e in result.trace)
+        assert result.surviving == (UDCE,)
+        assert result.eliminations == 4
+        reference = iterated_strict_dominance(regime_tensor(game))
+        assert reference.is_dominant_equilibrium
+        assert reference.nash_verified
+        assert all(e.removed == PLFC and e.round == 1 for e in reference.trace)
 
     def test_matches_exhaustive_nash_oracle(self):
         game = udce_vs_plfc_game(3, 1.5, 4.0)
-        nash = oracles.pure_nash_profiles(np.asarray(game.u))
+        nash = oracles.pure_nash_profiles(np.asarray(regime_tensor(game).u))
         assert nash == [(0, 0, 0)]
 
     def test_winner_take_all_turns_on_costs_only(self):
@@ -364,8 +370,9 @@ class TestRewardRegimeGame:
         assert idsds(costly).unique_survivor == (UDCE,) * 3
 
     def test_uniform_share_model_ties_at_zero_cost(self):
-        tied = udce_vs_plfc_game(3, 0.0, 6.0, share_model="uniform")
-        assert idsds(tied).trace == ()
+        tied = idsds(udce_vs_plfc_game(3, 0.0, 6.0, share_model="uniform"))
+        assert tied.eliminations == 0
+        assert tied.surviving == (UDCE, PLFC)
 
     def test_udce_cost_can_flip_the_ranking(self):
         game = udce_vs_plfc_game(3, 0.0, 10_000.0, udce_cost=2.0)
@@ -377,5 +384,38 @@ class TestRewardRegimeGame:
             udce_vs_plfc_game(1, 1.0, 4.0)
         with pytest.raises(ValueError):
             udce_vs_plfc_game(3, 1.0, 4.0, share_model="lognormal")
-        with pytest.raises(DomainError, match="too large for an explicit payoff tensor"):
-            udce_vs_plfc_game(17, 1.0, 4.0)
+        # no tensor is built, so a million miners are answered like four
+        result = idsds(udce_vs_plfc_game(10**6, 1.0, 4.0))
+        assert result.eliminations == 10**6
+        assert result.unique_survivor == (UDCE,) * 10**6
+
+    @pytest.mark.parametrize("reward, pow_cost", [(math.inf, 1.5), (math.inf, math.inf),
+                                                  (4.0, math.inf), (math.nan, 1.5)])
+    def test_a_non_finite_payoff_is_refused(self, reward, pow_cost):
+        with pytest.raises(ValueError, match="payoffs must be finite"):
+            udce_vs_plfc_game(3, pow_cost, reward)
+
+
+@st.composite
+def regime_games(draw):
+    """A regime game of 2 to 8 miners whose two payoffs are free, edge
+    values, or one ulp apart or equal, so that ties are common."""
+    udce_pay = draw(FINITE | EDGE_PAYOFFS)
+    plfc_pay = draw(FINITE | EDGE_PAYOFFS | st.sampled_from(
+        [udce_pay, math.nextafter(udce_pay, math.inf),
+         math.nextafter(udce_pay, -math.inf)]).filter(math.isfinite))
+    if draw(st.booleans()):
+        udce_pay, plfc_pay = plfc_pay, udce_pay
+    return RegimeGame(draw(st.integers(2, 8)), udce_pay, plfc_pay)
+
+
+@settings(max_examples=300, deadline=None)
+@given(regime_games())
+def test_dominance_verdict_matches_the_generic_procedure(game):
+    verdict = idsds(game)
+    reference = iterated_strict_dominance(regime_tensor(game))
+    assert reference.surviving == (verdict.surviving,) * game.miner_count
+    assert len(reference.trace) == verdict.eliminations
+    assert reference.unique_survivor == verdict.unique_survivor
+    assert reference.is_dominant_equilibrium == reference.nash_verified == (
+        verdict.unique_survivor is not None)
