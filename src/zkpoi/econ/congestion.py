@@ -5,19 +5,18 @@ identity-based baseline.
 Miners allocate themselves across K identical puzzles, one provider per
 puzzle, each solved at the same rate and mined at the same cost. The
 chance of being first to solve a puzzle splits among its miners, so every
-extra miner dilutes the rest — a congestion externality that admits an
-exact potential whose maximizer is deviation-stable.
+extra miner dilutes the rest — a congestion externality with an exact
+potential. Its Nash set follows from m*, the most miners a puzzle pays.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from ..errors import DomainError
-
-_ENUMERATION_CAP = 200_000  # candidate allocations an exhaustive scan may touch
 
 
 @dataclass(frozen=True)
@@ -84,8 +83,7 @@ def miner_utility(instance: CongestionInstance, allocation: Allocation, k: int) 
 
 def potential(instance: CongestionInstance, allocation: Allocation) -> float:
     """Rosenthal potential: for each puzzle, the win probabilities at
-    occupancies 1..l_k, each less the cost. Its exact-difference property
-    is what certifies the solver."""
+    occupancies 1..l_k, each less the cost."""
     total = 0.0
     for l_k in allocation.loads:
         for occupancy in range(1, l_k + 1):
@@ -120,79 +118,76 @@ def _puzzle_utility(instance: CongestionInstance, l_k: int) -> float:
     return max(win - instance.gamma, 0.0)
 
 
+def _paid_load(instance: CongestionInstance) -> int:
+    """m*: the largest m <= N such that a miner on a puzzle of load l wins
+    more than gamma for every l <= m (a scan up from l = 1)."""
+    m = 0
+    while (m < instance.n_miners
+           and puzzle_win_prob(m + 1, instance.mu, instance.deadline) > instance.gamma):
+        m += 1
+    return m
+
+
 def deviation_certificate(instance: CongestionInstance, allocation: Allocation,
                           ) -> tuple[Deviation, ...] | None:
     """Every unilateral deviation (switch puzzles, go idle, or join from
-    idle) with its utility delta; None as soon as any strictly profitable
-    one exists. A complete all-nonpositive certificate is a Nash proof.
+    idle) with its float utility delta; None as soon as any strictly
+    profitable one exists. A complete certificate is a Nash proof.
 
-    A deviation is profitable exactly when its delta is greater than 0:
-    the computed float utilities are compared with no tolerance, so the
-    verdict is exact for them at any payoff scale. Below T*mu of about
-    1e-16 those utilities no longer depend on the load, and the verdicts
-    are then those of the rounded model, not of the game."""
+    The exact win probability falls strictly with the load, so integers
+    decide: a move from load l to a puzzle of load l' pays exactly when
+    l' + 1 <= m* and l' + 1 < l, a join when l' + 1 <= m*, going idle
+    never. The verdicts hold at every rate, also where the deltas round."""
     loads = allocation.loads
+    paid = _paid_load(instance)
     records: list[Deviation] = []
     for k, l_k in enumerate(loads):
         if l_k < 1:
             continue
         here = _puzzle_utility(instance, l_k)
-        # Going idle earns 0, which never beats a utility floored at zero.
         records.append(Deviation("leave", k, None, 0.0 - here))
         for k2 in range(instance.k):
             if k2 == k:
                 continue
-            delta = _puzzle_utility(instance, loads[k2] + 1) - here
-            if delta > 0.0:
+            if loads[k2] + 1 <= paid and loads[k2] + 1 < l_k:
                 return None
-            records.append(Deviation("move", k, k2, delta))
+            records.append(Deviation(
+                "move", k, k2, _puzzle_utility(instance, loads[k2] + 1) - here))
     if allocation.total < instance.n_miners:
         for k2 in range(instance.k):
-            delta = _puzzle_utility(instance, loads[k2] + 1) - 0.0
-            if delta > 0.0:
+            if loads[k2] + 1 <= paid:
                 return None
-            records.append(Deviation("join", None, k2, delta))
+            records.append(Deviation("join", None, k2, _puzzle_utility(instance, loads[k2] + 1)))
     return tuple(records)
-
-
-def _enumerate_allocations(instance: CongestionInstance):
-    """All load vectors with total <= N (idle miners allowed)."""
-    k = instance.k
-    total_count = math.comb(instance.n_miners + k, k)
-    if total_count > _ENUMERATION_CAP:
-        raise DomainError(f"{total_count} candidate allocations exceed the exhaustive cap")
-    for total in range(instance.n_miners + 1):
-        for cuts in itertools.combinations(range(total + k - 1), k - 1):
-            loads = []
-            prev = -1
-            for c in cuts:
-                loads.append(c - prev - 1)
-                prev = c
-            loads.append(total + k - 2 - prev)
-            yield Allocation(loads)
 
 
 def solve_congestion_nash(instance: CongestionInstance) -> NashSolution:
     """Deviation-certified equilibrium allocation: the first equilibrium in
     enumeration order whose potential is highest among the equilibria,
-    returned with its certificate and its potential. There is always one:
-    the float utilities themselves form a potential game.
-    """
-    def phi(allocation: Allocation) -> float:
-        return potential(instance, allocation)
-
-    best = max(all_nash_allocations(instance), key=phi)
-    return NashSolution(best, deviation_certificate(instance, best), phi(best))
-
-
-def all_nash_allocations(instance: CongestionInstance) -> list[Allocation]:
-    """Every deviation-stable allocation, by exhaustive check."""
-    return [a for a in _enumerate_allocations(instance)
-            if deviation_certificate(instance, a) is not None]
+    returned with its certificate and its potential."""
+    paid = _paid_load(instance)
+    if instance.n_miners >= instance.k * paid:
+        best = Allocation((paid,) * instance.k)  # each further miner adds a term <= 0
+    else:  # balanced loads, whose float potentials may differ by an ulp with their order
+        best = max(all_nash_allocations(instance), key=lambda a: potential(instance, a))
+    return NashSolution(best, deviation_certificate(instance, best), potential(instance, best))
 
 
-def total_mining_cost(instance: CongestionInstance, allocation: Allocation) -> float:
-    return sum(instance.gamma * load for load in allocation.loads)
+def all_nash_allocations(instance: CongestionInstance) -> Iterator[Allocation]:
+    """Every Nash allocation, lazily, by total and then by loads ascending:
+    with N >= K*m*, those with every load at least m*, idle miners allowed;
+    otherwise those of all N miners with loads floor(N/K) and ceil(N/K)."""
+    k, n = instance.k, instance.n_miners
+    paid = _paid_load(instance)
+    if n >= k * paid:
+        for spare in range(n - k * paid + 1):
+            for cuts in itertools.combinations(range(spare + k - 1), k - 1):
+                bounds = (-1, *cuts, spare + k - 1)
+                yield Allocation(paid + hi - lo - 1 for lo, hi in zip(bounds, bounds[1:]))
+    else:
+        low, extra = divmod(n, k)
+        for at_low in itertools.combinations(range(k), k - extra):
+            yield Allocation(low if i in at_low else low + 1 for i in range(k))
 
 
 @dataclass(frozen=True)
@@ -208,14 +203,17 @@ class AnarchyPrice:
 def price_of_crypto_anarchy(instance: CongestionInstance,
                             zkpoi_cost: float = 0.01) -> AnarchyPrice:
     """Worst-case equilibrium resource burn relative to the identity-based
-    baseline: max over Nash allocations of total_mining_cost, divided by
-    zkpoi_cost. The baseline must be positive — identity checks are cheap,
-    not free. DomainError if the ratio overflows."""
+    baseline: C(N - K*m* + K, K) Nash allocations if N >= K*m*, else
+    C(K, N mod K), each set holding one of all N miners, so the worst cost
+    is gamma * N, divided by zkpoi_cost. The baseline must be positive —
+    identity checks are cheap, not free. DomainError if the ratio overflows."""
     if zkpoi_cost <= 0:
         raise DomainError("the baseline cost must be > 0")
-    nash = all_nash_allocations(instance)
-    worst = max(total_mining_cost(instance, a) for a in nash)
+    k, n = instance.k, instance.n_miners
+    paid = _paid_load(instance)
+    count = math.comb(n - k * paid + k, k) if n >= k * paid else math.comb(k, n % k)
+    worst = instance.gamma * n
     ratio = worst / zkpoi_cost
     if math.isinf(ratio):
         raise DomainError("the worst Nash cost over zkpoi_cost overflows a 64-bit float")
-    return AnarchyPrice(len(nash), worst, ratio)
+    return AnarchyPrice(count, worst, ratio)

@@ -532,8 +532,9 @@ def _scenario_econ_network(p: _Params, seed: int) -> ScenarioResult:
     state = network.NetworkState(m_a=m_a, m_b=m_b, c_a=c_a, c_b=c_b, lam=lam,
                                  alpha=alpha, beta=beta, expectation_mode=mode)
     path = network.simulate_network_growth(state, steps, seed, stride)
-    if not m_a + m_b:  # the model refuses this from step 1; step 0 has no share either
-        _fail("params", "both networks have zero merchants; probabilities undefined")
+    for side, total in (("customers", c_a + c_b), ("merchants", m_a + m_b)):
+        if not total:  # the model refuses these from step 1; step 0 has no share either
+            _fail("params", f"both networks have zero {side}; probabilities undefined")
     rows = []
     for t, (m_a_t, m_b_t, c_a_t, c_b_t) in zip(range(0, steps + 1, stride), path):
         rows.append({"t": t, "m_a": m_a_t, "m_b": m_b_t, "c_a": c_a_t, "c_b": c_b_t,

@@ -8,6 +8,7 @@ checked against an implementation that shares no code with them.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from decimal import Decimal, localcontext
@@ -142,23 +143,47 @@ def enumerate_allocations(n_miners, n_puzzles):
             yield tuple(loads)
 
 
+EXACT_DIGITS = 720  # w(l) - w(l + 1) is about (T*mu)**2 / 2: 1e-601 at T*mu = 1e-300
+
+
+@functools.lru_cache(maxsize=1 << 10)
+def exact_decay(rate, deadline):
+    """exp(-T*rate) at EXACT_DIGITS digits, from the exact float inputs."""
+    with localcontext() as ctx:
+        ctx.prec = EXACT_DIGITS
+        return (-Decimal(deadline) * Decimal(rate)).exp()
+
+
+@functools.lru_cache(maxsize=1 << 16)
+def exact_utility(load, rate, cost, deadline):
+    """max(w(load) - cost, 0) with w(l) = (1 - exp(-T*rate)**l) / l, in
+    EXACT_DIGITS-digit decimal arithmetic from the exact values of the float
+    inputs: the game's utility, not its rounding to a float. Cached, so an
+    instance computes each load's utility once."""
+    with localcontext() as ctx:
+        ctx.prec = EXACT_DIGITS
+        win = (1 - exact_decay(rate, deadline) ** load) / load
+        return max(win - Decimal(cost), Decimal(0))
+
+
 def allocation_is_nash(loads, rates, costs, deadline, n_miners):
     """Deviation check independent of the solver: movers may switch puzzles or
     go idle, and idle miners may join any puzzle; utilities clip at zero.
 
     A move is profitable exactly when the utility it brings is greater than
-    the one held, with no tolerance.
+    the one held, both exact (exact_utility), so the verdict is the game's
+    at every rate scale.
     """
 
     def util(l, k):
-        return max(win_prob(l, rates[k], deadline) - costs[k], 0.0)
+        return exact_utility(l, rates[k], costs[k], deadline)
 
     total = sum(loads)
     for k, l_k in enumerate(loads):
         if l_k == 0:
             continue
         here = util(l_k, k)
-        if 0.0 > here:  # leaving for idle
+        if 0 > here:  # leaving for idle
             return False
         for k2 in range(len(loads)):
             if k2 == k:
@@ -167,14 +192,14 @@ def allocation_is_nash(loads, rates, costs, deadline, n_miners):
                 return False
     if total < n_miners:  # an idle miner joining
         for k2 in range(len(loads)):
-            if util(loads[k2] + 1, k2) > 0.0:
+            if util(loads[k2] + 1, k2) > 0:
                 return False
     return True
 
 
 def congestion_equilibria(n_miners, rates, costs, deadline):
     """Every Nash allocation of the congestion game, as load tuples in
-    enumeration order, by exhaustive exact deviation checks."""
+    enumeration order, by exhaustive deviation checks on exact utilities."""
     return [loads for loads in enumerate_allocations(n_miners, len(rates))
             if allocation_is_nash(loads, rates, costs, deadline, n_miners)]
 

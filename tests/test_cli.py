@@ -272,6 +272,21 @@ class TestSuccessPath:
             "run.csv": hashlib.sha256(payload).hexdigest()}
         assert payload.startswith(b"puzzle,load,utility\n")
 
+    # About 2.7e16 and 4.1e15 allocations: answered without enumerating them.
+    @pytest.mark.parametrize("verb", ["congestion", "poa"])
+    @pytest.mark.parametrize("puzzles, miners", [(16, 64), (16, 56)])
+    def test_the_largest_congestion_instances_are_answered(
+            self, capsys, config_file, verb, puzzles, miners):
+        cfg = config_file({"params": {"puzzles": puzzles, "miners": miners}})
+        code, out, _ = run_cli(["econ", verb, "--format", "json", "--config", cfg], capsys)
+        assert code == 0
+
+        def refuse(token):
+            raise ValueError(f"non-finite number {token} in the payload")
+
+        doc = json.loads(out, parse_constant=refuse)
+        assert len(doc["rows"]) == (puzzles if verb == "congestion" else 1)
+
 
 class TestSeedResolution:
     def test_default_seed_is_zero(self, capsys):
@@ -445,6 +460,19 @@ class TestConfigErrors:
         assert err.strip() == ("config error: params: both networks have zero "
                                "merchants; probabilities undefined")
 
+    @pytest.mark.parametrize("steps", [0, 1, 3])
+    @pytest.mark.parametrize("mode", ["current", "expected"])
+    @pytest.mark.parametrize("side", ["customers", "merchants"])
+    def test_network_with_an_empty_side_is_refused_in_both_modes(
+            self, capsys, config_file, side, mode, steps):
+        empty = {"c_a": 0, "c_b": 0} if side == "customers" else {"m_a": 0, "m_b": 0}
+        cfg = config_file({"params": {**empty, "steps": steps, "expectation_mode": mode}})
+        code, out, err = run_cli(["econ", "network", "--config", cfg], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.strip() == (f"config error: params: both networks have zero "
+                               f"{side}; probabilities undefined")
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_an_overflowed_summary_is_refused(self, capsys, config_file, fmt):
         cfg = config_file({"params": {"beta": 1e308, "alpha": 10, "steps": 0}})
@@ -607,12 +635,6 @@ class TestRuntimeErrors:
         assert self.refused(capsys, config_file, "network", params) == (
             "config error: params: both networks have zero customers; "
             "probabilities undefined")
-
-    def test_exhaustive_cap_exits_2(self, capsys, config_file):
-        params = {"puzzles": 16, "miners": 64}
-        assert self.refused(capsys, config_file, "poa", params) == (
-            "config error: params: 26958221130508525 candidate allocations exceed "
-            "the exhaustive cap")
 
     def test_unwritable_out_path_exits_1(self, capsys, tmp_path):
         target = tmp_path / "missing-dir" / "run.csv"

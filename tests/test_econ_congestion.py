@@ -20,7 +20,6 @@ from zkpoi.econ.congestion import (
     price_of_crypto_anarchy,
     puzzle_win_prob,
     solve_congestion_nash,
-    total_mining_cost,
 )
 from zkpoi.errors import DomainError
 
@@ -188,15 +187,40 @@ class TestSolver:
         assert solution.allocation.total == 0
         assert solution.potential_value == 0.0
 
-    def test_oversized_instance_rejected(self):
-        with pytest.raises(DomainError, match="exceed the exhaustive cap"):
-            solve_congestion_nash(instance(k=10, n=100))
+    # Instances with up to C(80, 16), about 2.7e16, allocations, each with
+    # its closed-form count: with gamma 0 every load pays (m* = N), so loads are
+    # balanced, C(K, N mod K); at (3, 100, 0.05) m* = 19 and N >= K * m*, so
+    # every allocation with all loads >= 19 is Nash, C(100 - 57 + 3, 3).
+    @pytest.mark.parametrize("k, n, gamma, count, loads", [
+        (16, 64, 0.0, 1, (4,) * 16),
+        (16, 56, 0.0, 12870, (3,) * 8 + (4,) * 8),
+        (3, 100, 0.0, 3, (33, 33, 34)),
+        (3, 100, 0.05, 15180, (19, 19, 19)),
+    ])
+    def test_large_instances_are_answered_in_closed_form(self, k, n, gamma, count, loads):
+        inst = instance(k=k, n=n, gamma=gamma)
+        assert price_of_crypto_anarchy(inst).nash_count == count
+        solution = solve_congestion_nash(inst)
+        assert sorted(solution.allocation.loads) == sorted(loads)
+        assert oracles.allocation_is_nash(solution.allocation.loads, [1.0] * k,
+                                          [gamma] * k, 1.0, n)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 3), st.integers(0, 6), st.floats(0.0, 3.0), st.floats(0.0, 1.0),
+           st.integers(-300, 0))
+    @example(2, 3, 1.0, 0.5, -17)  # below T * mu of 1e-16
+    def test_nash_count_is_the_size_of_the_exact_nash_set(self, k, n, mu, gamma, exponent):
+        scale = 10.0 ** exponent
+        inst = instance(k=k, n=n, mu=mu * scale, gamma=gamma * scale)
+        theirs = oracles.congestion_equilibria(n, [mu * scale] * k, [gamma * scale] * k, 1.0)
+        assert price_of_crypto_anarchy(inst).nash_count == len(theirs)
+        assert [a.loads for a in all_nash_allocations(inst)] == theirs
 
     def test_cost_between_win_probabilities_seats_one_miner_per_puzzle(self):
         # win(1) = 0.632 > gamma = 0.5 > win(2) = 0.432: a lone miner profits,
         # a second one on the same puzzle earns the floor of 0.
         inst = instance(k=2, n=5, mu=1.0, gamma=0.5)
-        nash = all_nash_allocations(inst)
+        nash = list(all_nash_allocations(inst))
         assert nash and all(min(a.loads) >= 1 for a in nash)
         assert solve_congestion_nash(inst).allocation.loads == (1, 1)
 
@@ -229,8 +253,8 @@ class TestSolver:
 
     # Utilities scale with mu * deadline, so a tolerance on their gains
     # would count every allocation as Nash at small enough rates. The oracle
-    # evaluates the same float utilities, so below T * mu of about 1e-16,
-    # where they stop depending on the load, both judge the rounded model.
+    # judges the game in exact decimal, also below T * mu of about 1e-16,
+    # where the float utilities stop depending on the load.
     @pytest.mark.parametrize("k, n, cost_ratio", [(2, 3, 0.5), (3, 4, 0.25)],
                              ids=["equal-puzzles", "three-puzzles"])
     def test_nash_sets_match_the_exact_oracle_at_every_rate_scale(self, k, n, cost_ratio):
@@ -240,6 +264,7 @@ class TestSolver:
             inst = CongestionInstance(k=k, n_miners=n, mu=mu, gamma=gamma)
             theirs = oracles.congestion_equilibria(n, [mu] * k, [gamma] * k, 1.0)
             assert [a.loads for a in all_nash_allocations(inst)] == theirs, scale
+            assert price_of_crypto_anarchy(inst).nash_count == len(theirs), scale
             assert solve_congestion_nash(inst).allocation.loads in theirs, scale
 
     def test_small_rates_leave_only_the_balanced_allocations(self):
@@ -269,11 +294,11 @@ class TestAnarchyRatio:
 
     def test_ratio_uses_worst_equilibrium(self):
         inst = self.worked_instance()
-        nash = all_nash_allocations(inst)
-        worst = max(total_mining_cost(inst, a) for a in nash)
+        nash = list(all_nash_allocations(inst))
+        assert max(a.total for a in nash) == inst.n_miners
         price = price_of_crypto_anarchy(inst, zkpoi_cost=0.01)
         assert (price.nash_count, price.worst_nash_cost, price.ratio) == (
-            len(nash), worst, worst / 0.01)
+            len(nash), inst.gamma * inst.n_miners, inst.gamma * inst.n_miners / 0.01)
 
     def test_zero_baseline_rejected(self):
         with pytest.raises(DomainError, match="baseline cost must be > 0"):
