@@ -1,12 +1,16 @@
 """Mining as a congestion game: win probabilities, Rosenthal potential,
-Nash solving with deviation certificates, and the cost ratio against an
-identity-based baseline.
+Nash solving, and the cost ratio against an identity-based baseline.
 
 Miners allocate themselves across K identical puzzles, one provider per
 puzzle, each solved at the same rate and mined at the same cost. The
 chance of being first to solve a puzzle splits among its miners, so every
 extra miner dilutes the rest — a congestion externality with an exact
-potential. Its Nash set follows from m*, the most miners a puzzle pays.
+potential. Its Nash set follows from m*, the most miners a puzzle pays:
+the exact win probability falls strictly with the load, so a move from
+load l to a puzzle holding l' pays exactly when l' + 1 <= m* and
+l' + 1 < l, a join when l' + 1 <= m*, going idle never. The solver
+returns the set's first member, which has the highest exact potential,
+and counts the deviations that rule it Nash from its loads alone.
 """
 
 from __future__ import annotations
@@ -78,7 +82,8 @@ def miner_utility(instance: CongestionInstance, allocation: Allocation, k: int) 
     would lose money simply does not mine)."""
     if allocation.loads[k] < 1:
         raise DomainError("utility is defined for an occupied puzzle")
-    return _puzzle_utility(instance, allocation.loads[k])
+    win = puzzle_win_prob(allocation.loads[k], instance.mu, instance.deadline)
+    return max(win - instance.gamma, 0.0)
 
 
 def potential(instance: CongestionInstance, allocation: Allocation) -> float:
@@ -97,25 +102,14 @@ def potential(instance: CongestionInstance, allocation: Allocation) -> float:
 
 
 @dataclass(frozen=True)
-class Deviation:
-    """One hypothetical unilateral move and the utility change it brings."""
-
-    kind: str  # "move", "leave", or "join"
-    source: int | None  # puzzle index
-    target: int | None  # puzzle index
-    delta: float
-
-
-@dataclass(frozen=True)
 class NashSolution:
+    """An equilibrium allocation, its potential, and how many unilateral
+    deviations rule it Nash: K for each occupied puzzle (leave, or move to
+    one of the K - 1 others), and K joins if any miner idles."""
+
     allocation: Allocation
-    certificate: tuple[Deviation, ...]
+    deviations_checked: int
     potential_value: float
-
-
-def _puzzle_utility(instance: CongestionInstance, l_k: int) -> float:
-    win = puzzle_win_prob(l_k, instance.mu, instance.deadline)
-    return max(win - instance.gamma, 0.0)
 
 
 def _paid_load(instance: CongestionInstance) -> int:
@@ -128,49 +122,16 @@ def _paid_load(instance: CongestionInstance) -> int:
     return m
 
 
-def deviation_certificate(instance: CongestionInstance, allocation: Allocation,
-                          ) -> tuple[Deviation, ...] | None:
-    """Every unilateral deviation (switch puzzles, go idle, or join from
-    idle) with its float utility delta; None as soon as any strictly
-    profitable one exists. A complete certificate is a Nash proof.
-
-    The exact win probability falls strictly with the load, so integers
-    decide: a move from load l to a puzzle of load l' pays exactly when
-    l' + 1 <= m* and l' + 1 < l, a join when l' + 1 <= m*, going idle
-    never. The verdicts hold at every rate, also where the deltas round."""
-    loads = allocation.loads
-    paid = _paid_load(instance)
-    records: list[Deviation] = []
-    for k, l_k in enumerate(loads):
-        if l_k < 1:
-            continue
-        here = _puzzle_utility(instance, l_k)
-        records.append(Deviation("leave", k, None, 0.0 - here))
-        for k2 in range(instance.k):
-            if k2 == k:
-                continue
-            if loads[k2] + 1 <= paid and loads[k2] + 1 < l_k:
-                return None
-            records.append(Deviation(
-                "move", k, k2, _puzzle_utility(instance, loads[k2] + 1) - here))
-    if allocation.total < instance.n_miners:
-        for k2 in range(instance.k):
-            if loads[k2] + 1 <= paid:
-                return None
-            records.append(Deviation("join", None, k2, _puzzle_utility(instance, loads[k2] + 1)))
-    return tuple(records)
-
-
 def solve_congestion_nash(instance: CongestionInstance) -> NashSolution:
-    """Deviation-certified equilibrium allocation: the first equilibrium in
-    enumeration order whose potential is highest among the equilibria,
-    returned with its certificate and its potential."""
-    paid = _paid_load(instance)
-    if instance.n_miners >= instance.k * paid:
-        best = Allocation((paid,) * instance.k)  # each further miner adds a term <= 0
-    else:  # balanced loads, whose float potentials may differ by an ulp with their order
-        best = max(all_nash_allocations(instance), key=lambda a: potential(instance, a))
-    return NashSolution(best, deviation_certificate(instance, best), potential(instance, best))
+    """The first Nash allocation in enumeration order, which has the highest
+    exact potential: with N >= K*m* it is (m*,)*K, and each further miner
+    adds a term <= 0; otherwise every equilibrium is a permutation of one
+    balanced load vector, so all tie. Returned with its deviation count and
+    its potential."""
+    best = next(all_nash_allocations(instance))
+    occupied = sum(1 for l_k in best.loads if l_k)
+    idle = best.total < instance.n_miners
+    return NashSolution(best, instance.k * (occupied + idle), potential(instance, best))
 
 
 def all_nash_allocations(instance: CongestionInstance) -> Iterator[Allocation]:

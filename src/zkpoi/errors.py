@@ -107,10 +107,9 @@ class NotMember(ZkpoiError):
 
 class DomainError(ZkpoiError):
     """A model cannot take its inputs: a degenerate case (no cooperators, no
-    miners, a zero baseline), an instance past an exhaustive cap, or a
-    result that overflows. The message names the case. Raised from a
-    scenario, it is a config error (exit 2), like a constructor's
-    ValueError."""
+    miners, a zero baseline) or a result that overflows. The message names
+    the case. Raised from a scenario, it is a config error (exit 2), like a
+    constructor's ValueError."""
 
 
 # --- experiment runner ------------------------------------------------------

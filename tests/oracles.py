@@ -166,6 +166,34 @@ def exact_utility(load, rate, cost, deadline):
         return max(win - Decimal(cost), Decimal(0))
 
 
+def exact_potential(loads, rate, cost, deadline):
+    """Rosenthal potential of puzzles sharing one rate and one cost: w(l) - cost
+    for every occupancy 1..l_k of every puzzle, unclipped, in EXACT_DIGITS-digit
+    decimal. The loads are summed in sorted order, so two permutations of one
+    load vector get the same value."""
+    with localcontext() as ctx:
+        ctx.prec = EXACT_DIGITS
+        decay = exact_decay(rate, deadline)
+        total = Decimal(0)
+        for l_k in sorted(loads):
+            for occupancy in range(1, l_k + 1):
+                total += (1 - decay ** occupancy) / occupancy - Decimal(cost)
+        return total
+
+
+def unilateral_deviations(loads, n_miners):
+    """Every unilateral deviation from loads as a (source, target) pair: a
+    miner on an occupied puzzle moves to another puzzle or leaves (target
+    None), and, when some miner idles, an idle miner joins a puzzle (source
+    None)."""
+    puzzles = range(len(loads))
+    occupied = [k for k in puzzles if loads[k] > 0]
+    moves = [(k, k2) for k in occupied for k2 in puzzles if k2 != k]
+    leaves = [(k, None) for k in occupied]
+    joins = [(None, k2) for k2 in puzzles] if sum(loads) < n_miners else []
+    return moves + leaves + joins
+
+
 def allocation_is_nash(loads, rates, costs, deadline, n_miners):
     """Deviation check independent of the solver: movers may switch puzzles or
     go idle, and idle miners may join any puzzle; utilities clip at zero.

@@ -9,15 +9,22 @@ finite edges (0, 2, subnormals, 1e7, 1e20, 1e300), and must answer 0 or 2:
 a config its models refuse is a config error. To keep the sweep short, a
 document scenario takes every other value of the list, alternating so that
 neighbouring parameters cover the rest, and may also answer 1.
+
+A pairwise sweep then sets every two parameters of a model scenario at
+once, each to a finite edge value, and parses every payload as strict
+JSON.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
+import sys
 
 import pytest
 
 from zkpoi import cli, runner
+from zkpoi.errors import ConfigInvalid
 
 LIGHT_CRYPTO = {"count": 2, "kdf_iterations": 4}
 BASES = {
@@ -74,6 +81,37 @@ def test_extreme_params_give_an_exit_code(scenario, tmp_path, capsys):
         err = capsys.readouterr().err
         if code not in codes or "Traceback" in err:
             leaks.append(f"params.{key} = {json.dumps(value)[:24]}: {code}")
+    assert not leaks, "\n".join(leaks)
+
+
+# Zero, one, the smallest subnormal, the largest float below one, the largest
+# float and the largest integer exact as a float; each is a bound, or just
+# inside or past one, of some parameter.
+PAIR_EDGES = [0, 1, 5e-324, 1 - 2**-53, sys.float_info.max, 2**53]
+
+
+def refuse_constant(name):
+    raise ValueError(f"payload holds {name}")
+
+
+@pytest.mark.parametrize("scenario", sorted(s for s in BASES if s.startswith(("econ.", "sim."))))
+def test_pairs_of_edge_params_give_strict_json_or_a_config_error(scenario):
+    """Every two parameters at every pair of edge values, the rest at the
+    base config. The scenario runs in-process, where `cli.main` would exit
+    0 on a returned payload and 2 exactly on ConfigInvalid; any other
+    exception is exit 1 or a traceback."""
+    leaks = []
+    for (a, b), (va, vb) in itertools.product(
+            itertools.combinations(scenario_keys(scenario), 2),
+            itertools.product(PAIR_EDGES, repeat=2)):
+        config = {"params": {**BASES[scenario], a: va, b: vb}}
+        try:
+            _, payload = runner.run(config, scenario, 1, output_format="json")
+            json.loads(payload, parse_constant=refuse_constant)
+        except ConfigInvalid:
+            continue
+        except Exception as exc:
+            leaks.append(f"{a} = {va!r}, {b} = {vb!r}: {type(exc).__name__}: {exc}")
     assert not leaks, "\n".join(leaks)
 
 

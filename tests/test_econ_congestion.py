@@ -13,7 +13,6 @@ import oracles
 from zkpoi.econ.congestion import (
     Allocation,
     CongestionInstance,
-    deviation_certificate,
     miner_utility,
     all_nash_allocations,
     potential,
@@ -176,11 +175,12 @@ class TestSolver:
         assert solution.allocation.loads == (1, 1)
         assert solution.potential_value == pytest.approx(oracles.PHI_1_1 - 2 * 0.01,
                                                          abs=1e-12)
-        assert all(d.delta <= 0.0 for d in solution.certificate)
+        assert solution.deviations_checked == 4
 
     def test_lopsided_allocation_rejected(self):
         inst = instance(k=2, n=2, mu=1.0, gamma=0.01)
-        assert deviation_certificate(inst, Allocation((2, 0))) is None
+        assert (2, 0) not in {a.loads for a in all_nash_allocations(inst)}
+        assert not oracles.allocation_is_nash((2, 0), [1.0] * 2, [0.01] * 2, 1.0, 2)
 
     def test_empty_market(self):
         solution = solve_congestion_nash(instance(n=0))
@@ -235,21 +235,27 @@ class TestSolver:
     @example(2, 1.0, 1.0, 5)  # cost above every win probability
     @example(2, 1.0, 0.1, 3)  # exact potential ties
     def test_nash_sets_match_oracle(self, k, mu, gamma, n):
-        """The Nash set matches the oracle's, and the solver returns a
-        member of it: the first allocation, in enumeration order, whose
-        potential is at least that of every allocation."""
+        """The Nash set matches the oracle's, and the solver returns its
+        first member, whose exact potential is the highest of every
+        allocation's."""
         inst = CongestionInstance(k=k, n_miners=n, mu=mu, gamma=gamma)
-        ours = {a.loads for a in all_nash_allocations(inst)}
-        theirs = set(oracles.congestion_equilibria(n, [mu] * k, [gamma] * k, 1.0))
-        assert ours == theirs
+        theirs = oracles.congestion_equilibria(n, [mu] * k, [gamma] * k, 1.0)
+        assert {a.loads for a in all_nash_allocations(inst)} == set(theirs)
         solution = solve_congestion_nash(inst)
-        assert solution.allocation.loads in theirs
+        assert solution.allocation.loads == theirs[0]
         assert solution.potential_value == potential(inst, solution.allocation)
-        phis = [(potential(inst, Allocation(loads)), loads)
-                for loads in oracles.enumerate_allocations(n, k)]
-        assert solution.potential_value == max(phi for phi, _ in phis)
-        assert solution.allocation.loads == next(
-            loads for phi, loads in phis if phi == solution.potential_value)
+        assert oracles.exact_potential(solution.allocation.loads, mu, gamma, 1.0) == max(
+            oracles.exact_potential(loads, mu, gamma, 1.0)
+            for loads in oracles.enumerate_allocations(n, k))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 4), st.integers(0, 9), st.floats(0.0, 3.0), st.floats(0.0, 1.0))
+    @example(2, 5, 1.0, 0.5)  # one miner per puzzle, three idle
+    @example(3, 0, 1.0, 0.0)  # empty market
+    def test_deviation_count_is_every_move_leave_and_join(self, k, n, mu, gamma):
+        solution = solve_congestion_nash(instance(k=k, n=n, mu=mu, gamma=gamma))
+        assert solution.deviations_checked == len(
+            oracles.unilateral_deviations(solution.allocation.loads, n))
 
     # Utilities scale with mu * deadline, so a tolerance on their gains
     # would count every allocation as Nash at small enough rates. The oracle

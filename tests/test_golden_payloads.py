@@ -144,13 +144,14 @@ DEFECTOR_EPOCHS = {
 
 
 # `econ congestion` and `econ poa` on an instance with four equilibria, the
-# permutations of one load vector, whose potentials differ only by rounding:
-# the pin holds the solver to the first maximizer in enumeration order,
-# loads (2, 3, 2, 2). Neither payload depends on the seed.
+# permutations of one balanced load vector, whose exact potentials are equal:
+# the solver returns the first equilibrium in enumeration order (by total,
+# then loads ascending), loads (2, 2, 2, 3). Neither payload depends on the
+# seed.
 TIED_CONGESTION = {"params": {"puzzles": 4, "miners": 9, "mu": 1.3, "gamma": 0.05,
                               "deadline": 0.8}}
 TIED_CONGESTION_PAYLOADS = {
-    'econ.congestion': '2a48d00b4f7592732acc9fd76970a3bde38b619d427140ab79dd8f3c50897cef',
+    'econ.congestion': '57af881d62d80a73ccdd2dea2a29e6b862f9728fb94ec8fabc8b3d256e2558eb',
     'econ.poa': 'ae9ee84001d46519470527eb6b43ff31cf67eec7f55aa65e392eac2b866a0298',
 }
 
